@@ -14,7 +14,7 @@ from .data import SentencePair, default_layout_builder, gen_synthetic
 from .engine import (GenerationMode, TranslationTrace, prefix_expand,
                      replay_visibility, schedule_trace, simul_generate)
 from .errors import WorkbenchError
-from .kernel import AttentionInputs, masked_attention, matmul, softmax_row
+from .kernel import softmax_row
 from .masks import (AttentionMaskSpec, DecisionPolicy, PromptLayout,
                     ReadSchedule, TablePolicy, WaitKPolicy, causal_mask,
                     cross_attention_mask, encoder_mask, simul_mask)
@@ -24,14 +24,14 @@ from .model import (CacheTag, KVCache, ModelConfig, ModelParams,
 from .training import fine_tune
 
 __all__ = [
-    "AttentionInputs", "AttentionMaskSpec", "CacheTag", "DecisionPolicy",
+    "AttentionMaskSpec", "CacheTag", "DecisionPolicy",
     "FlopModel", "GenerationMode", "HeadSlopes", "KVCache", "ModelConfig",
     "ModelParams", "PositionalBias", "PromptLayout", "ReadSchedule",
     "SentencePair", "TablePolicy", "TranslationTrace", "WaitKPolicy",
     "WorkbenchError", "alibi_slopes", "causal_mask", "cross_attention_mask",
     "default_layout_builder", "encoder_mask", "fine_tune", "flops_generate",
     "forward_full", "forward_incremental", "gen_synthetic", "head_biases",
-    "init_model", "laal", "masked_attention", "matmul", "modified_alibi",
+    "init_model", "laal", "modified_alibi",
     "prefix_expand", "quality_proxy", "replay_visibility", "schedule_trace",
     "simul_generate", "simul_mask", "softmax_row", "standard_alibi",
 ]

@@ -47,7 +47,8 @@ def rank_biases(n_visible: int, slope: float, dtype=np.float32) -> np.ndarray:
     """Bias ladder over n visible keys in ascending order: most recent gets 0.
 
     Shared by the mask-side constructors and the incremental decoder so the
-    two sides produce bit-identical values.
+    two sides produce bit-identical values.  An (H, 1) column of slopes
+    gives one ladder per head, shape (H, n).
     """
     ranks = np.arange(n_visible - 1, -1, -1, dtype=dtype)
     return -dtype(slope) * ranks

@@ -15,8 +15,8 @@ from .config import build_config, load_config
 from .data import gen_synthetic, load_corpus, save_corpus
 from .engine import GenerationMode
 from .errors import (CacheCoherenceError, ConfigError, ConsistencyError,
-                     DataError, DegenerateRowError, LayoutError, PolicyError,
-                     ScheduleError, ShapeError, WorkbenchError)
+                     DataError, DegenerateRowError, LayoutError, NumericError,
+                     PolicyError, ScheduleError, ShapeError, WorkbenchError)
 from .experiment import compare_modes, run_experiment, train_model
 from .masks import (PromptLayout, TablePolicy, WaitKPolicy, causal_mask,
                     mask_to_ascii, simul_mask)
@@ -26,7 +26,8 @@ from .training import loss_curve_to_csv
 
 _CONFIG_ERRORS = (ConfigError, LayoutError, PolicyError, ScheduleError)
 _DATA_ERRORS = (DataError, ConsistencyError)
-_NUMERIC_ERRORS = (DegenerateRowError, ShapeError, CacheCoherenceError)
+_NUMERIC_ERRORS = (DegenerateRowError, ShapeError, CacheCoherenceError,
+                   NumericError)
 
 
 def _config_overrides(args) -> dict:
@@ -247,7 +248,7 @@ def main(argv=None) -> int:
     except _DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (_NUMERIC_ERRORS, FloatingPointError) as exc:
+    except _NUMERIC_ERRORS + (FloatingPointError,) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
     except WorkbenchError as exc:

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alibi import alibi_slopes, head_biases
-from .errors import ConfigError, ConsistencyError, DataError, PolicyError
+from .errors import (ConfigError, ConsistencyError, DataError, NumericError,
+                     PolicyError)
 from .masks import AttentionMaskSpec, DecisionPolicy, PromptLayout, Region
 from .model import (CacheTag, FlopCounter, KVCache, ModelParams, forward_full,
                     forward_incremental)
@@ -84,7 +85,6 @@ class _Stream:
     def __init__(self, source):
         self._it = iter(source)
         self.finished = False
-        self.pulled = 0
 
     def pull(self) -> int | None:
         if self.finished:
@@ -94,7 +94,6 @@ class _Stream:
         except StopIteration:
             self.finished = True
             return None
-        self.pulled += 1
         return tok
 
 
@@ -136,6 +135,7 @@ def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
     (teacher forcing for equivalence harnesses) and disables the
     end-of-sequence stop.  ``bias_scheme`` is forwarded to the cached path
     ("rank", or "stale" for the frozen-absolute-position negative control).
+    Raises NumericError when a prediction step's logits are not all finite.
     """
     pre_prompt = list(pre_prompt)
     mid_prompt = list(mid_prompt)
@@ -149,6 +149,8 @@ def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
         forced_target = list(forced_target)
         if not forced_target or len(forced_target) > max_target_len:
             raise ConfigError("forced target must fit within max_target_len")
+        # teacher forcing: no end-of-sequence stop, one write per forced token
+        eos_id, max_target_len = None, len(forced_target)
 
     stream = _Stream(source_stream)
     trace = TranslationTrace(pre_len=len(pre_prompt), mid_len=len(mid_prompt),
@@ -160,7 +162,9 @@ def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
     return emitted, trace
 
 
-def _emit(trace, logits_row, t, forced_target, eos_id, counter):
+def _emit(trace, logits_row, t, forced_target, counter):
+    if not np.isfinite(logits_row).all():
+        raise NumericError(f"non-finite logits at prediction step {t}")
     if trace.step_logits is not None:
         trace.step_logits.append(np.array(logits_row, copy=True))
     if forced_target is not None:
@@ -170,14 +174,6 @@ def _emit(trace, logits_row, t, forced_target, eos_id, counter):
     trace.kv_rows += counter.kv_rows
     _record(trace, WriteEvent(token=tok, flops=counter.total))
     return tok
-
-
-def _is_final(tok, emitted, t, forced_target, eos_id, max_target_len) -> bool:
-    if forced_target is not None:
-        return t >= len(forced_target)
-    if eos_id is not None and tok == eos_id:
-        return True
-    return len(emitted) >= max_target_len
 
 
 def _generate_cached(params, policy, pre_prompt, stream, mid_prompt, trace,
@@ -207,13 +203,12 @@ def _generate_cached(params, policy, pre_prompt, stream, mid_prompt, trace,
     emitted = []
     t = 1
     while True:
-        tok = _emit(trace, logits[-1], t, forced_target, eos_id, counter)
-        is_eos = forced_target is None and eos_id is not None and tok == eos_id
-        if is_eos:
+        tok = _emit(trace, logits[-1], t, forced_target, counter)
+        if tok == eos_id:
             break
         emitted.append(tok)
         trace.d.append(reads)
-        if _is_final(tok, emitted, t, forced_target, eos_id, max_target_len):
+        if len(emitted) >= max_target_len:
             break
         t += 1
         counter = FlopCounter()
@@ -273,13 +268,12 @@ def _generate_recompute(params, policy, pre_prompt, stream, mid_prompt, trace,
         biases = head_biases(mask, slopes, "modified")
         counter = FlopCounter()
         logits = forward_full(params, tokens, mask, biases, flops=counter)
-        tok = _emit(trace, logits[-1], t, forced_target, eos_id, counter)
-        is_eos = forced_target is None and eos_id is not None and tok == eos_id
-        if is_eos:
+        tok = _emit(trace, logits[-1], t, forced_target, counter)
+        if tok == eos_id:
             break
         emitted.append(tok)
         trace.d.append(len(sources))
-        if _is_final(tok, emitted, t, forced_target, eos_id, max_target_len):
+        if len(emitted) >= max_target_len:
             break
         t += 1
     return emitted

@@ -37,5 +37,9 @@ class DataError(WorkbenchError):
     """Invalid corpus, trace, or other input data."""
 
 
+class NumericError(WorkbenchError):
+    """Non-finite numbers: logits, a loss, or a gradient norm."""
+
+
 class ConsistencyError(WorkbenchError):
     """Cross-object mismatch, e.g. a trace that does not fit a layout."""

@@ -1,15 +1,13 @@
-"""Dense kernels: matmul, stable softmax, and masked/biased attention.
+"""Dense kernels: stable softmax and head-batched biased attention.
 
 All computations are float32 unless the caller passes float64 inputs.
-Masks are additive matrices over {0, -inf}; -inf marks an entry as absent
-and is excluded from arithmetic before the softmax, so no NaN can arise
-from ``-inf + finite``.
+A bias entry of -inf marks a key as absent: it maps to exactly 0 after the
+softmax, and since the row maximum is taken over finite entries, no NaN can
+arise from ``-inf - finite``.
 
 Every operation here is a pure function of its inputs and is safe to call
 from concurrent threads.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,113 +16,39 @@ from .errors import DegenerateRowError, ShapeError
 NEG_INF = float("-inf")
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product of two 2-D arrays."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def softmax_row(x: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a 1-D vector.
+    """Numerically stable softmax over the last axis.
 
     Entries equal to -inf are treated as absent: they contribute nothing to
     the normalizer and map to exactly 0 in the output.  Raises
-    DegenerateRowError when no finite entry exists.
+    DegenerateRowError when some row has no finite entry.
     """
     x = np.asarray(x)
-    if x.ndim != 1:
-        raise ShapeError(f"softmax_row expects a vector, got {x.ndim}-D")
-    finite = x > NEG_INF
-    if not finite.any():
+    if x.ndim < 1:
+        raise ShapeError("softmax_row expects at least one axis")
+    if not (x > NEG_INF).any(axis=-1).all():
         raise DegenerateRowError("softmax over a row with no finite entry")
-    out = np.zeros_like(x)
-    vals = x[finite]
-    e = np.exp(vals - vals.max())
-    out[finite] = e / e.sum()
-    return out
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def attend_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
-               bias: np.ndarray | None = None) -> np.ndarray:
-    """Attention output of one query over its visible keys.
+               bias: np.ndarray) -> np.ndarray:
+    """Attention output (H, d_head) of one query row over its visible keys.
 
-    ``keys``/``values`` are the already-gathered visible rows, (n, d_head)
-    each; ``bias`` is the matching additive vector.  This is the single
-    code path used by every attention computation in the package, which is
-    what makes full-sequence and incremental forwards bit-identical.
+    ``q`` is (H, d_head); ``keys``/``values`` are the already-gathered
+    visible rows, (n, H, d_head) each; ``bias`` is the matching (H, n)
+    additive block.  Visibility does not depend on the head, so all heads
+    attend from one gather.  This is the single attention code path of the
+    package, which is what makes full-sequence and incremental forwards
+    bit-identical; callers hand it C-contiguous operands so every call
+    reduces in the same order.
     """
-    scores = keys @ q
-    if bias is not None:
-        scores = scores + bias
-    w = softmax_row(scores / np.sqrt(q.shape[0]).astype(q.dtype))
-    return w @ values
-
-
-def masked_attention(inputs: "AttentionInputs") -> np.ndarray:
-    """softmax((Q K^T + M + B) / sqrt(d_head)) V, computed row by row.
-
-    Hidden entries (mask -inf) are excluded before arithmetic, so each
-    row's softmax runs over its visible keys only, in ascending key order.
-    """
-    q = np.asarray(inputs.queries)
-    k = np.asarray(inputs.keys)
-    v = np.asarray(inputs.values)
-    mask = None if inputs.mask is None else np.asarray(inputs.mask)
-    bias = None if inputs.bias is None else np.asarray(inputs.bias)
-    out = np.empty((q.shape[0], v.shape[1]), dtype=v.dtype)
-    for i in range(q.shape[0]):
-        if mask is None:
-            vis = np.arange(k.shape[0])
-        else:
-            vis = np.flatnonzero(mask[i] > NEG_INF)
-            if vis.size == 0:
-                raise DegenerateRowError(f"query row {i} has no visible key")
-        extra = None if mask is None else mask[i][vis]
-        if bias is not None:
-            extra = bias[i][vis] if extra is None else extra + bias[i][vis]
-        out[i] = attend_row(
-            q[i],
-            np.ascontiguousarray(k[vis]),
-            np.ascontiguousarray(v[vis]),
-            extra,
-        )
-    return out
-
-
-@dataclass
-class AttentionInputs:
-    """Inputs of one masked scaled-dot-product attention call.
-
-    queries: (L_q, d_head); keys/values: (L_k, d_head).
-    mask: optional (L_q, L_k) additive matrix over {0, -inf}.
-    bias: optional (L_q, L_k) additive matrix, finite values <= 0; only the
-    entries left visible by the mask are ever read.
-    """
-
-    queries: np.ndarray
-    keys: np.ndarray
-    values: np.ndarray
-    mask: np.ndarray | None = None
-    bias: np.ndarray | None = None
-
-    def __post_init__(self):
-        q, k, v = (np.asarray(m) for m in (self.queries, self.keys, self.values))
-        if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-            raise ShapeError("queries, keys and values must be 2-D")
-        if q.shape[1] != k.shape[1]:
-            raise ShapeError(f"query/key width mismatch: {q.shape} vs {k.shape}")
-        if v.shape[0] != k.shape[0]:
-            raise ShapeError(f"key/value row counts differ: {k.shape} vs {v.shape}")
-        shape = (q.shape[0], k.shape[0])
-        for name, m in (("mask", self.mask), ("bias", self.bias)):
-            if m is not None and np.asarray(m).shape != shape:
-                raise ShapeError(f"{name} shape {np.asarray(m).shape} != {shape}")
-        if self.mask is not None:
-            hidden = np.asarray(self.mask) == NEG_INF
-            if hidden.all(axis=1).any():
-                raise DegenerateRowError("mask hides an entire query row")
+    # head-major copy: each head's scores then reduce exactly as a
+    # single-head (n, d_head) @ (d_head,) product would
+    by_head = np.ascontiguousarray(keys.transpose(1, 0, 2))
+    scores = np.matmul(by_head, q[:, :, None])[:, :, 0]
+    if bias.shape != scores.shape:
+        raise ShapeError(f"bias shape {bias.shape} != scores shape {scores.shape}")
+    w = softmax_row((scores + bias) / np.sqrt(q.shape[-1]).astype(q.dtype))
+    return np.matmul(w[:, None, :], values.transpose(1, 0, 2))[:, 0, :]

@@ -1,15 +1,16 @@
 """Tiny decoder-only transformer with linear attention biases.
 
 No positional embeddings touch the token stream, keys, or values; position
-enters only through per-head additive biases.  Two forward paths exist:
+enters only through per-head additive biases.  One row engine computes
+every exact forward; it is fed two ways:
 
-* ``forward_full`` runs a whole sequence under an explicit mask and
-  explicit per-head biases;
-* ``forward_incremental`` extends a KV cache with new tokens, deriving
-  visibility and biases from canonical cache tags.
+* ``forward_full`` runs a whole sequence, taking each row's visible keys
+  from an explicit mask and its biases from explicit per-head biases;
+* ``forward_incremental`` extends a KV cache with new tokens, taking
+  visibility and biases from the cache's canonical-order index.
 
-Both paths route every exactness-sensitive step through the same per-row
-primitives, so a full-sequence forward and the equivalent sequence of
+Given the same visible keys and biases, a row's arithmetic is the same on
+both paths, so a full-sequence forward and the equivalent sequence of
 incremental calls produce bit-identical float32 logits.  ModelParams are
 immutable after creation; a KVCache belongs to a single generation session.
 """
@@ -143,7 +144,7 @@ class FlopCounter:
         self.total += 2 * tokens * d_in * d_out
 
     def add_attention_row(self, n_visible: int, d_head: int):
-        # one query row, one head: scores + weighted sum
+        # n_visible query-key pairs of one head: scores + weighted sum
         self.total += 4 * n_visible * d_head
 
 
@@ -158,67 +159,42 @@ class CacheTag:
     canonical_index: int
 
 
-@dataclass
-class _CacheEntry:
-    tag: CacheTag
-    arrival: int
-    k: list  # per layer (n_heads, d_head)
-    v: list
-
-
 class KVCache:
-    """Per-layer cached keys/values tagged with canonical positions.
+    """Per-layer cached keys/values with a canonical-order index.
 
-    Storage order is arrival order, but nothing downstream depends on it:
-    attention always gathers entries sorted by tag.  One logical owner per
-    cache; no concurrent mutation.
+    ``k[layer]`` and ``v[layer]`` hold one (n_heads, d_head) row per cached
+    token in storage order (arrival order unless permuted), and
+    ``arrival`` the arrival number of each row.  ``order`` lists the storage
+    indices in canonical tag order (pre | source | mid | target, each region
+    by index), and ``counts`` the cached tokens per region.  Attention reads
+    keys through ``order``, so storage order never reaches the outputs.
+    One logical owner per cache; no concurrent mutation.
     """
 
     def __init__(self, n_layers: int):
         if n_layers < 1:
             raise ConfigError("n_layers must be >= 1")
         self.n_layers = n_layers
-        self.entries: list[_CacheEntry] = []
-        self._role_counts = {r: 0 for r in Region}
-        self._next_arrival = 0
+        self.k: list[np.ndarray] = []
+        self.v: list[np.ndarray] = []
+        self.arrival = np.empty(0, dtype=np.intp)
+        self.order = np.empty(0, dtype=np.intp)
+        self.counts = [0] * len(Region)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def role_count(self, role: Region) -> int:
-        return self._role_counts[role]
-
-    def validate_extension(self, tag: CacheTag, pending: dict[Region, int]):
-        """Check that ``tag`` validly extends canonical order.
-
-        Within each region, indices must arrive contiguously from 0;
-        ``pending`` counts tags already accepted in the current call.
-        """
-        expected = self._role_counts[tag.role] + pending.get(tag.role, 0)
-        if tag.canonical_index != expected:
-            raise CacheCoherenceError(
-                f"{tag} does not extend canonical order (expected index {expected})")
-
-    def append(self, tag: CacheTag, k_layers: list, v_layers: list) -> _CacheEntry:
-        entry = _CacheEntry(tag=tag, arrival=self._next_arrival,
-                            k=k_layers, v=v_layers)
-        self.entries.append(entry)
-        self._role_counts[tag.role] += 1
-        self._next_arrival += 1
-        return entry
-
-    @property
-    def next_arrival(self) -> int:
-        return self._next_arrival
-
-    def tags(self) -> list[CacheTag]:
-        return [e.tag for e in self.entries]
+        return self.order.size
 
     def permute_storage(self, perm):
         """Reorder physical storage (testing hook; outputs must not change)."""
-        if sorted(perm) != list(range(len(self.entries))):
+        if sorted(perm) != list(range(len(self))):
             raise ConfigError("perm must be a permutation of cache indices")
-        self.entries = [self.entries[i] for i in perm]
+        perm = np.asarray(perm, dtype=np.intp)
+        self.k = [k[perm] for k in self.k]
+        self.v = [v[perm] for v in self.v]
+        self.arrival = self.arrival[perm]
+        moved_to = np.empty_like(perm)
+        moved_to[perm] = np.arange(perm.size)
+        self.order = moved_to[self.order]
 
 
 def _ln_row(x: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -232,36 +208,57 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return x.dtype.type(0.5) * x * (1.0 + np.tanh(c * (x + x.dtype.type(0.044715) * (x * x * x))))
 
 
-def _row_qkv(lp: LayerParams, h_row: np.ndarray, n_heads: int, d_head: int,
-             flops: FlopCounter | None):
-    a = _ln_row(h_row, lp.ln1_g, lp.ln1_b)
+def _forward_rows(params: ModelParams, tokens, past_k, past_v, visible, bias,
+                  flops: FlopCounter | None):
+    """The row engine behind both forwards.
+
+    Row i attends to the keys indexed by ``visible[i]`` (past keys first,
+    then this call's keys) with the (H, n) additive ``bias[i]``.  Each
+    row's projections run one row at a time, so a row's arithmetic never
+    depends on how rows are grouped into calls.  Returns (logits, per-layer
+    keys, per-layer values), the key/value arrays holding past and new rows.
+    """
+    cfg = params.config
+    d, n_heads, d_head = cfg.d_model, cfg.n_heads, cfg.d_head
+    m = len(tokens)
+    h = [params.embed[t] for t in tokens]
+    all_k, all_v = [], []
+    for li, lp in enumerate(params.layers):
+        q = np.empty((m, n_heads, d_head), dtype=params.embed.dtype)
+        k, v = np.empty_like(q), np.empty_like(q)
+        for i in range(m):
+            a = _ln_row(h[i], lp.ln1_g, lp.ln1_b)
+            q[i] = (a @ lp.wq).reshape(n_heads, d_head)
+            k[i] = (a @ lp.wk).reshape(n_heads, d_head)
+            v[i] = (a @ lp.wv).reshape(n_heads, d_head)
+        keys = np.concatenate((past_k[li], k))
+        values = np.concatenate((past_v[li], v))
+        for i in range(m):
+            ctx = attend_row(q[i], keys[visible[i]], values[visible[i]], bias[i])
+            h2 = h[i] + ctx.reshape(d) @ lp.wo
+            b = _ln_row(h2, lp.ln2_g, lp.ln2_b)
+            h[i] = h2 + _gelu(b @ lp.w1) @ lp.w2
+        all_k.append(keys)
+        all_v.append(values)
     if flops:
-        flops.kv_rows += 1
-        for _ in range(3):
-            flops.add_linear(1, a.size, a.size)
-    q = (a @ lp.wq).reshape(n_heads, d_head)
-    k = (a @ lp.wk).reshape(n_heads, d_head)
-    v = (a @ lp.wv).reshape(n_heads, d_head)
-    return q, k, v
+        rows = cfg.n_layers * m
+        flops.kv_rows += rows
+        flops.add_linear(rows, d, 3 * d)  # q, k, v
+        flops.add_linear(rows, d, d)
+        flops.add_linear(rows, d, 4 * d)
+        flops.add_linear(rows, 4 * d, d)
+        flops.add_attention_row(
+            cfg.n_layers * n_heads * sum(len(vis) for vis in visible), d_head)
+        flops.add_linear(m, d, cfg.vocab_size)
+    logits = np.stack([_ln_row(row, params.lnf_g, params.lnf_b) @ params.w_out
+                       for row in h])
+    return logits, all_k, all_v
 
 
-def _row_after_attention(lp: LayerParams, h_row: np.ndarray, ctx: np.ndarray,
-                         flops: FlopCounter | None) -> np.ndarray:
-    d = h_row.size
-    if flops:
-        flops.add_linear(1, d, d)
-        flops.add_linear(1, d, 4 * d)
-        flops.add_linear(1, 4 * d, d)
-    h2 = h_row + ctx @ lp.wo
-    b = _ln_row(h2, lp.ln2_g, lp.ln2_b)
-    return h2 + _gelu(b @ lp.w1) @ lp.w2
-
-
-def _row_logits(params: ModelParams, h_row: np.ndarray,
-                flops: FlopCounter | None) -> np.ndarray:
-    if flops:
-        flops.add_linear(1, params.config.d_model, params.config.vocab_size)
-    return _ln_row(h_row, params.lnf_g, params.lnf_b) @ params.w_out
+def _no_past(params: ModelParams) -> list[np.ndarray]:
+    cfg = params.config
+    empty = np.empty((0, cfg.n_heads, cfg.d_head), dtype=params.embed.dtype)
+    return [empty] * cfg.n_layers
 
 
 def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
@@ -281,48 +278,25 @@ def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
     if any(not 0 <= t < cfg.vocab_size for t in tokens):
         raise ShapeError("token id outside vocabulary")
 
-    h = [params.embed[t].copy() for t in tokens]
-    for lp in params.layers:
-        qkv = [_row_qkv(lp, h[i], cfg.n_heads, cfg.d_head, flops) for i in range(L)]
-        ks = np.stack([t[1] for t in qkv])  # (L, H, dh)
-        vs = np.stack([t[2] for t in qkv])
-        new_h = []
-        for i in range(L):
-            vis = np.flatnonzero(mask.visible[i])
-            ctx = np.empty(cfg.d_model, dtype=h[i].dtype)
-            for hd in range(cfg.n_heads):
-                if flops:
-                    flops.add_attention_row(vis.size, cfg.d_head)
-                ctx[hd * cfg.d_head:(hd + 1) * cfg.d_head] = attend_row(
-                    qkv[i][0][hd],
-                    np.ascontiguousarray(ks[vis, hd]),
-                    np.ascontiguousarray(vs[vis, hd]),
-                    biases[hd].matrix[i][vis],
-                )
-            new_h.append(_row_after_attention(lp, h[i], ctx, flops))
-        h = new_h
-    return np.stack([_row_logits(params, row, flops) for row in h])
-
-
-def default_attendable(query_tag: CacheTag, key_tag: CacheTag) -> bool:
-    """Canonical-prefix visibility: a token sees keys at or before itself.
-
-    Because mid-prompt and target tags order after all source tags, a
-    source token ingested late automatically ignores the mid-prompt and
-    target entries already sitting in the cache.
-    """
-    return key_tag <= query_tag
+    visible = [np.flatnonzero(row) for row in mask.visible]
+    stack = np.stack([b.matrix for b in biases])  # (H, L, L)
+    bias = [np.ascontiguousarray(stack[:, i, vis]) for i, vis in enumerate(visible)]
+    past = _no_past(params)
+    logits, _, _ = _forward_rows(params, tokens, past, past, visible, bias, flops)
+    return logits
 
 
 def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
-                        attendable=None, bias_scheme: str = "rank",
+                        bias_scheme: str = "rank",
                         flops: FlopCounter | None = None):
     """Extend ``cache`` with tagged tokens; return (logits for them, cache).
 
     ``new_tokens`` is a sequence of (token_id, CacheTag).  Each new token
-    attends to the visible cache entries, visible earlier new tokens, and
-    itself, gathered in canonical tag order.  Per-head biases follow
-    ``bias_scheme``:
+    attends, in canonical tag order, to everything cached or earlier in the
+    call whose tag orders at or before its own (itself included).  Because
+    mid-prompt and target tags order after all source tags, a source token
+    ingested late ignores the mid-prompt and target entries already cached.
+    Per-head biases follow ``bias_scheme``:
 
     * ``"rank"``: -slope * (canonical-rank distance within the visible
       set), nearest key 0 — the scheme matching visibility-aware training
@@ -336,77 +310,38 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
         raise CacheCoherenceError("cache layer count differs from model")
     if bias_scheme not in ("rank", "stale"):
         raise ConfigError(f"unknown bias scheme {bias_scheme!r}")
-    if attendable is None:
-        attendable = default_attendable
     new_tokens = list(new_tokens)
-    pending: dict[Region, int] = {}
-    for tok, tag in new_tokens:
+    slopes = np.asarray(alibi_slopes(cfg.n_heads).slopes)[:, None]
+    past = len(cache)
+    arrival = np.concatenate(
+        (cache.arrival, np.arange(past, past + len(new_tokens), dtype=np.intp)))
+    counts = list(cache.counts)
+    order = cache.order
+    visible, bias = [], []
+    for i, (tok, tag) in enumerate(new_tokens):
         if not 0 <= tok < cfg.vocab_size:
             raise ShapeError("token id outside vocabulary")
-        cache.validate_extension(tag, pending)
-        pending[tag.role] = pending.get(tag.role, 0) + 1
+        if tag.canonical_index != counts[tag.role]:
+            raise CacheCoherenceError(
+                f"{tag} does not extend canonical order "
+                f"(expected index {counts[tag.role]})")
+        # every token of an earlier region, or earlier in this region,
+        # orders before this one
+        slot = sum(counts[:tag.role + 1])
+        counts[tag.role] += 1
+        order = np.insert(order, slot, past + i)
+        vis = order[:slot + 1]
+        visible.append(vis)
+        if bias_scheme == "rank":
+            bias.append(rank_biases(vis.size, slopes))
+        else:
+            deltas = (past + i - arrival[vis]).astype(np.float32)
+            bias.append(-np.float32(slopes) * deltas)
 
-    slopes = alibi_slopes(cfg.n_heads)
-    m = len(new_tokens)
-    arrivals = [cache.next_arrival + i for i in range(m)]
-    h = [params.embed[tok].copy() for tok, _ in new_tokens]
-    k_new = [[None] * m for _ in range(cfg.n_layers)]
-    v_new = [[None] * m for _ in range(cfg.n_layers)]
-
-    # visible set of each new token: (tag, arrival, source) where source is
-    # either a cache entry or an in-call index; fixed across layers
-    visible_refs: list[list] = []
-    for i, (_, qtag) in enumerate(new_tokens):
-        refs = [(e.tag, e.arrival, ("cache", e)) for e in cache.entries
-                if attendable(qtag, e.tag)]
-        refs += [(new_tokens[j][1], arrivals[j], ("new", j)) for j in range(i)
-                 if attendable(qtag, new_tokens[j][1])]
-        refs.append((qtag, arrivals[i], ("new", i)))
-        refs.sort(key=lambda r: (r[0], r[1]))
-        visible_refs.append(refs)
-
-    for li, lp in enumerate(params.layers):
-        qkv = [_row_qkv(lp, h[i], cfg.n_heads, cfg.d_head, flops) for i in range(m)]
-        for i in range(m):
-            k_new[li][i] = qkv[i][1]
-            v_new[li][i] = qkv[i][2]
-        new_h = []
-        for i in range(m):
-            refs = visible_refs[i]
-            k_rows, v_rows = [], []
-            for _, _, (kind, src) in refs:
-                if kind == "cache":
-                    k_rows.append(src.k[li])
-                    v_rows.append(src.v[li])
-                else:
-                    k_rows.append(k_new[li][src])
-                    v_rows.append(v_new[li][src])
-            k_all = np.stack(k_rows)  # (n, H, dh)
-            v_all = np.stack(v_rows)
-            n = len(refs)
-            ctx = np.empty(cfg.d_model, dtype=h[i].dtype)
-            for hd in range(cfg.n_heads):
-                if bias_scheme == "rank":
-                    bias_vec = rank_biases(n, slopes[hd])
-                else:
-                    deltas = np.array([arrivals[i] - a for _, a, _ in refs],
-                                      dtype=np.float32)
-                    bias_vec = -np.float32(slopes[hd]) * deltas
-                if flops:
-                    flops.add_attention_row(n, cfg.d_head)
-                ctx[hd * cfg.d_head:(hd + 1) * cfg.d_head] = attend_row(
-                    qkv[i][0][hd],
-                    np.ascontiguousarray(k_all[:, hd]),
-                    np.ascontiguousarray(v_all[:, hd]),
-                    bias_vec,
-                )
-            new_h.append(_row_after_attention(lp, h[i], ctx, flops))
-        h = new_h
-
-    logits = np.stack([_row_logits(params, row, flops) for row in h])
-    for i, (_, tag) in enumerate(new_tokens):
-        cache.append(tag, [k_new[li][i] for li in range(cfg.n_layers)],
-                     [v_new[li][i] for li in range(cfg.n_layers)])
+    logits, cache.k, cache.v = _forward_rows(
+        params, [tok for tok, _ in new_tokens], cache.k or _no_past(params),
+        cache.v or _no_past(params), visible, bias, flops)
+    cache.arrival, cache.order, cache.counts = arrival, order, counts
     return logits, cache
 
 
@@ -435,20 +370,40 @@ def save_params(params: ModelParams, path: str):
 
 
 def load_params(path: str) -> ModelParams:
+    """Read a checkpoint written by ``save_params``.
+
+    The header's tensors must be exactly those of its config, with the
+    config's shapes, and the data must hold exactly their bytes.
+    """
     try:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode())
             raw = fh.read()
         config = ModelConfig(**header["config"])
+        template = init_model(config)
+        want = {name: arr.shape for name, arr in template.tensors()}
+        specs = header["tensors"]
+        if sorted(spec["name"] for spec in specs) != sorted(want):
+            raise DataError(f"checkpoint {path} does not hold exactly the "
+                            f"tensors of its config")
+        for spec in specs:
+            if tuple(spec["shape"]) != want[spec["name"]]:
+                raise DataError(
+                    f"checkpoint {path}: {spec['name']} has shape "
+                    f"{tuple(spec['shape'])}, its config needs "
+                    f"{want[spec['name']]}")
+        n_bytes = 4 * sum(int(np.prod(shape)) for shape in want.values())
+        if len(raw) != n_bytes:
+            raise DataError(f"checkpoint {path} holds {len(raw)} data bytes, "
+                            f"its tensors {n_bytes}")
         flat = np.frombuffer(raw, dtype="<f4")
         arrays = {}
-        for spec in header["tensors"]:
-            size = int(np.prod(spec["shape"])) if spec["shape"] else 1
+        for spec in specs:
+            size = int(np.prod(spec["shape"]))
             chunk = flat[spec["offset"]:spec["offset"] + size]
             if chunk.size != size:
                 raise DataError(f"checkpoint {path} truncated at {spec['name']}")
             arrays[spec["name"]] = chunk.reshape(spec["shape"]).astype(np.float32)
-        template = init_model(config)
         return template.with_tensors(arrays)
     except (OSError, ValueError, KeyError, TypeError,
             UnicodeDecodeError) as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alibi import alibi_slopes, head_biases
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .masks import AttentionMaskSpec, DecisionPolicy, PromptLayout, causal_mask, simul_mask
 from .model import LN_EPS, ModelParams
 
@@ -241,6 +241,7 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
     built fresh per sentence; within an optimizer step, sentences sharing a
     layout (hence a mask) are processed as one stacked batch for speed.
     Sentences longer than ``max_seq_len`` are skipped with a warning.
+    Raises NumericError when a step's loss or gradient norm is not finite.
     Deterministic for fixed seed and corpus order.
     """
     if not corpus:
@@ -297,10 +298,15 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
             labels = np.stack([prepared[i][3] for i in members])
             fb = batch_forward_backward(cur, tokens, mask, bias_stack,
                                         np.asarray(rows), labels)
+            if not np.isfinite(fb.loss):
+                raise NumericError(f"non-finite loss at step {step + 1}")
             grads = fb.grads
             for name in grads:
                 grads[name] /= len(members)
-            clip_global_norm(grads, clip_norm)
+            norm = clip_global_norm(grads, clip_norm)
+            if not np.isfinite(norm):
+                raise NumericError(
+                    f"non-finite gradient norm at step {step + 1}")
             if learning_rate:
                 for name in arrays:
                     arrays[name] = arrays[name] - learning_rate * grads[name]

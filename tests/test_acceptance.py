@@ -259,6 +259,7 @@ def test_acceptance_08_gradient_correctness():
     report(8, f"{checked} sampled gradients within 1e-3 (worst {worst:.1e})", t0)
 
 
+@pytest.mark.slow
 def test_acceptance_09_learning_smoke():
     t0 = time.perf_counter()
     corpus = gen_synthetic("shift(2)", 500, 8, 16, 48, 0)

@@ -9,6 +9,7 @@ from simulbench.config import build_config
 from simulbench.data import gen_synthetic, save_corpus
 from simulbench.experiment import run_experiment
 from simulbench.masks import ascii_to_mask
+from simulbench.model import ModelConfig, init_model, save_params
 
 
 @pytest.fixture
@@ -105,6 +106,18 @@ class TestCli:
         code = main(["eval", "--dataset", os.path.join(tmp_path, "nope.jsonl"),
                      "--out", os.path.join(tmp_path, "o")])
         assert code == 3
+
+    def test_numeric_error_exit_code(self, tmp_path):
+        corpus = os.path.join(tmp_path, "c.jsonl")
+        save_corpus(corpus, gen_synthetic("copy", 2, 3, 4, 24, 0))
+        params = init_model(ModelConfig(vocab_size=24))
+        ckpt = os.path.join(tmp_path, "nan.bin")
+        save_params(params.with_tensors(dict(
+            params.as_dict(), w_out=np.full_like(params.w_out, np.nan))), ckpt)
+        out = os.path.join(tmp_path, "run")
+        assert main(["eval", "--dataset", corpus, "--checkpoint", ckpt,
+                     "--out", out, "--eval-k", "1"]) == 4
+        assert not os.path.exists(os.path.join(out, "metrics.csv"))
 
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert main(["train", "--out", os.path.join(tmp_path, "o")]) == 2

@@ -6,7 +6,8 @@ from simulbench.engine import (GenerationMode, ReadEvent, TranslationTrace,
                                WriteEvent, events_from_jsonl, prefix_expand,
                                replay_visibility, schedule_trace, simul_generate,
                                trace_to_jsonl)
-from simulbench.errors import ConfigError, ConsistencyError, DataError, PolicyError
+from simulbench.errors import (ConfigError, ConsistencyError, DataError,
+                               NumericError, PolicyError)
 from simulbench.masks import PromptLayout, TablePolicy, WaitKPolicy, simul_mask
 from simulbench.model import ModelConfig, init_model
 
@@ -67,6 +68,17 @@ class TestSimulGenerate:
             assert hyp_c == hyp_r
             for a, b in zip(tr_c.step_logits, tr_r.step_logits):
                 assert np.abs(a - b).max() < 1e-4
+
+    def test_non_finite_logits_raise_numeric_error(self):
+        # NaN logits would otherwise argmax to id 0, the stop marker, and
+        # end the run with a silently empty hypothesis
+        params = init_model(CFG)
+        broken = params.with_tensors(
+            dict(params.as_dict(), w_out=np.full_like(params.w_out, np.nan)))
+        for kind in ("cached", "recompute"):
+            with pytest.raises(NumericError, match="prediction step 1"):
+                simul_generate(broken, WaitKPolicy(2, 4), [PRE_ID], [3, 4, 5, 6],
+                               [SEP_ID], GenerationMode(kind), max_target_len=4)
 
     def test_greedy_modes_emit_identical_tokens(self):
         params = init_model(CFG)

@@ -2,41 +2,7 @@ import numpy as np
 import pytest
 
 from simulbench.errors import DegenerateRowError, ShapeError
-from simulbench.kernel import (NEG_INF, AttentionInputs, masked_attention,
-                               matmul, softmax_row)
-
-
-def naive_matmul(a, b):
-    """Triple-loop oracle."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[2.0, -1.0], [0.5, 3.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_case(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert np.array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((3, 5))
-        assert np.allclose(matmul(a, b), naive_matmul(a, b), rtol=0, atol=1e-12)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-        with pytest.raises(ShapeError):
-            matmul(np.ones(3), np.ones((3, 2)))
+from simulbench.kernel import NEG_INF, attend_row, softmax_row
 
 
 class TestSoftmaxRow:
@@ -74,122 +40,124 @@ class TestSoftmaxRow:
         assert np.allclose(out, [0.5, 0.5])
 
 
-def scalar_attention_oracle(q, k, v, mask=None, bias=None):
-    """Independent re-implementation with pure-Python float arithmetic."""
+def scalar_attention_oracle(q, k, v, bias):
+    """Independent re-implementation with pure-Python float arithmetic.
+
+    q is [head][d], k and v are [key][head][d], bias is [head][key]; a -inf
+    bias hides its key.
+    """
     import math
-    lq, d = len(q), len(q[0])
-    lk = len(k)
     out = []
-    for i in range(lq):
+    for h in range(len(q)):
+        d = len(q[h])
         scores = []
         cols = []
-        for j in range(lk):
-            if mask is not None and mask[i][j] == NEG_INF:
+        for j in range(len(k)):
+            if bias[h][j] == NEG_INF:
                 continue
-            s = sum(q[i][t] * k[j][t] for t in range(d))
-            if mask is not None:
-                s += mask[i][j]
-            if bias is not None:
-                s += bias[i][j]
+            s = sum(q[h][t] * k[j][h][t] for t in range(d)) + bias[h][j]
             scores.append(s / math.sqrt(d))
             cols.append(j)
         mx = max(scores)
         ws = [math.exp(s - mx) for s in scores]
         z = sum(ws)
-        row = [0.0] * len(v[0])
+        row = [0.0] * d
         for w, j in zip(ws, cols):
-            for t in range(len(v[0])):
-                row[t] += (w / z) * v[j][t]
+            for t in range(d):
+                row[t] += (w / z) * v[j][h][t]
         out.append(row)
     return np.array(out)
 
 
+def random_heads(rng, n_heads, n_keys, d, dtype=np.float32):
+    q = rng.standard_normal((n_heads, d)).astype(dtype)
+    k = rng.standard_normal((n_keys, n_heads, d)).astype(dtype)
+    v = rng.standard_normal((n_keys, n_heads, d)).astype(dtype)
+    return q, k, v
+
+
 class TestMaskedAttention:
+    """Masked attention through the head-batched ``attend_row``: a -inf
+    bias entry hides its key."""
+
     def test_single_key_returns_value(self):
         rng = np.random.default_rng(2)
-        q = rng.standard_normal((3, 4)).astype(np.float32)
-        k = rng.standard_normal((1, 4)).astype(np.float32)
-        v = rng.standard_normal((1, 4)).astype(np.float32)
-        out = masked_attention(AttentionInputs(q, k, v))
-        for i in range(3):
-            assert np.allclose(out[i], v[0], atol=1e-7)
+        q, k, v = random_heads(rng, 3, 1, 4)
+        out = attend_row(q, k, v, np.zeros((3, 1), dtype=np.float32))
+        assert np.allclose(out, v[0], atol=1e-7)
 
     def test_diagonal_mask_returns_values(self):
         rng = np.random.default_rng(3)
-        q = rng.standard_normal((4, 8)).astype(np.float32)
-        k = rng.standard_normal((4, 8)).astype(np.float32)
-        v = rng.standard_normal((4, 8)).astype(np.float32)
-        mask = np.full((4, 4), NEG_INF, dtype=np.float32)
-        np.fill_diagonal(mask, 0.0)
-        out = masked_attention(AttentionInputs(q, k, v, mask=mask))
-        assert np.allclose(out, v, atol=1e-7)
+        q, k, v = random_heads(rng, 4, 4, 8)
+        for j in range(4):
+            bias = np.full((4, 4), NEG_INF, dtype=np.float32)
+            bias[:, j] = 0.0
+            assert np.allclose(attend_row(q, k, v, bias), v[j], atol=1e-7)
 
     def test_against_scalar_oracle(self):
         rng = np.random.default_rng(4)
-        q = rng.standard_normal((3, 3))
-        k = rng.standard_normal((3, 3))
-        v = rng.standard_normal((3, 3))
-        mask = np.zeros((3, 3))
-        mask[0, 2] = NEG_INF
-        bias = -rng.random((3, 3))
-        got = masked_attention(AttentionInputs(q, k, v, mask=mask, bias=bias))
+        q, k, v = random_heads(rng, 4, 5, 3, np.float64)
+        bias = -rng.random((4, 5))
+        bias[0, 2] = bias[3, 0] = bias[3, 4] = NEG_INF
+        got = attend_row(q, k, v, bias)
         want = scalar_attention_oracle(q.tolist(), k.tolist(), v.tolist(),
-                                       mask.tolist(), bias.tolist())
+                                       bias.tolist())
         assert np.allclose(got, want, atol=1e-10)
 
     def test_fully_masked_row_rejected(self):
-        q = np.ones((2, 2), dtype=np.float32)
-        mask = np.array([[0.0, 0.0], [NEG_INF, NEG_INF]])
+        q, k, v = random_heads(np.random.default_rng(5), 2, 2, 2)
+        bias = np.array([[0.0, 0.0], [NEG_INF, NEG_INF]], dtype=np.float32)
         with pytest.raises(DegenerateRowError):
-            AttentionInputs(q, q, q, mask=mask)
+            attend_row(q, k, v, bias)
 
     def test_mask_shape_mismatch(self):
-        q = np.ones((2, 2), dtype=np.float32)
+        q, k, v = random_heads(np.random.default_rng(6), 2, 2, 2)
         with pytest.raises(ShapeError):
-            AttentionInputs(q, q, q, mask=np.zeros((3, 2)))
+            attend_row(q, k, v, np.zeros((3, 2), dtype=np.float32))
+        with pytest.raises(ShapeError):  # one row would broadcast over heads
+            attend_row(q, k, v, np.zeros(2, dtype=np.float32))
 
 
 class TestAttentionProperties:
-    def _random_case(self, seed, lq=5, lk=6, d=4):
+    def _random_case(self, seed, n_heads=4, n_keys=6, d=4):
         rng = np.random.default_rng(seed)
-        q = rng.standard_normal((lq, d)).astype(np.float32)
-        k = rng.standard_normal((lk, d)).astype(np.float32)
-        v = rng.standard_normal((lk, d)).astype(np.float32)
-        mask = np.where(rng.random((lq, lk)) < 0.35, NEG_INF, 0.0).astype(np.float32)
-        mask[:, 0] = 0.0
-        bias = (-rng.random((lq, lk))).astype(np.float32)
-        return q, k, v, mask, bias
+        q, k, v = random_heads(rng, n_heads, n_keys, d)
+        bias = (-rng.random((n_heads, n_keys))).astype(np.float32)
+        bias[rng.random((n_heads, n_keys)) < 0.35] = NEG_INF
+        bias[:, 0] = 0.0
+        return q, k, v, bias
 
     def test_key_order_independence(self):
         for seed in range(20):
-            q, k, v, mask, bias = self._random_case(seed)
+            q, k, v, bias = self._random_case(seed)
             rng = np.random.default_rng(100 + seed)
             perm = rng.permutation(k.shape[0])
-            base = masked_attention(AttentionInputs(q, k, v, mask, bias))
-            permuted = masked_attention(AttentionInputs(
-                q, k[perm], v[perm], mask[:, perm], bias[:, perm]))
+            base = attend_row(q, k, v, bias)
+            permuted = attend_row(q, k[perm], v[perm],
+                                  np.ascontiguousarray(bias[:, perm]))
             assert np.allclose(base, permuted, atol=1e-5)
 
     def test_softmax_shift_invariance(self):
         for seed in range(20):
-            q, k, v, mask, bias = self._random_case(seed)
-            base = masked_attention(AttentionInputs(q, k, v, mask, bias))
+            q, k, v, bias = self._random_case(seed)
+            base = attend_row(q, k, v, bias)
             shifted = bias.copy()
-            shifted[2] += 3.25  # constant over one row's finite entries
-            out = masked_attention(AttentionInputs(q, k, v, mask, shifted))
+            shifted[2] += 3.25  # constant over one head's finite entries
+            out = attend_row(q, k, v, shifted)
             assert np.allclose(out[2], base[2], atol=1e-5)
-            others = [i for i in range(q.shape[0]) if i != 2]
+            others = [h for h in range(q.shape[0]) if h != 2]
             assert np.array_equal(out[others], base[others])
 
     def test_causal_equals_rowwise_prefix(self):
         rng = np.random.default_rng(11)
-        n, d = 6, 4
-        q = rng.standard_normal((n, d)).astype(np.float32)
-        k = rng.standard_normal((n, d)).astype(np.float32)
-        v = rng.standard_normal((n, d)).astype(np.float32)
-        mask = np.triu(np.full((n, n), NEG_INF, dtype=np.float32), k=1)
-        full = masked_attention(AttentionInputs(q, k, v, mask=mask))
+        n, n_heads, d = 6, 4, 4
+        q = rng.standard_normal((n, n_heads, d)).astype(np.float32)
+        k = rng.standard_normal((n, n_heads, d)).astype(np.float32)
+        v = rng.standard_normal((n, n_heads, d)).astype(np.float32)
         for i in range(n):
-            row = masked_attention(AttentionInputs(
-                q[i:i + 1], k[:i + 1], v[:i + 1]))
-            assert np.allclose(full[i], row[0], atol=1e-6)
+            causal = np.zeros((n_heads, n), dtype=np.float32)
+            causal[:, i + 1:] = NEG_INF
+            full = attend_row(q[i], k, v, causal)
+            prefix = attend_row(q[i], k[:i + 1], v[:i + 1],
+                                np.zeros((n_heads, i + 1), dtype=np.float32))
+            assert np.allclose(full, prefix, atol=1e-6)

@@ -1,12 +1,14 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
 from simulbench.alibi import alibi_slopes, head_biases
-from simulbench.errors import CacheCoherenceError, ConfigError, ShapeError
-from simulbench.masks import (AttentionMaskSpec, PromptLayout, Region,
-                              WaitKPolicy, causal_mask, simul_mask)
+from simulbench.errors import (CacheCoherenceError, ConfigError, DataError,
+                               ShapeError)
+from simulbench.masks import (PromptLayout, Region, WaitKPolicy, causal_mask,
+                              simul_mask)
 from simulbench.model import (CacheTag, KVCache, ModelConfig, forward_full,
                               forward_incremental, init_model, load_params,
                               save_params)
@@ -24,6 +26,16 @@ def tagged(tokens, layout):
         region, idx = layout.region_of(i)
         out.append((tok, CacheTag(region, idx)))
     return out
+
+
+def rewrite_checkpoint(path, edit_header, extra_bytes=b""):
+    """Rewrite a saved checkpoint's JSON header and append ``extra_bytes``."""
+    data = open(path, "rb").read()
+    line, _, body = data.partition(b"\n")
+    header = json.loads(line)
+    edit_header(header)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n" + body + extra_bytes)
 
 
 class TestInit:
@@ -230,19 +242,6 @@ class TestForwardIncremental:
         rb, _ = forward_incremental(params, b, probe, bias_scheme="stale")
         assert not np.array_equal(ra, rb)
 
-    def test_custom_attendable_predicate(self):
-        params = init_model(CFG)
-        layout = PromptLayout(1, 2, 1, 1)
-        tokens = [1, 4, 5, 2, 7]
-        cache = KVCache(CFG.n_layers)
-        self_only, _ = forward_incremental(
-            params, cache, tagged(tokens, layout),
-            attendable=lambda q, k: k == q)
-        diag = AttentionMaskSpec(np.eye(5, dtype=bool))
-        biases = head_biases(diag, alibi_slopes(CFG.n_heads), "modified")
-        full = forward_full(params, tokens, diag, biases)
-        assert np.array_equal(self_only, full)
-
     def test_cache_tag_canonical_order(self):
         tags = [CacheTag(Region.TARGET, 0), CacheTag(Region.PRE_PROMPT, 1),
                 CacheTag(Region.SOURCE, 2), CacheTag(Region.SOURCE, 0),
@@ -295,4 +294,36 @@ class TestCheckpointErrors:
         with open(path, "wb") as fh:
             fh.write(data[:len(data) - 64])
         with _pytest.raises(DataError):
+            load_params(path)
+
+    def _saved(self, tmp_path):
+        path = os.path.join(tmp_path, "p.bin")
+        save_params(init_model(CFG), path)
+        return path
+
+    def test_extra_tensor_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        size = CFG.d_model * CFG.vocab_size
+
+        def add_tensor(header):
+            end = sum(int(np.prod(t["shape"])) for t in header["tensors"])
+            header["tensors"].append({"name": "w_extra",
+                                      "shape": [CFG.d_model, CFG.vocab_size],
+                                      "offset": end})
+
+        rewrite_checkpoint(path, add_tensor, bytes(4 * size))
+        with pytest.raises(DataError, match="tensors of its config"):
+            load_params(path)
+
+    def test_header_config_must_match_tensor_shapes(self, tmp_path):
+        # a header claiming d_model=16 over 32-wide tensors
+        path = self._saved(tmp_path)
+        rewrite_checkpoint(path, lambda h: h["config"].update(d_model=16))
+        with pytest.raises(DataError, match="shape"):
+            load_params(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        rewrite_checkpoint(path, lambda h: None, b"garbage!")
+        with pytest.raises(DataError, match="data bytes"):
             load_params(path)

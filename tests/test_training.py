@@ -5,7 +5,7 @@ import pytest
 
 from simulbench.alibi import alibi_slopes, head_biases
 from simulbench.data import default_layout_builder, gen_synthetic
-from simulbench.errors import ConfigError, DataError
+from simulbench.errors import ConfigError, DataError, NumericError
 from simulbench.masks import PromptLayout, WaitKPolicy
 from simulbench.model import ModelConfig, forward_full, init_model
 from simulbench.training import (build_training_mask_and_bias, clip_global_norm,
@@ -120,6 +120,25 @@ class TestFineTune:
                               batch_size=8, shuffle_seed=seed)
             deltas.append(after.loss_curve[0][1] - before.loss_curve[0][1])
         assert np.mean(deltas) < 0
+
+    def test_non_finite_loss_rejected(self):
+        params = init_model(CFG)
+        broken = params.with_tensors(
+            dict(params.as_dict(), w_out=np.full_like(params.w_out, np.nan)))
+        with pytest.raises(NumericError, match="loss at step 1"):
+            fine_tune(broken, self._corpus(), default_layout_builder, wait_k(2),
+                      epochs=1, batch_size=4)
+
+    def test_non_finite_gradient_norm_rejected(self):
+        # huge output weights keep the loss finite, but the squared
+        # gradients overflow float32
+        params = init_model(CFG)
+        broken = params.with_tensors(
+            dict(params.as_dict(), w_out=params.w_out * np.float32(1e25)))
+        with pytest.raises(NumericError, match="gradient norm at step 1"), \
+                np.errstate(over="ignore"):
+            fine_tune(broken, self._corpus(), default_layout_builder, wait_k(2),
+                      epochs=1, batch_size=4)
 
     def test_samples_per_epoch_equals_sentence_count(self):
         params = init_model(CFG)
