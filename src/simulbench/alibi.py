@@ -7,6 +7,7 @@ keys, so rows whose source visibility was cut keep the same consecutive
 bias ladder an incremental decoding step would assign over its cache.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,12 @@ class HeadSlopes:
         return self.slopes[h]
 
 
+@functools.lru_cache(maxsize=64)
 def alibi_slopes(n_heads: int) -> HeadSlopes:
-    """Geometric slope ladder: head h (1-based) gets 2^(-8h / n_heads)."""
+    """Geometric slope ladder: head h (1-based) gets 2^(-8h / n_heads).
+
+    Memoized: HeadSlopes is frozen, so every caller may share one.
+    """
     if n_heads < 1:
         raise ConfigError(f"n_heads must be >= 1, got {n_heads}")
     return HeadSlopes(tuple(2.0 ** (-8.0 * h / n_heads) for h in range(1, n_heads + 1)))
@@ -46,7 +51,8 @@ def alibi_slopes(n_heads: int) -> HeadSlopes:
 def rank_biases(n_visible: int, slope: float, dtype=np.float32) -> np.ndarray:
     """Bias ladder over n visible keys in ascending order: most recent gets 0.
 
-    Shared by the mask-side constructors and the incremental decoder so the
+    The incremental decoder's ladder.  The mask-side constructors compute
+    the same product, -float32(slope) * rank, for all rows at once, so the
     two sides produce bit-identical values.  An (H, 1) column of slopes
     gives one ladder per head, shape (H, n).
     """
@@ -77,17 +83,43 @@ class PositionalBias:
         return float(self.matrix[i, j])
 
 
+def _causal_ranks(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, visible) of a causal mask: entry (i, j) has rank i - j."""
+    idx = np.arange(length)
+    ranks = (idx[:, None] - idx[None, :]).astype(np.float32)
+    return ranks, np.tril(np.ones((length, length), dtype=bool))
+
+
+def _visible_ranks(visible: np.ndarray) -> np.ndarray:
+    """Rank of each visible key among its row's visible keys, counted from
+    the right (nearest visible key 0), as float32.
+
+    One cumulative sum covers every row: a visible key's rank is the number
+    of visible keys to its right.  Raises DegenerateRowError naming the
+    first row with no visible key.
+    """
+    total = np.count_nonzero(visible, axis=1)
+    empty = np.flatnonzero(total == 0)
+    if empty.size:
+        raise DegenerateRowError(f"row {empty[0]} has no visible key")
+    seen = np.cumsum(visible, axis=1, dtype=np.intp)
+    return (total[:, None] - seen).astype(np.float32)
+
+
+def _ladder(ranks: np.ndarray, visible: np.ndarray, slope: float) -> PositionalBias:
+    """-slope * rank on visible entries (rank 0 gives -0.0, as
+    ``rank_biases`` does), +0.0 on hidden ones."""
+    return PositionalBias(
+        np.where(visible, -np.float32(slope) * ranks, np.float32(0)), visible)
+
+
 def standard_alibi(length: int, slope: float) -> PositionalBias:
     """Causal distance biases: entry (i, j) = -slope * (i - j) for j <= i."""
     if length < 1:
         raise ConfigError("length must be >= 1")
     if slope <= 0:
         raise ConfigError("slope must be positive")
-    matrix = np.zeros((length, length), dtype=np.float32)
-    visible = np.tril(np.ones((length, length), dtype=bool))
-    for i in range(length):
-        matrix[i, :i + 1] = rank_biases(i + 1, slope)
-    return PositionalBias(matrix, visible)
+    return _ladder(*_causal_ranks(length), slope)
 
 
 def modified_alibi(mask: AttentionMaskSpec, slope: float) -> PositionalBias:
@@ -101,13 +133,7 @@ def modified_alibi(mask: AttentionMaskSpec, slope: float) -> PositionalBias:
     """
     if slope <= 0:
         raise ConfigError("slope must be positive")
-    matrix = np.zeros(mask.visible.shape, dtype=np.float32)
-    for i in range(mask.rows):
-        vis = np.flatnonzero(mask.visible[i])
-        if vis.size == 0:
-            raise DegenerateRowError(f"row {i} has no visible key")
-        matrix[i, vis] = rank_biases(vis.size, slope)
-    return PositionalBias(matrix, mask.visible)
+    return _ladder(_visible_ranks(mask.visible), mask.visible, slope)
 
 
 def head_biases(mask: AttentionMaskSpec, slopes: HeadSlopes,
@@ -116,15 +142,17 @@ def head_biases(mask: AttentionMaskSpec, slopes: HeadSlopes,
 
     kind 'modified' follows the mask's visibility ranks; 'standard' keeps
     plain causal distances regardless of hidden entries (the ablation that
-    leaves bias gaps).
+    leaves bias gaps).  The rank array is built once and scaled per head.
     """
     if kind == "modified":
-        return [modified_alibi(mask, s) for s in slopes.slopes]
-    if kind == "standard":
+        ranks, visible = _visible_ranks(mask.visible), mask.visible
+    elif kind == "standard":
         if mask.rows != mask.cols:
             raise ConfigError("standard biases need a square mask")
-        return [standard_alibi(mask.rows, s) for s in slopes.slopes]
-    raise ConfigError(f"unknown bias kind {kind!r}")
+        ranks, visible = _causal_ranks(mask.rows)
+    else:
+        raise ConfigError(f"unknown bias kind {kind!r}")
+    return [_ladder(ranks, visible, s) for s in slopes.slopes]
 
 
 def bias_to_csv(bias: PositionalBias) -> str:

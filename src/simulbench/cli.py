@@ -6,7 +6,6 @@ numeric/degenerate error.
 """
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -17,7 +16,7 @@ from .engine import GenerationMode
 from .errors import (CacheCoherenceError, ConfigError, ConsistencyError,
                      DataError, DegenerateRowError, LayoutError, NumericError,
                      PolicyError, ScheduleError, ShapeError, WorkbenchError)
-from .experiment import compare_modes, run_experiment, train_model
+from .experiment import _RunWriter, compare_modes, run_experiment, train_model
 from .masks import (PromptLayout, TablePolicy, WaitKPolicy, causal_mask,
                     mask_to_ascii, simul_mask)
 from .metrics import FlopModel, flops_generate
@@ -144,12 +143,15 @@ def _cmd_train(args) -> int:
         raise ConfigError("a dataset is required (--dataset or config)")
     corpus = load_corpus(config.dataset, config.vocab_size)
     base = load_params(args.init_checkpoint) if args.init_checkpoint else None
-    params, loss_curve = train_model(config, corpus, base_params=base)
-    os.makedirs(config.out, exist_ok=True)
-    ckpt = os.path.join(config.out, "params.bin")
-    save_params(params, ckpt)
-    with open(os.path.join(config.out, "loss_curve.csv"), "w") as fh:
-        fh.write(loss_curve_to_csv(loss_curve))
+    writer = _RunWriter(config.out)
+    try:
+        params, loss_curve = train_model(config, corpus, base_params=base)
+        ckpt = writer.path("params.bin")
+        save_params(params, ckpt)
+        writer.write("loss_curve.csv", loss_curve_to_csv(loss_curve))
+    except BaseException:
+        writer.cleanup()
+        raise
     print(f"checkpoint: {ckpt}")
     return 0
 
@@ -212,10 +214,12 @@ def _cmd_flops_report(args) -> int:
         seq_len = trace_c.total_reads() + len(trace_c.writes())
         lines.append(f"{sid},{k},{seq_len},{rep_c.total},{rep_r.initial},"
                      f"{rep_r.recompute}")
-    os.makedirs(config.out, exist_ok=True)
-    path = os.path.join(config.out, "flops_report.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    writer = _RunWriter(config.out)
+    try:
+        path = writer.write("flops_report.csv", "\n".join(lines) + "\n")
+    except BaseException:
+        writer.cleanup()
+        raise
     print(path)
     return 0
 

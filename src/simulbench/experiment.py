@@ -92,8 +92,8 @@ class _RunWriter:
     def write(self, name: str, text: str) -> str:
         path = os.path.join(self.out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
+            self.created.append(path)  # ours once opened, even if cut short
             fh.write(text)
-        self.created.append(path)
         return path
 
     def path(self, name: str) -> str:

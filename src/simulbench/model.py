@@ -197,10 +197,28 @@ class KVCache:
         self.order = moved_to[self.order]
 
 
-def _ln_row(x: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    mu = x.mean(dtype=x.dtype)
-    var = np.mean((x - mu) * (x - mu), dtype=x.dtype)
-    return (x - mu) / np.sqrt(var + x.dtype.type(LN_EPS)) * gain + offset
+def _layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Layer norm of each row of ``x`` over its last axis.
+
+    Each row reduces exactly as a 1-D ``row.mean(dtype=row.dtype)`` would
+    (a same-dtype sum, then one division by the count), without numpy's
+    Python-level ``mean`` wrapper.
+    """
+    n = x.dtype.type(x.shape[-1])
+    mu = np.add.reduce(x, axis=-1, dtype=x.dtype, keepdims=True) / n
+    c = x - mu
+    var = np.add.reduce(c * c, axis=-1, dtype=x.dtype, keepdims=True) / n
+    return c / np.sqrt(var + x.dtype.type(LN_EPS)) * gain + offset
+
+
+def _linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows of ``x`` (m, d_in) times ``w``: one GEMV per row, run from C.
+
+    A stacked (m, 1, d_in) @ (d_in, d_out) matmul is bit-identical to
+    ``row @ w`` for every row; a plain (m, d_in) @ (d_in, d_out) GEMM is
+    not, so the result would depend on how rows are grouped into calls.
+    """
+    return np.matmul(x[:, None, :], w)[:, 0]
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -213,31 +231,33 @@ def _forward_rows(params: ModelParams, tokens, past_k, past_v, visible, bias,
     """The row engine behind both forwards.
 
     Row i attends to the keys indexed by ``visible[i]`` (past keys first,
-    then this call's keys) with the (H, n) additive ``bias[i]``.  Each
-    row's projections run one row at a time, so a row's arithmetic never
-    depends on how rows are grouped into calls.  Returns (logits, per-layer
-    keys, per-layer values), the key/value arrays holding past and new rows.
+    then this call's keys) with the (H, n) additive ``bias[i]``.  Every
+    stage that does not depend on visibility (layer norms, projections,
+    FFN, vocabulary head) runs once over all rows of the call, each
+    projection as one GEMV per row run from C, never as a GEMM, so a row's
+    arithmetic never depends on how rows are grouped into calls.  Only
+    attention loops over rows.  Returns (logits, per-layer keys, per-layer
+    values), the key/value arrays holding past and new rows.
     """
     cfg = params.config
     d, n_heads, d_head = cfg.d_model, cfg.n_heads, cfg.d_head
     m = len(tokens)
-    h = [params.embed[t] for t in tokens]
+    h = params.embed[np.asarray(tokens, dtype=np.intp)]
     all_k, all_v = [], []
     for li, lp in enumerate(params.layers):
-        q = np.empty((m, n_heads, d_head), dtype=params.embed.dtype)
-        k, v = np.empty_like(q), np.empty_like(q)
+        a = _layer_norm(h, lp.ln1_g, lp.ln1_b)
+        q = _linear(a, lp.wq).reshape(m, n_heads, d_head)
+        keys = np.concatenate(
+            (past_k[li], _linear(a, lp.wk).reshape(m, n_heads, d_head)))
+        values = np.concatenate(
+            (past_v[li], _linear(a, lp.wv).reshape(m, n_heads, d_head)))
+        ctx = np.empty_like(h)
         for i in range(m):
-            a = _ln_row(h[i], lp.ln1_g, lp.ln1_b)
-            q[i] = (a @ lp.wq).reshape(n_heads, d_head)
-            k[i] = (a @ lp.wk).reshape(n_heads, d_head)
-            v[i] = (a @ lp.wv).reshape(n_heads, d_head)
-        keys = np.concatenate((past_k[li], k))
-        values = np.concatenate((past_v[li], v))
-        for i in range(m):
-            ctx = attend_row(q[i], keys[visible[i]], values[visible[i]], bias[i])
-            h2 = h[i] + ctx.reshape(d) @ lp.wo
-            b = _ln_row(h2, lp.ln2_g, lp.ln2_b)
-            h[i] = h2 + _gelu(b @ lp.w1) @ lp.w2
+            ctx[i] = attend_row(q[i], keys[visible[i]], values[visible[i]],
+                                bias[i]).reshape(d)
+        h2 = h + _linear(ctx, lp.wo)
+        b = _layer_norm(h2, lp.ln2_g, lp.ln2_b)
+        h = h2 + _linear(_gelu(_linear(b, lp.w1)), lp.w2)
         all_k.append(keys)
         all_v.append(values)
     if flops:
@@ -250,8 +270,7 @@ def _forward_rows(params: ModelParams, tokens, past_k, past_v, visible, bias,
         flops.add_attention_row(
             cfg.n_layers * n_heads * sum(len(vis) for vis in visible), d_head)
         flops.add_linear(m, d, cfg.vocab_size)
-    logits = np.stack([_ln_row(row, params.lnf_g, params.lnf_b) @ params.w_out
-                       for row in h])
+    logits = _linear(_layer_norm(h, params.lnf_g, params.lnf_b), params.w_out)
     return logits, all_k, all_v
 
 

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from simulbench.alibi import (alibi_slopes, bias_to_csv, head_biases,
                               modified_alibi, rank_biases, standard_alibi)
-from simulbench.errors import ConfigError
+from simulbench.errors import ConfigError, DegenerateRowError
 from simulbench.masks import (AttentionMaskSpec, PromptLayout, WaitKPolicy,
                               causal_mask, simul_mask)
 
@@ -26,6 +28,12 @@ class TestSlopes:
     def test_zero_heads(self):
         with pytest.raises(ConfigError):
             alibi_slopes(0)
+
+    def test_memoized(self):
+        assert alibi_slopes(16) is alibi_slopes(16)
+        for _ in range(2):  # errors are not cached
+            with pytest.raises(ConfigError):
+                alibi_slopes(-1)
 
 
 class TestStandardAlibi:
@@ -129,6 +137,87 @@ class TestHeadBiases:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             head_biases(causal_mask(3), alibi_slopes(2), "other")
+
+
+def reference_ladder(visible, slope):
+    """Per-row reference: each row's visible keys get rank_biases."""
+    matrix = np.zeros(visible.shape, dtype=np.float32)
+    for i, row in enumerate(visible):
+        vis = np.flatnonzero(row)
+        matrix[i, vis] = rank_biases(vis.size, slope)
+    return matrix
+
+
+def random_gapped_masks(seed, count):
+    """Causal masks with random hidden entries; the diagonal stays visible."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 33))
+        vis = np.tril(rng.random((n, n)) < rng.uniform(0.2, 1.0))
+        vis[np.arange(n), np.arange(n)] = True
+        yield AttentionMaskSpec(vis)
+
+
+class TestLadderBytes:
+    """Byte-level equality with the per-row reference.
+
+    ``np.array_equal`` treats -0.0 == 0.0, but ``bias-dump`` prints the
+    sign: rank-0 entries are -0.0 and hidden entries +0.0.
+    """
+
+    SLOPES = (1.0, 0.5, 0.25, 2.0 ** -8, 0.3)
+
+    def test_modified_matches_reference(self):
+        for n, mask in enumerate(random_gapped_masks(1, 60)):
+            slope = self.SLOPES[n % len(self.SLOPES)]
+            bias = modified_alibi(mask, slope)
+            assert bias.matrix.dtype == np.float32
+            assert (bias.matrix.tobytes()
+                    == reference_ladder(mask.visible, slope).tobytes())
+            assert not bias.matrix.flags.writeable
+            assert not bias.visible.flags.writeable
+
+    def test_standard_matches_reference(self):
+        for n in (1, 2, 7, 16, 33):
+            for slope in self.SLOPES:
+                bias = standard_alibi(n, slope)
+                causal = np.tril(np.ones((n, n), dtype=bool))
+                assert (bias.matrix.tobytes()
+                        == reference_ladder(causal, slope).tobytes())
+                assert np.array_equal(bias.visible, causal)
+                assert not bias.matrix.flags.writeable
+
+    @pytest.mark.parametrize("n_heads", [1, 4, 16])
+    def test_head_biases_match_reference(self, n_heads):
+        slopes = alibi_slopes(n_heads)
+        for mask in random_gapped_masks(n_heads, 20):
+            causal = np.tril(np.ones(mask.visible.shape, dtype=bool))
+            for kind, visible in (("modified", mask.visible),
+                                  ("standard", causal)):
+                biases = head_biases(mask, slopes, kind)
+                assert len(biases) == n_heads
+                for bias, slope in zip(biases, slopes.slopes):
+                    assert (bias.matrix.tobytes()
+                            == reference_ladder(visible, slope).tobytes())
+                    assert np.array_equal(bias.visible, visible)
+                    assert not bias.matrix.flags.writeable
+
+    def test_rank_zero_is_negative_zero(self):
+        bias = modified_alibi(causal_mask(3), 1.0)
+        assert np.signbit(bias.matrix[2, 2])  # nearest key: -0.0
+        assert not np.signbit(bias.matrix[0, 2])  # hidden: +0.0
+        assert "2,2,-0.0" in bias_to_csv(bias)
+
+    def test_all_hidden_row_names_it(self):
+        # AttentionMaskSpec rejects such a grid, so pass the bare grid
+        vis = np.tril(np.ones((5, 5), dtype=bool))
+        vis[3] = False
+        vis[4, :2] = False
+        mask = SimpleNamespace(visible=vis, rows=5, cols=5)
+        with pytest.raises(DegenerateRowError, match=r"^row 3 "):
+            modified_alibi(mask, 1.0)
+        with pytest.raises(DegenerateRowError, match=r"^row 3 "):
+            head_biases(mask, alibi_slopes(4), "modified")
 
 
 class TestBiasDump:

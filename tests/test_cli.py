@@ -122,6 +122,14 @@ class TestCli:
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert main(["train", "--out", os.path.join(tmp_path, "o")]) == 2
 
+    def test_failed_train_leaves_no_checkpoint(self, corpus_path, tmp_path):
+        out = os.path.join(tmp_path, "run")
+        os.makedirs(os.path.join(out, "loss_curve.csv"))  # its write fails
+        with pytest.raises(OSError):
+            main(["train", "--dataset", corpus_path, "--out", out,
+                  "--config", _write_cfg(tmp_path, "epochs = 0\n")])
+        assert not os.path.exists(os.path.join(out, "params.bin"))
+
     def test_flops_report(self, tmp_path):
         corpus = os.path.join(tmp_path, "c.jsonl")
         save_corpus(corpus, gen_synthetic("copy", 2, 3, 4, 24, 0))

@@ -3,7 +3,7 @@
 Cached generation (incremental forwards over a KV cache) and recompute
 generation (a full forward under the realized step mask at every step)
 must produce bit-identical logits at every prediction step, for any
-prompt lengths, decision policy and head count.
+prompt lengths, decision policy, layer count and head count.
 """
 
 import numpy as np
@@ -12,7 +12,8 @@ from simulbench.engine import GenerationMode, simul_generate
 from simulbench.masks import TablePolicy, WaitKPolicy
 from simulbench.model import ModelConfig, init_model
 
-CASES = 100
+CASES = 200
+LAYER_COUNTS = (1, 2, 3)
 HEAD_COUNTS = (1, 2, 4, 8, 16)
 VOCAB = 24
 
@@ -35,7 +36,8 @@ def test_cached_and_recompute_step_logits_bit_identical():
     steps = 0
     widest = 0
     for case in range(CASES):
-        cfg = ModelConfig(n_layers=2, n_heads=int(rng.choice(HEAD_COUNTS)),
+        cfg = ModelConfig(n_layers=int(rng.choice(LAYER_COUNTS)),
+                          n_heads=int(rng.choice(HEAD_COUNTS)),
                           d_model=64, vocab_size=VOCAB,
                           seed=int(rng.integers(0, 1000)))
         params = init_model(cfg)
@@ -56,7 +58,8 @@ def test_cached_and_recompute_step_logits_bit_identical():
         for t, (a, b) in enumerate(zip(cached.step_logits,
                                        recompute.step_logits), start=1):
             assert np.array_equal(a, b), (
-                f"case {case} ({cfg.n_heads} heads, {policy.describe()}), "
+                f"case {case} ({cfg.n_layers} layers, {cfg.n_heads} heads, "
+                f"{policy.describe()}), "
                 f"step {t}: max diff {np.abs(a - b).max()}")
         steps += len(tgt)
         widest = max(widest, len(pre) + cached.d[-1] + len(mid) + len(tgt) - 1)
