@@ -41,10 +41,13 @@ def attend_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
     additive block.  Visibility does not depend on the head, so all heads
     attend from one gather.  This is the single attention code path of the
     package, which is what makes full-sequence and incremental forwards
-    bit-identical; callers hand it C-contiguous operands so every call
-    reduces in the same order.
+    bit-identical; callers hand it the same memory layout on both paths so
+    every call reduces in the same order.  The row engine gathers keys and
+    values head-major, (H, n, d_head) C-contiguous, and passes their
+    (n, H, d_head) transposed views, so transposing back below is already
+    contiguous and ``ascontiguousarray`` copies nothing.
     """
-    # head-major copy: each head's scores then reduce exactly as a
+    # head-major operand: each head's scores then reduce exactly as a
     # single-head (n, d_head) @ (d_head,) product would
     by_head = np.ascontiguousarray(keys.transpose(1, 0, 2))
     scores = np.matmul(by_head, q[:, :, None])[:, :, 0]

@@ -26,6 +26,7 @@ from .kernel import attend_row
 from .masks import AttentionMaskSpec, Region
 
 LN_EPS = 1e-5
+MIN_CACHE_CAPACITY = 16  # rows a KVCache first allocates
 
 
 @dataclass(frozen=True)
@@ -162,13 +163,21 @@ class CacheTag:
 class KVCache:
     """Per-layer cached keys/values with a canonical-order index.
 
-    ``k[layer]`` and ``v[layer]`` hold one (n_heads, d_head) row per cached
-    token in storage order (arrival order unless permuted), and
-    ``arrival`` the arrival number of each row.  ``order`` lists the storage
-    indices in canonical tag order (pre | source | mid | target, each region
-    by index), and ``counts`` the cached tokens per region.  Attention reads
+    ``k[layer]`` and ``v[layer]`` are head-major buffers of shape
+    (n_heads, capacity, d_head): entry ``j`` along the token axis holds the
+    key (value) of storage row ``j`` for every head, in storage order
+    (arrival order unless permuted).  ``arrival[j]`` is the arrival number
+    of storage row ``j``, ``order[:len(cache)]`` the storage rows in
+    canonical tag order (pre | source | mid | target, each region by
+    index), and ``counts`` the cached tokens per region.  Attention reads
     keys through ``order``, so storage order never reaches the outputs.
-    One logical owner per cache; no concurrent mutation.
+
+    A call writes its new rows in place after the cached ones.  When a call
+    needs more room, every buffer doubles its capacity (one copy of the
+    cache per doubling), so growth costs amortized O(1) per token and a
+    call never copies the whole cache otherwise.  Entries past
+    ``len(cache)`` are scratch.  One logical owner per cache; no concurrent
+    mutation.
     """
 
     def __init__(self, n_layers: int):
@@ -180,21 +189,39 @@ class KVCache:
         self.arrival = np.empty(0, dtype=np.intp)
         self.order = np.empty(0, dtype=np.intp)
         self.counts = [0] * len(Region)
+        self._size = 0
 
     def __len__(self) -> int:
-        return self.order.size
+        return self._size
+
+    def _reserve(self, params: ModelParams, size: int):
+        """Grow every buffer, by doubling, to hold at least ``size`` rows."""
+        capacity = self.order.size
+        if size <= capacity and self.k:
+            return
+        capacity = max(capacity, MIN_CACHE_CAPACITY)
+        while capacity < size:
+            capacity *= 2
+        n = self._size
+        k, v = _kv_buffers(params, capacity)
+        for new, old in zip(k + v, self.k + self.v):
+            new[:, :n] = old[:, :n]
+        arrival, order = np.empty((2, capacity), dtype=np.intp)
+        arrival[:n], order[:n] = self.arrival[:n], self.order[:n]
+        self.k, self.v, self.arrival, self.order = k, v, arrival, order
 
     def permute_storage(self, perm):
         """Reorder physical storage (testing hook; outputs must not change)."""
-        if sorted(perm) != list(range(len(self))):
+        n = self._size
+        if sorted(perm) != list(range(n)):
             raise ConfigError("perm must be a permutation of cache indices")
         perm = np.asarray(perm, dtype=np.intp)
-        self.k = [k[perm] for k in self.k]
-        self.v = [v[perm] for v in self.v]
-        self.arrival = self.arrival[perm]
+        for buf in self.k + self.v:
+            buf[:, :n] = buf[:, perm]
+        self.arrival[:n] = self.arrival[perm]
         moved_to = np.empty_like(perm)
-        moved_to[perm] = np.arange(perm.size)
-        self.order = moved_to[self.order]
+        moved_to[perm] = np.arange(n)
+        self.order[:n] = moved_to[self.order[:n]]
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -226,40 +253,51 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return x.dtype.type(0.5) * x * (1.0 + np.tanh(c * (x + x.dtype.type(0.044715) * (x * x * x))))
 
 
-def _forward_rows(params: ModelParams, tokens, past_k, past_v, visible, bias,
-                  flops: FlopCounter | None):
+def _kv_buffers(params: ModelParams, capacity: int):
+    """Per-layer key and value buffers, (n_heads, capacity, d_head) each."""
+    cfg = params.config
+    shape = (cfg.n_heads, capacity, cfg.d_head)
+    dtype = params.embed.dtype
+    return ([np.empty(shape, dtype=dtype) for _ in range(cfg.n_layers)],
+            [np.empty(shape, dtype=dtype) for _ in range(cfg.n_layers)])
+
+
+def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, past: int,
+                  visible, bias, flops: FlopCounter | None):
     """The row engine behind both forwards.
 
-    Row i attends to the keys indexed by ``visible[i]`` (past keys first,
-    then this call's keys) with the (H, n) additive ``bias[i]``.  Every
-    stage that does not depend on visibility (layer norms, projections,
-    FFN, vocabulary head) runs once over all rows of the call, each
-    projection as one GEMV per row run from C, never as a GEMM, so a row's
-    arithmetic never depends on how rows are grouped into calls.  Only
-    attention loops over rows.  Returns (logits, per-layer keys, per-layer
-    values), the key/value arrays holding past and new rows.
+    ``k_bufs``/``v_bufs`` are per-layer head-major (n_heads, capacity,
+    d_head) buffers whose first ``past`` rows hold earlier keys/values; this
+    call's rows are written in place after them.  Row i attends to the
+    buffer rows indexed by ``visible[i]`` with the (H, n) additive
+    ``bias[i]``.  Every stage that does not depend on visibility (layer
+    norms, projections, FFN, vocabulary head) runs once over all rows of the
+    call, each projection as one GEMV per row run from C, never as a GEMM,
+    so a row's arithmetic never depends on how rows are grouped into calls.
+    Only attention loops over rows: one ``take`` along the token axis
+    gathers a row's visible keys (values) into a contiguous head-major
+    block, handed to ``attend_row`` as its (n, H, d_head) transposed view.
+    Returns the logits.
     """
     cfg = params.config
     d, n_heads, d_head = cfg.d_model, cfg.n_heads, cfg.d_head
     m = len(tokens)
     h = params.embed[np.asarray(tokens, dtype=np.intp)]
-    all_k, all_v = [], []
-    for li, lp in enumerate(params.layers):
+    for lp, keys, values in zip(params.layers, k_bufs, v_bufs):
         a = _layer_norm(h, lp.ln1_g, lp.ln1_b)
         q = _linear(a, lp.wq).reshape(m, n_heads, d_head)
-        keys = np.concatenate(
-            (past_k[li], _linear(a, lp.wk).reshape(m, n_heads, d_head)))
-        values = np.concatenate(
-            (past_v[li], _linear(a, lp.wv).reshape(m, n_heads, d_head)))
+        keys[:, past:past + m] = (
+            _linear(a, lp.wk).reshape(m, n_heads, d_head).transpose(1, 0, 2))
+        values[:, past:past + m] = (
+            _linear(a, lp.wv).reshape(m, n_heads, d_head).transpose(1, 0, 2))
         ctx = np.empty_like(h)
-        for i in range(m):
-            ctx[i] = attend_row(q[i], keys[visible[i]], values[visible[i]],
+        for i, vis in enumerate(visible):
+            ctx[i] = attend_row(q[i], keys.take(vis, axis=1).transpose(1, 0, 2),
+                                values.take(vis, axis=1).transpose(1, 0, 2),
                                 bias[i]).reshape(d)
         h2 = h + _linear(ctx, lp.wo)
         b = _layer_norm(h2, lp.ln2_g, lp.ln2_b)
         h = h2 + _linear(_gelu(_linear(b, lp.w1)), lp.w2)
-        all_k.append(keys)
-        all_v.append(values)
     if flops:
         rows = cfg.n_layers * m
         flops.kv_rows += rows
@@ -270,14 +308,7 @@ def _forward_rows(params: ModelParams, tokens, past_k, past_v, visible, bias,
         flops.add_attention_row(
             cfg.n_layers * n_heads * sum(len(vis) for vis in visible), d_head)
         flops.add_linear(m, d, cfg.vocab_size)
-    logits = _linear(_layer_norm(h, params.lnf_g, params.lnf_b), params.w_out)
-    return logits, all_k, all_v
-
-
-def _no_past(params: ModelParams) -> list[np.ndarray]:
-    cfg = params.config
-    empty = np.empty((0, cfg.n_heads, cfg.d_head), dtype=params.embed.dtype)
-    return [empty] * cfg.n_layers
+    return _linear(_layer_norm(h, params.lnf_g, params.lnf_b), params.w_out)
 
 
 def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
@@ -300,9 +331,8 @@ def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
     visible = [np.flatnonzero(row) for row in mask.visible]
     stack = np.stack([b.matrix for b in biases])  # (H, L, L)
     bias = [np.ascontiguousarray(stack[:, i, vis]) for i, vis in enumerate(visible)]
-    past = _no_past(params)
-    logits, _, _ = _forward_rows(params, tokens, past, past, visible, bias, flops)
-    return logits
+    k_bufs, v_bufs = _kv_buffers(params, L)
+    return _forward_rows(params, tokens, k_bufs, v_bufs, 0, visible, bias, flops)
 
 
 def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
@@ -323,6 +353,9 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
     * ``"stale"``: -slope * (arrival distance), with each entry's absolute
       position frozen at its arrival — the scheme a naive cache implements,
       kept as a negative control.
+
+    A call that raises leaves ``len(cache)``, ``counts`` and ``order`` as
+    they were.
     """
     cfg = params.config
     if cache.n_layers != cfg.n_layers:
@@ -331,13 +364,10 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
         raise ConfigError(f"unknown bias scheme {bias_scheme!r}")
     new_tokens = list(new_tokens)
     slopes = np.asarray(alibi_slopes(cfg.n_heads).slopes)[:, None]
-    past = len(cache)
-    arrival = np.concatenate(
-        (cache.arrival, np.arange(past, past + len(new_tokens), dtype=np.intp)))
+    past, m = len(cache), len(new_tokens)
     counts = list(cache.counts)
-    order = cache.order
-    visible, bias = [], []
-    for i, (tok, tag) in enumerate(new_tokens):
+    slots = []
+    for tok, tag in new_tokens:
         if not 0 <= tok < cfg.vocab_size:
             raise ShapeError("token id outside vocabulary")
         if tag.canonical_index != counts[tag.role]:
@@ -346,21 +376,32 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
                 f"(expected index {counts[tag.role]})")
         # every token of an earlier region, or earlier in this region,
         # orders before this one
-        slot = sum(counts[:tag.role + 1])
+        slots.append(sum(counts[:tag.role + 1]))
         counts[tag.role] += 1
-        order = np.insert(order, slot, past + i)
-        vis = order[:slot + 1]
+
+    cache._reserve(params, past + m)
+    cache.arrival[past:past + m] = np.arange(past, past + m)
+    # canonical positions before the lowest slot keep their storage rows;
+    # the rest of ``order`` is rebuilt in ``tail`` and stored only once
+    # the call has succeeded, so a call that raises leaves the cache as it was
+    lo = min(slots, default=past)
+    head, tail = cache.order[:lo], cache.order[lo:past]
+    visible, bias = [], []
+    for i, slot in enumerate(slots):
+        j = slot - lo
+        tail = np.concatenate((tail[:j], [past + i], tail[j:]))
+        vis = np.concatenate((head, tail[:j + 1]))
         visible.append(vis)
         if bias_scheme == "rank":
             bias.append(rank_biases(vis.size, slopes))
         else:
-            deltas = (past + i - arrival[vis]).astype(np.float32)
+            deltas = (past + i - cache.arrival[vis]).astype(np.float32)
             bias.append(-np.float32(slopes) * deltas)
 
-    logits, cache.k, cache.v = _forward_rows(
-        params, [tok for tok, _ in new_tokens], cache.k or _no_past(params),
-        cache.v or _no_past(params), visible, bias, flops)
-    cache.arrival, cache.order, cache.counts = arrival, order, counts
+    logits = _forward_rows(params, [tok for tok, _ in new_tokens], cache.k,
+                           cache.v, past, visible, bias, flops)
+    cache.order[lo:past + m] = tail
+    cache.counts, cache._size = counts, past + m
     return logits, cache
 
 

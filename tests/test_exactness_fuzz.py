@@ -8,9 +8,11 @@ prompt lengths, decision policy, layer count and head count.
 
 import numpy as np
 
-from simulbench.engine import GenerationMode, simul_generate
+from simulbench.alibi import alibi_slopes, head_biases
+from simulbench.engine import GenerationMode, realized_step_mask, simul_generate
 from simulbench.masks import TablePolicy, WaitKPolicy
-from simulbench.model import ModelConfig, init_model
+from simulbench.model import (MIN_CACHE_CAPACITY, ModelConfig, forward_full,
+                              init_model)
 
 CASES = 200
 LAYER_COUNTS = (1, 2, 3)
@@ -65,3 +67,39 @@ def test_cached_and_recompute_step_logits_bit_identical():
         widest = max(widest, len(pre) + cached.d[-1] + len(mid) + len(tgt) - 1)
     assert steps > 1000
     assert widest > 8  # visible sets pass the sizes where reductions regroup
+
+
+def test_long_cache_steps_match_full_forward():
+    # a 300-token source and target grow the cache past 600 entries, so its
+    # buffers double several times; steps next to each doubling, the first
+    # and the last are recomputed with forward_full under the realized step
+    # mask and modified biases, as recompute mode does
+    rng = np.random.default_rng(20241019)
+    cfg = ModelConfig(n_layers=2, n_heads=4, d_model=64, vocab_size=VOCAB,
+                      seed=3)
+    params = init_model(cfg)
+    pre, mid = tokens(rng, 2), tokens(rng, 1)
+    src, tgt = tokens(rng, 300), tokens(rng, 300)
+    _, trace = simul_generate(
+        params, WaitKPolicy(k=3, source_len=len(src)), pre, src, mid,
+        GenerationMode("cached"), max_target_len=len(tgt), forced_target=tgt,
+        record_logits=True)
+
+    def cache_len(t):  # entries cached once step t has run (0 before step 1)
+        return len(pre) + trace.d[t - 1] + len(mid) + t - 1 if t else 0
+
+    steps = {1, len(tgt)}
+    capacity = MIN_CACHE_CAPACITY
+    while capacity < cache_len(len(tgt)):
+        crossing = next(t for t in range(1, len(tgt) + 1)
+                        if cache_len(t) > capacity)
+        steps |= {crossing - 1, crossing} - {0}
+        capacity *= 2
+    assert capacity >= 16 * MIN_CACHE_CAPACITY  # at least four doublings
+    slopes = alibi_slopes(cfg.n_heads)
+    for t in sorted(steps):
+        mask = realized_step_mask(len(pre), len(mid), trace.d[:t])
+        seq = pre + src[:trace.d[t - 1]] + mid + tgt[:t - 1]
+        full = forward_full(params, seq, mask,
+                            head_biases(mask, slopes, "modified"))
+        assert np.array_equal(trace.step_logits[t - 1], full[-1]), f"step {t}"

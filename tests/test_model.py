@@ -6,7 +6,7 @@ import pytest
 
 from simulbench.alibi import alibi_slopes, head_biases
 from simulbench.errors import (CacheCoherenceError, ConfigError, DataError,
-                               ShapeError)
+                               DegenerateRowError, ShapeError)
 from simulbench.masks import (PromptLayout, Region, WaitKPolicy, causal_mask,
                               simul_mask)
 from simulbench.model import (CacheTag, KVCache, ModelConfig, forward_full,
@@ -176,6 +176,39 @@ class TestForwardIncremental:
             forward_incremental(params, cache, [(2, CacheTag(Region.SOURCE, 2))])
         with pytest.raises(CacheCoherenceError):
             forward_incremental(params, cache, [(2, CacheTag(Region.SOURCE, 0))])
+
+    @pytest.mark.parametrize("failure", ["bad tag", "nan query weights"])
+    def test_rejected_call_leaves_cache_unchanged(self, failure):
+        # the rejected call is big enough to grow the cache's buffers; it
+        # fails validation at its last token, or inside the row engine
+        # (NaN queries leave a row with no finite score)
+        params = init_model(CFG)
+        layout = PromptLayout(1, 60, 1, 2)
+        tokens = [1] + [int(t) for t in
+                        np.random.default_rng(0).integers(1, 12, size=63)]
+        items = tagged(tokens, layout)
+        prefix, more = items[:11], items[11:61]
+        probe = [(7, CacheTag(Region.SOURCE, 10))]
+        ref = KVCache(CFG.n_layers)
+        forward_incremental(params, ref, prefix)
+        want, _ = forward_incremental(params, ref, probe)
+
+        cache = KVCache(CFG.n_layers)
+        forward_incremental(params, cache, prefix)
+        if failure == "bad tag":
+            more[-1] = (more[-1][0], CacheTag(Region.SOURCE, 99))
+            with pytest.raises(CacheCoherenceError):
+                forward_incremental(params, cache, more)
+        else:
+            bad = params.with_tensors(dict(
+                params.as_dict(),
+                **{"layers.1.wq": np.full_like(params.layers[1].wq, np.nan)}))
+            with pytest.raises(DegenerateRowError):
+                forward_incremental(bad, cache, more)
+        assert len(cache) == 11
+        assert cache.counts == [1, 10, 0, 0]
+        got, _ = forward_incremental(params, cache, probe)
+        assert np.array_equal(got, want)
 
     def test_source_ingestion_ignores_later_regions(self):
         # appending a source token after targets exist must not change its
