@@ -11,7 +11,7 @@ from concurrent threads.
 
 import numpy as np
 
-from .errors import DegenerateRowError, ShapeError
+from .errors import DegenerateRowError, NumericError, ShapeError
 
 NEG_INF = float("-inf")
 
@@ -21,12 +21,16 @@ def softmax_row(x: np.ndarray) -> np.ndarray:
 
     Entries equal to -inf are treated as absent: they contribute nothing to
     the normalizer and map to exactly 0 in the output.  Raises
-    DegenerateRowError when some row has no finite entry.
+    DegenerateRowError when some row has no finite entry, or NumericError
+    when such a row holds NaN (broken numbers, not an empty visible set).
     """
     x = np.asarray(x)
     if x.ndim < 1:
         raise ShapeError("softmax_row expects at least one axis")
-    if not (x > NEG_INF).any(axis=-1).all():
+    live = (x > NEG_INF).any(axis=-1)
+    if not live.all():
+        if np.isnan(x[~live]).any():
+            raise NumericError("non-finite attention scores")
         raise DegenerateRowError("softmax over a row with no finite entry")
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)

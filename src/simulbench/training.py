@@ -6,8 +6,19 @@ equivalence tests; the two agree to float precision).  The loss covers
 exactly the target-predicting rows: the final mid-prompt row through the
 penultimate target row.  Optimization is plain SGD with global
 gradient-norm clipping at 1.
+
+A step allocates almost nothing: every large intermediate of the forward
+and backward is written with ``out=`` (or updated in place) into a
+``_Workspace`` that one ``fine_tune`` call owns and hands to each step, and
+the SGD update runs in place on the call's parameter copies.  Every
+product keeps its shape and every reduction its grouping, and each
+elementwise op is the same binary op in the same order as the plain
+expression, so training is bit-identical (float32 and float64) to
+allocating every temporary afresh.  Nothing a step returns aliases the
+workspace.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,36 +32,97 @@ from .model import LN_EPS, ModelParams
 _GELU_A = 0.044715
 
 
-def _gelu_fwd(x):
+class _Workspace:
+    """Named scratch buffers reused by the steps of one ``fine_tune`` call.
+
+    Each name owns one flat buffer, grown to the largest size requested
+    under it; ``take`` returns a C-contiguous view of the requested shape
+    over its prefix.  A view stays valid until the next ``take`` of the
+    same name, so arrays that are live together need distinct names.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name, shape, dtype) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _mean_last(x):
+    """``x.mean(axis=-1, keepdims=True)``: the same-dtype sum, then one
+    division by the count, without numpy's Python-level ``mean``."""
+    n = x.dtype.type(x.shape[-1])
+    return np.add.reduce(x, axis=-1, dtype=x.dtype, keepdims=True) / n
+
+
+def _gelu_fwd(x, out, t, tmp):
+    """tanh-GELU of ``x`` into ``out``; ``t`` receives the tanh for the
+    backward, ``tmp`` is scratch."""
     c = x.dtype.type(np.sqrt(2.0 / np.pi))
-    u = c * (x + x.dtype.type(_GELU_A) * (x * x * x))
-    t = np.tanh(u)
-    return 0.5 * x * (1.0 + t), t
+    np.multiply(x, x, out=tmp)
+    np.multiply(tmp, x, out=tmp)
+    np.multiply(x.dtype.type(_GELU_A), tmp, out=tmp)
+    np.add(x, tmp, out=tmp)
+    np.multiply(c, tmp, out=tmp)
+    np.tanh(tmp, out=t)
+    np.multiply(0.5, x, out=out)
+    np.add(1.0, t, out=tmp)
+    np.multiply(out, tmp, out=out)
 
 
-def _gelu_bwd(x, t, dy):
+def _gelu_bwd(x, t, dy, q, w):
+    """Replace ``dy`` by the GELU input gradient; ``q`` and ``w`` are
+    scratch."""
     c = x.dtype.type(np.sqrt(2.0 / np.pi))
-    du = c * (1.0 + 3.0 * x.dtype.type(_GELU_A) * (x * x))
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    # q = 0.5 * x * (1 - t^2) * du, with du = c * (1 + 3a * x^2)
+    np.multiply(0.5, x, out=q)
+    np.multiply(t, t, out=w)
+    np.subtract(1.0, w, out=w)
+    np.multiply(q, w, out=q)
+    np.multiply(x, x, out=w)
+    np.multiply(3.0 * x.dtype.type(_GELU_A), w, out=w)
+    np.add(1.0, w, out=w)
+    np.multiply(c, w, out=w)
+    np.multiply(q, w, out=q)
+    # dy * (0.5 * (1 + t) + q)
+    np.add(1.0, t, out=w)
+    np.multiply(0.5, w, out=w)
+    np.add(w, q, out=w)
+    np.multiply(dy, w, out=dy)
 
 
-def _ln_fwd(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.dtype.type(LN_EPS))
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv)
+def _ln_fwd(x, g, b, out, xhat, tmp):
+    """Layer norm of ``x`` into ``out``.  ``xhat`` receives the normalized
+    input; returns the (..., 1) inverse deviation.  ``tmp`` is scratch."""
+    np.subtract(x, _mean_last(x), out=xhat)
+    np.multiply(xhat, xhat, out=tmp)
+    inv = 1.0 / np.sqrt(_mean_last(tmp) + x.dtype.type(LN_EPS))
+    np.multiply(xhat, inv, out=xhat)
+    np.multiply(xhat, g, out=out)
+    np.add(out, b, out=out)
+    return inv
 
 
-def _ln_bwd(cache, g, dy):
-    xhat, inv = cache
-    dg = (dy * xhat).reshape(-1, dy.shape[-1]).sum(axis=0)
-    db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    dxhat = dy * g
-    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-    return dx, dg, db
+def _ln_bwd(xhat, inv, g, dy, tmp):
+    """Replace ``dy`` by the layer-norm input gradient; returns the gain
+    and offset gradients.  ``tmp`` is scratch."""
+    d = dy.shape[-1]
+    np.multiply(dy, xhat, out=tmp)
+    dg = tmp.reshape(-1, d).sum(axis=0)
+    db = dy.reshape(-1, d).sum(axis=0)
+    dxhat = np.multiply(dy, g, out=dy)
+    m1 = _mean_last(dxhat)
+    np.multiply(dxhat, xhat, out=tmp)
+    m2 = _mean_last(tmp)
+    np.subtract(dxhat, m1, out=dxhat)
+    np.multiply(xhat, m2, out=tmp)
+    np.subtract(dxhat, tmp, out=dxhat)
+    np.multiply(inv, dxhat, out=dxhat)
+    return dg, db
 
 
 def build_training_mask_and_bias(layout: PromptLayout, policy: DecisionPolicy | None,
@@ -79,7 +151,8 @@ class ForwardBackward:
 def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
                            mask: AttentionMaskSpec, bias_stack: np.ndarray,
                            loss_rows, labels: np.ndarray,
-                           want_grads: bool = True) -> ForwardBackward:
+                           want_grads: bool = True, *,
+                           _workspace: _Workspace | None = None) -> ForwardBackward:
     """Summed loss (+ summed gradients) of same-shaped sentences.
 
     ``tokens`` is (B, L) over a shared mask/bias; ``loss_rows`` gives the
@@ -87,7 +160,9 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     next tokens.  Per sentence the loss is the mean over its predicting
     rows; the returned loss and gradients are sums over the batch.  All
     other rows contribute nothing and get exactly zero logit gradients.
-    Works in whatever float dtype the parameters carry.
+    Works in whatever float dtype the parameters carry.  Intermediates go
+    to ``_workspace`` (``fine_tune`` passes its own; otherwise a fresh one);
+    the returned arrays never alias it.
     """
     cfg = params.config
     dt = params.embed.dtype.type
@@ -99,32 +174,57 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
         raise DataError("no predicting rows to train on")
     H, dh = cfg.n_heads, cfg.d_head
     d = cfg.d_model
-    scale = dt(1.0) / np.sqrt(dt(dh))
-    add_mask = mask.to_additive(dt)
-    bias = bias_stack.astype(dt)
+    ws = _Workspace() if _workspace is None else _workspace
 
-    x = params.embed[tokens]  # (B, L, d)
-    caches = []
-    for lp in params.layers:
-        a, ln1c = _ln_fwd(x, lp.ln1_g, lp.ln1_b)
-        q = (a @ lp.wq).reshape(B, L, H, dh).transpose(0, 2, 1, 3)
-        k = (a @ lp.wk).reshape(B, L, H, dh).transpose(0, 2, 1, 3)
-        v = (a @ lp.wv).reshape(B, L, H, dh).transpose(0, 2, 1, 3)
-        scores = (q @ k.swapaxes(-1, -2) + add_mask + bias) * scale
-        mx = np.max(scores, axis=-1, keepdims=True)
-        p = np.exp(scores - mx)
-        p /= p.sum(axis=-1, keepdims=True)
-        ctx = (p @ v).transpose(0, 2, 1, 3)
-        ctx = ctx.reshape(B, L, d)
-        attn = ctx @ lp.wo
-        x1 = x + attn
-        b2, ln2c = _ln_fwd(x1, lp.ln2_g, lp.ln2_b)
-        f1 = b2 @ lp.w1
-        g1, tanh_c = _gelu_fwd(f1)
-        x2 = x1 + g1 @ lp.w2
-        caches.append((x, a, ln1c, q, k, v, p, ctx, x1, b2, ln2c, f1, g1, tanh_c))
-        x = x2
-    hf, lnfc = _ln_fwd(x, params.lnf_g, params.lnf_b)
+    def buf(name, *shape):
+        return ws.take(name, shape, dt)
+
+    def heads(arr):  # (B, L, d) -> (B, H, L, dh) view
+        return arr.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
+
+    scale = dt(1.0) / np.sqrt(dt(dh))
+    # mask entries are exactly 0 or -inf and biases are finite, so adding
+    # their sum equals adding the mask, then the biases
+    mask_bias = np.add(mask.to_additive(dt), bias_stack.astype(dt, copy=False),
+                       out=buf("mask_bias", H, L, L))
+    ln_tmp = buf("ln_tmp", B, L, d)
+    scores = buf("scores", B, H, L, L)
+    ffn_tmp = [buf(f"ffn_tmp{i}", B, L, 4 * d) for i in range(3)]
+
+    x = np.take(params.embed, tokens, axis=0, out=buf("x", B, L, d))
+    x1 = buf("x1", B, L, d)
+    saved = []
+    for li, lp in enumerate(params.layers):
+        a, xhat1, q, k, v, ctx, b2, xhat2 = (
+            buf(f"{li}.{name}", B, L, d)
+            for name in ("a", "xhat1", "q", "k", "v", "ctx", "b2", "xhat2"))
+        f1, g1, t = (buf(f"{li}.{name}", B, L, 4 * d)
+                     for name in ("f1", "g1", "t"))
+        p = buf(f"{li}.p", B, H, L, L)
+        inv1 = _ln_fwd(x, lp.ln1_g, lp.ln1_b, a, xhat1, ln_tmp)
+        np.matmul(a, lp.wq, out=q)
+        np.matmul(a, lp.wk, out=k)
+        np.matmul(a, lp.wv, out=v)
+        q, k, v = heads(q), heads(k), heads(v)
+        np.matmul(q, k.swapaxes(-1, -2), out=scores)
+        np.add(scores, mask_bias, out=scores)
+        np.multiply(scores, scale, out=scores)
+        np.subtract(scores, np.maximum.reduce(scores, axis=-1, keepdims=True),
+                    out=scores)
+        np.exp(scores, out=p)
+        p /= np.add.reduce(p, axis=-1, keepdims=True)
+        np.matmul(p, v, out=heads(ctx))
+        np.matmul(ctx, lp.wo, out=x1)
+        np.add(x, x1, out=x1)
+        inv2 = _ln_fwd(x1, lp.ln2_g, lp.ln2_b, b2, xhat2, ln_tmp)
+        np.matmul(b2, lp.w1, out=f1)
+        _gelu_fwd(f1, g1, t, ffn_tmp[0])
+        np.matmul(g1, lp.w2, out=x)
+        np.add(x1, x, out=x)
+        saved.append((a, xhat1, inv1, q, k, v, p, ctx, b2, xhat2, inv2,
+                      f1, g1, t))
+    hf, xhatf = buf("hf", B, L, d), buf("xhatf", B, L, d)
+    invf = _ln_fwd(x, params.lnf_g, params.lnf_b, hf, xhatf, ln_tmp)
     logits = hf @ params.w_out  # (B, L, V)
 
     R = loss_rows.size
@@ -145,45 +245,54 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
 
     grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
     grads["w_out"] += hf.reshape(-1, d).T @ dlogits.reshape(-1, cfg.vocab_size)
-    dhf = dlogits @ params.w_out.T
-    dx, dg, db = _ln_bwd(lnfc, params.lnf_g, dhf)
+    dx = np.matmul(dlogits, params.w_out.T, out=buf("dx", B, L, d))
+    dg, db = _ln_bwd(xhatf, invf, params.lnf_g, dx, ln_tmp)
     grads["lnf_g"] += dg
     grads["lnf_b"] += db
 
+    dx1, dctx, da = (buf(name, B, L, d) for name in ("dx1", "dctx", "da"))
+    dq, dk, dv = (buf(name, B, L, d) for name in ("dq", "dk", "dv"))
+    dp = buf("dp", B, H, L, L)
     for li in range(cfg.n_layers - 1, -1, -1):
         lp = params.layers[li]
-        (xin, a, ln1c, q, k, v, p, ctx, x1, b2, ln2c, f1, g1, tanh_c) = caches[li]
+        (a, xhat1, inv1, q, k, v, p, ctx, b2, xhat2, inv2,
+         f1, g1, t) = saved[li]
         pre = f"layers.{li}."
         # FFN
         grads[pre + "w2"] += g1.reshape(-1, 4 * d).T @ dx.reshape(-1, d)
-        dg1 = dx @ lp.w2.T
-        df1 = _gelu_bwd(f1, tanh_c, dg1)
+        df1 = np.matmul(dx, lp.w2.T, out=ffn_tmp[0])
+        _gelu_bwd(f1, t, df1, *ffn_tmp[1:])
         grads[pre + "w1"] += b2.reshape(-1, d).T @ df1.reshape(-1, 4 * d)
-        db2 = df1 @ lp.w1.T
-        dx1, dgain, doff = _ln_bwd(ln2c, lp.ln2_g, db2)
+        np.matmul(df1, lp.w1.T, out=dx1)
+        dgain, doff = _ln_bwd(xhat2, inv2, lp.ln2_g, dx1, ln_tmp)
         grads[pre + "ln2_g"] += dgain
         grads[pre + "ln2_b"] += doff
-        dx1 = dx1 + dx
+        np.add(dx1, dx, out=dx1)
         # attention
         grads[pre + "wo"] += ctx.reshape(-1, d).T @ dx1.reshape(-1, d)
-        dctx = (dx1 @ lp.wo.T).reshape(B, L, H, dh).transpose(0, 2, 1, 3)
-        dp = dctx @ v.swapaxes(-1, -2)
-        dv = p.swapaxes(-1, -2) @ dctx
-        dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
-        dq = dscores @ k
-        dk = dscores.swapaxes(-1, -2) @ q
-        dq2 = dq.transpose(0, 2, 1, 3).reshape(-1, d)
-        dk2 = dk.transpose(0, 2, 1, 3).reshape(-1, d)
-        dv2 = dv.transpose(0, 2, 1, 3).reshape(-1, d)
+        np.matmul(dx1, lp.wo.T, out=dctx)
+        np.matmul(heads(dctx), v.swapaxes(-1, -2), out=dp)
+        np.matmul(p.swapaxes(-1, -2), heads(dctx), out=heads(dv))
+        np.multiply(dp, p, out=scores)
+        np.subtract(dp, np.add.reduce(scores, axis=-1, keepdims=True), out=dp)
+        np.multiply(p, dp, out=dp)
+        dscores = np.multiply(dp, scale, out=dp)
+        np.matmul(dscores, k, out=heads(dq))
+        np.matmul(dscores.swapaxes(-1, -2), q, out=heads(dk))
+        dq2, dk2, dv2 = dq.reshape(-1, d), dk.reshape(-1, d), dv.reshape(-1, d)
+        da2 = da.reshape(-1, d)
+        tmp2 = ln_tmp.reshape(-1, d)
+        np.matmul(dq2, lp.wq.T, out=da2)
+        np.add(da2, np.matmul(dk2, lp.wk.T, out=tmp2), out=da2)
+        np.add(da2, np.matmul(dv2, lp.wv.T, out=tmp2), out=da2)
         a2 = a.reshape(-1, d)
-        da = (dq2 @ lp.wq.T + dk2 @ lp.wk.T + dv2 @ lp.wv.T).reshape(B, L, d)
         grads[pre + "wq"] += a2.T @ dq2
         grads[pre + "wk"] += a2.T @ dk2
         grads[pre + "wv"] += a2.T @ dv2
-        dxin, dgain, doff = _ln_bwd(ln1c, lp.ln1_g, da)
+        dgain, doff = _ln_bwd(xhat1, inv1, lp.ln1_g, da, ln_tmp)
         grads[pre + "ln1_g"] += dgain
         grads[pre + "ln1_b"] += doff
-        dx = dxin + dx1
+        np.add(da, dx1, out=dx)
 
     np.add.at(grads["embed"], tokens.reshape(-1), dx.reshape(-1, d))
     return ForwardBackward(loss, grads, logits, dlogits)
@@ -276,8 +385,10 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
     for idx, item in enumerate(prepared):
         by_key.setdefault(item[1], []).append(idx)
 
+    # the SGD update runs in place on these copies, which ``cur`` holds
     arrays = {k: v.copy() for k, v in params.tensors()}
     cur = params.with_tensors(arrays)
+    workspace = _Workspace()
     rng = np.random.default_rng(shuffle_seed)
     loss_curve = []
     step = 0
@@ -297,7 +408,8 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
             tokens = np.stack([prepared[i][0] for i in members])
             labels = np.stack([prepared[i][3] for i in members])
             fb = batch_forward_backward(cur, tokens, mask, bias_stack,
-                                        np.asarray(rows), labels)
+                                        np.asarray(rows), labels,
+                                        _workspace=workspace)
             if not np.isfinite(fb.loss):
                 raise NumericError(f"non-finite loss at step {step + 1}")
             grads = fb.grads
@@ -308,9 +420,9 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
                 raise NumericError(
                     f"non-finite gradient norm at step {step + 1}")
             if learning_rate:
-                for name in arrays:
-                    arrays[name] = arrays[name] - learning_rate * grads[name]
-                cur = cur.with_tensors(arrays)
+                for name, arr in arrays.items():
+                    grads[name] *= learning_rate
+                    arr -= grads[name]
             step += 1
             loss_curve.append((step, fb.loss / len(members)))
     return TrainResult(params=cur, loss_curve=loss_curve,

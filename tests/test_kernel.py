@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simulbench.errors import DegenerateRowError, ShapeError
+from simulbench.errors import DegenerateRowError, NumericError, ShapeError
 from simulbench.kernel import NEG_INF, attend_row, softmax_row
 
 
@@ -34,6 +34,17 @@ class TestSoftmaxRow:
     def test_all_masked_degenerate(self):
         with pytest.raises(DegenerateRowError):
             softmax_row(np.array([NEG_INF, NEG_INF]))
+
+    def test_nan_row_is_numeric_error(self):
+        # a row with no finite entry because it holds NaN is broken numbers,
+        # not an empty visible set; an all -inf row still blames visibility
+        x = np.zeros((2, 3), dtype=np.float32)
+        x[1] = np.nan
+        with pytest.raises(NumericError, match="non-finite attention scores"):
+            softmax_row(x)
+        x[1] = NEG_INF
+        with pytest.raises(DegenerateRowError):
+            softmax_row(x)
 
     def test_large_values_stable(self):
         out = softmax_row(np.array([1000.0, 1000.0], dtype=np.float32))

@@ -6,7 +6,7 @@ import pytest
 
 from simulbench.alibi import alibi_slopes, head_biases
 from simulbench.errors import (CacheCoherenceError, ConfigError, DataError,
-                               DegenerateRowError, ShapeError)
+                               NumericError, ShapeError)
 from simulbench.masks import (PromptLayout, Region, WaitKPolicy, causal_mask,
                               simul_mask)
 from simulbench.model import (CacheTag, KVCache, ModelConfig, forward_full,
@@ -181,7 +181,7 @@ class TestForwardIncremental:
     def test_rejected_call_leaves_cache_unchanged(self, failure):
         # the rejected call is big enough to grow the cache's buffers; it
         # fails validation at its last token, or inside the row engine
-        # (NaN queries leave a row with no finite score)
+        # (NaN queries leave a row with no finite score, only NaN ones)
         params = init_model(CFG)
         layout = PromptLayout(1, 60, 1, 2)
         tokens = [1] + [int(t) for t in
@@ -203,7 +203,7 @@ class TestForwardIncremental:
             bad = params.with_tensors(dict(
                 params.as_dict(),
                 **{"layers.1.wq": np.full_like(params.layers[1].wq, np.nan)}))
-            with pytest.raises(DegenerateRowError):
+            with pytest.raises(NumericError):
                 forward_incremental(bad, cache, more)
         assert len(cache) == 11
         assert cache.counts == [1, 10, 0, 0]

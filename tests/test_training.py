@@ -8,7 +8,8 @@ from simulbench.data import default_layout_builder, gen_synthetic
 from simulbench.errors import ConfigError, DataError, NumericError
 from simulbench.masks import PromptLayout, WaitKPolicy
 from simulbench.model import ModelConfig, forward_full, init_model
-from simulbench.training import (build_training_mask_and_bias, clip_global_norm,
+from simulbench.training import (_Workspace, batch_forward_backward,
+                                 build_training_mask_and_bias, clip_global_norm,
                                  fine_tune, sentence_forward_backward,
                                  sentence_logits)
 
@@ -91,6 +92,46 @@ class TestForwardBackward:
         small = {"a": np.full(2, 0.1)}
         clip_global_norm(small, 1.0)
         assert np.allclose(small["a"], 0.1)
+
+
+def snapshot(fb):
+    return (fb.loss, fb.logits.copy(), fb.dlogits.copy(),
+            {name: g.copy() for name, g in fb.grads.items()})
+
+
+def assert_same(fb, ref):
+    loss, logits, dlogits, grads = ref
+    assert fb.loss == loss
+    assert np.array_equal(fb.logits, logits)
+    assert np.array_equal(fb.dlogits, dlogits)
+    assert fb.grads.keys() == grads.keys()
+    for name in grads:
+        assert np.array_equal(fb.grads[name], grads[name]), name
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reuse_matches_fresh_and_never_aliases(self, dtype):
+        # one workspace serves a long layout, a short one, then the long one
+        # with another batch size: every call equals a fresh-workspace call,
+        # and later calls leave earlier results untouched
+        params = init_model(CFG).astype(dtype)
+        rng = np.random.default_rng(0)
+        calls = []
+        for (s, t), batch in (((9, 8), 5), ((3, 2), 3), ((9, 8), 4)):
+            _, layout, mask, bias, rows, _ = small_case(s=s, t=t)
+            tokens = rng.integers(3, CFG.vocab_size, size=(batch, layout.total_len))
+            labels = rng.integers(3, CFG.vocab_size, size=(batch, rows.size))
+            calls.append((tokens, mask, bias, rows, labels))
+        workspace = _Workspace()
+        results = []
+        for args in calls:
+            fb = batch_forward_backward(params, *args, _workspace=workspace)
+            assert fb.logits.dtype == dtype
+            assert_same(fb, snapshot(batch_forward_backward(params, *args)))
+            results.append((fb, snapshot(fb)))
+        for fb, ref in results:
+            assert_same(fb, ref)
 
 
 class TestFineTune:

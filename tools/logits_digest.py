@@ -17,6 +17,13 @@ bias dumps on these cases.
 A second digest (``long_sha256``) covers a few long cases: sources of
 150-400 tokens in the two cached modes, so the KV cache grows to hundreds
 of entries.  It has no bias dumps.
+
+A third digest (``train_sha256``) covers training: ``fine_tune`` over a
+mixed-length corpus, a causal/standard phase and then a simulmask/modified
+phase at wait-k, for H4 and H16 at d64 in float32 and one float64 run.  It
+hashes the loss curve (``loss_curve_to_csv``) and the bytes of every
+parameter after each phase.  Batches alternate between layouts and batch
+sizes within one call, so every step shape is covered.
 """
 
 import hashlib
@@ -25,9 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from simulbench.alibi import alibi_slopes, bias_to_csv, head_biases
+from simulbench.data import default_layout_builder, gen_synthetic
 from simulbench.engine import GenerationMode, simul_generate
 from simulbench.masks import PromptLayout, TablePolicy, WaitKPolicy, simul_mask
 from simulbench.model import ModelConfig, init_model
+from simulbench.training import fine_tune, loss_curve_to_csv
 
 HEAD_COUNTS = (1, 2, 4, 8, 16)
 VOCAB = 24
@@ -100,12 +109,48 @@ def digest(case_set: CaseSet) -> tuple[str, int, int]:
     return sha.hexdigest(), arrays, dumps
 
 
+# (n_heads, dtype) of each training run; all d64, two layers
+TRAIN_RUNS = ((4, np.float32), (16, np.float32), (4, np.float64))
+TRAIN_VOCAB = 32
+
+
+def train_digest() -> tuple[str, int]:
+    """(hex digest, optimizer steps hashed) over the ``fine_tune`` runs."""
+    # source lengths 4-8: five layouts; 40 sentences in batches of 6 leave
+    # each layout's last batch short, so shapes alternate in L and in B
+    corpus = gen_synthetic("shift(2)", 40, 4, 8, TRAIN_VOCAB, 20241020)
+    sha = hashlib.sha256()
+    steps = 0
+    for run, (n_heads, dtype) in enumerate(TRAIN_RUNS):
+        params = init_model(ModelConfig(n_layers=2, n_heads=n_heads,
+                                        d_model=64, vocab_size=TRAIN_VOCAB,
+                                        seed=run)).astype(dtype)
+        base = fine_tune(params, corpus, default_layout_builder, None,
+                         mask_mode="causal", bias_mode="standard", epochs=3,
+                         learning_rate=0.5, batch_size=6, shuffle_seed=run)
+        tuned = fine_tune(base.params, corpus, default_layout_builder,
+                          lambda source_len: WaitKPolicy(3, source_len),
+                          mask_mode="simulmask", bias_mode="modified",
+                          epochs=3, learning_rate=0.15, batch_size=6,
+                          shuffle_seed=run + 100)
+        for result in (base, tuned):
+            sha.update(loss_curve_to_csv(result.loss_curve).encode())
+            for name, arr in result.params.tensors():
+                sha.update(f"{name}{arr.dtype}{arr.shape}".encode())
+                sha.update(np.ascontiguousarray(arr).tobytes())
+            steps += len(result.loss_curve)
+    return sha.hexdigest(), steps
+
+
 def main():
     for name, case_set in (("", SHORT), ("long_", LONG)):
         hexdigest, arrays, dumps = digest(case_set)
         print(f"{name}cases={case_set.cases} logit_arrays={arrays} "
               f"bias_dumps={dumps}")
         print(f"{name}sha256={hexdigest}")
+    hexdigest, steps = train_digest()
+    print(f"train_runs={len(TRAIN_RUNS)} steps={steps}")
+    print(f"train_sha256={hexdigest}")
 
 
 if __name__ == "__main__":
