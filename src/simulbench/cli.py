@@ -6,12 +6,13 @@ numeric/degenerate error.
 """
 
 import argparse
+import os
 import sys
 
 from . import __version__
 from .alibi import bias_to_csv, modified_alibi
 from .config import build_config, load_config
-from .data import gen_synthetic, load_corpus, save_corpus
+from .data import corpus_to_jsonl, gen_synthetic, load_corpus
 from .engine import GenerationMode
 from .errors import (CacheCoherenceError, ConfigError, ConsistencyError,
                      DataError, DegenerateRowError, LayoutError, NumericError,
@@ -61,6 +62,21 @@ def _parse_policy(args, source_len: int):
         return TablePolicy(reads=tuple(int(v) for v in args.policy.split(",")),
                            source_len=source_len)
     return WaitKPolicy(k=args.k, source_len=source_len)
+
+
+def _write_out(path: str, text: str):
+    """Write one output file.  An unwritable path is a configuration error,
+    and a write cut short removes the partial file."""
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    try:
+        with fh:
+            fh.write(text)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _add_common(p):
@@ -132,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_gen_data(args) -> int:
     corpus = gen_synthetic(args.task, args.n, args.min_len, args.max_len,
                            args.vocab, args.seed)
-    save_corpus(args.out, corpus)
+    _write_out(args.out, corpus_to_jsonl(corpus))
     print(f"wrote {len(corpus)} sentence pairs to {args.out}")
     return 0
 
@@ -173,8 +189,7 @@ def _cmd_mask_dump(args) -> int:
         policy = _parse_policy(args, layout.source_len)
         mask = simul_mask(layout, policy)
         desc = policy.describe()
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(mask_to_ascii(mask, desc))
+    _write_out(args.out, mask_to_ascii(mask, desc))
     print(args.out)
     return 0
 
@@ -184,8 +199,7 @@ def _cmd_bias_dump(args) -> int:
     policy = _parse_policy(args, layout.source_len)
     mask = simul_mask(layout, policy)
     bias = modified_alibi(mask, args.slope)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(bias_to_csv(bias))
+    _write_out(args.out, bias_to_csv(bias))
     print(args.out)
     return 0
 

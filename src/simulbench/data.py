@@ -94,11 +94,16 @@ def gen_synthetic(task: str, n_sentences: int, min_len: int, max_len: int,
     return corpus
 
 
+def corpus_to_jsonl(corpus) -> str:
+    """One {"source", "target"} JSON object per line, as ``load_corpus`` reads."""
+    return "".join(json.dumps({"source": list(pair.source),
+                               "target": list(pair.target)}) + "\n"
+                   for pair in corpus)
+
+
 def save_corpus(path: str, corpus):
     with open(path, "w", encoding="utf-8") as fh:
-        for pair in corpus:
-            fh.write(json.dumps({"source": list(pair.source),
-                                 "target": list(pair.target)}) + "\n")
+        fh.write(corpus_to_jsonl(corpus))
 
 
 def load_corpus(path: str, vocab_size: int | None = None) -> list[SentencePair]:

@@ -4,16 +4,21 @@
 target tokens under a decision policy, in one of two modes:
 
 * cached: every token is processed once against a growing KV cache, with
-  visibility and biases derived from canonical cache tags;
+  visibility and biases derived from canonical cache tags.  Each decision
+  step is one ``forward_incremental`` call holding the step's newly read
+  source tokens followed by the last emitted target token (on the first
+  step: the pre-prompt, the first source tokens and the mid-prompt);
 * recompute: every prediction step rebuilds the full canonical sequence
   (all read source mid-sequence) and runs a full forward under the
   visibility realized so far.
 
 Each run produces a TranslationTrace: the read/write event log, the
 per-emission cumulative source counts feeding latency metrics, and a
-per-event shadow count of floating-point operations.  One session owns its
-cache and trace; sessions sharing read-only parameters may run
-concurrently.
+per-event shadow count of floating-point operations.  FLOPs are charged
+per row to the event the row belongs to: pre-prompt and source rows to
+their read event, mid-prompt and target rows to their write event, even
+when one engine call serves both.  One session owns its cache and trace;
+sessions sharing read-only parameters may run concurrently.
 """
 
 import json
@@ -179,31 +184,30 @@ def _emit(trace, logits_row, t, forced_target, counter):
 def _generate_cached(params, policy, pre_prompt, stream, mid_prompt, trace,
                      max_target_len, eos_id, forced_target, bias_scheme):
     cache = KVCache(params.config.n_layers)
-
-    def ingest(tokens_tags, counter):
-        logits, _ = forward_incremental(params, cache, tokens_tags,
-                                        bias_scheme=bias_scheme, flops=counter)
-        return logits
-
-    counter = FlopCounter()
-    ingest([(tok, CacheTag(Region.PRE_PROMPT, i))
-            for i, tok in enumerate(pre_prompt)], counter)
     new = _pull_upto(stream, policy.cumulative_reads(1), 0)
     if not new:
         raise DataError("source stream yielded no tokens")
-    ingest([(tok, CacheTag(Region.SOURCE, j)) for j, tok in enumerate(new)],
-           counter)
-    reads = len(new)
-    trace.kv_rows += counter.kv_rows
-    _record(trace, ReadEvent(n=reads, flops=counter.total))
-
-    counter = FlopCounter()
-    logits = ingest([(tok, CacheTag(Region.MID_PROMPT, i))
-                     for i, tok in enumerate(mid_prompt)], counter)
+    reads = 0
+    read_rows = [(tok, CacheTag(Region.PRE_PROMPT, i))
+                 for i, tok in enumerate(pre_prompt)]
+    write_rows = [(tok, CacheTag(Region.MID_PROMPT, i))
+                  for i, tok in enumerate(mid_prompt)]
     emitted = []
     t = 1
     while True:
-        tok = _emit(trace, logits[-1], t, forced_target, counter)
+        # one engine call per write event; its source (and pre-prompt) rows
+        # are charged to the read event, the others to the write event
+        read_rows += [(s, CacheTag(Region.SOURCE, reads + j))
+                      for j, s in enumerate(new)]
+        read, write = FlopCounter(), FlopCounter()
+        logits, _ = forward_incremental(
+            params, cache, read_rows + write_rows, bias_scheme=bias_scheme,
+            flops=[read] * len(read_rows) + [write] * len(write_rows))
+        if new:
+            reads += len(new)
+            trace.kv_rows += read.kv_rows
+            _record(trace, ReadEvent(n=len(new), flops=read.total))
+        tok = _emit(trace, logits[-1], t, forced_target, write)
         if tok == eos_id:
             break
         emitted.append(tok)
@@ -211,16 +215,8 @@ def _generate_cached(params, policy, pre_prompt, stream, mid_prompt, trace,
         if len(emitted) >= max_target_len:
             break
         t += 1
-        counter = FlopCounter()
         new = _pull_upto(stream, _goal(policy, t, stream, reads), reads)
-        if new:
-            ingest([(s, CacheTag(Region.SOURCE, reads + j))
-                    for j, s in enumerate(new)], counter)
-            reads += len(new)
-            trace.kv_rows += counter.kv_rows
-            _record(trace, ReadEvent(n=len(new), flops=counter.total))
-            counter = FlopCounter()
-        logits = ingest([(emitted[-1], CacheTag(Region.TARGET, t - 2))], counter)
+        read_rows, write_rows = [], [(tok, CacheTag(Region.TARGET, t - 2))]
     return emitted
 
 

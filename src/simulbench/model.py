@@ -17,6 +17,7 @@ immutable after creation; a KVCache belongs to a single generation session.
 
 import json
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -263,7 +264,7 @@ def _kv_buffers(params: ModelParams, capacity: int):
 
 
 def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, past: int,
-                  visible, bias, flops: FlopCounter | None):
+                  visible, bias, flops: list[FlopCounter] | None):
     """The row engine behind both forwards.
 
     ``k_bufs``/``v_bufs`` are per-layer head-major (n_heads, capacity,
@@ -277,7 +278,10 @@ def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, past: int,
     Only attention loops over rows: one ``take`` along the token axis
     gathers a row's visible keys (values) into a contiguous head-major
     block, handed to ``attend_row`` as its (n, H, d_head) transposed view.
-    Returns the logits.
+    ``flops``, when given, holds one shadow counter per row; each row's
+    matmul work is charged to its own counter (a run of consecutive rows
+    sharing a counter in one charge), so one call may serve several
+    events.  Returns the logits.
     """
     cfg = params.config
     d, n_heads, d_head = cfg.d_model, cfg.n_heads, cfg.d_head
@@ -299,15 +303,19 @@ def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, past: int,
         b = _layer_norm(h2, lp.ln2_g, lp.ln2_b)
         h = h2 + _linear(_gelu(_linear(b, lp.w1)), lp.w2)
     if flops:
-        rows = cfg.n_layers * m
-        flops.kv_rows += rows
-        flops.add_linear(rows, d, 3 * d)  # q, k, v
-        flops.add_linear(rows, d, d)
-        flops.add_linear(rows, d, 4 * d)
-        flops.add_linear(rows, 4 * d, d)
-        flops.add_attention_row(
-            cfg.n_layers * n_heads * sum(len(vis) for vis in visible), d_head)
-        flops.add_linear(m, d, cfg.vocab_size)
+        start = 0
+        for counter, run in groupby(flops):  # counters compare by identity
+            n = len(list(run))
+            rows = cfg.n_layers * n
+            counter.kv_rows += rows
+            counter.add_linear(rows, d, 3 * d)  # q, k, v
+            counter.add_linear(rows, d, d)
+            counter.add_linear(rows, d, 4 * d)
+            counter.add_linear(rows, 4 * d, d)
+            counter.add_attention_row(cfg.n_layers * n_heads * sum(
+                len(vis) for vis in visible[start:start + n]), d_head)
+            counter.add_linear(n, d, cfg.vocab_size)
+            start += n
     return _linear(_layer_norm(h, params.lnf_g, params.lnf_b), params.w_out)
 
 
@@ -332,19 +340,26 @@ def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
     stack = np.stack([b.matrix for b in biases])  # (H, L, L)
     bias = [np.ascontiguousarray(stack[:, i, vis]) for i, vis in enumerate(visible)]
     k_bufs, v_bufs = _kv_buffers(params, L)
-    return _forward_rows(params, tokens, k_bufs, v_bufs, 0, visible, bias, flops)
+    return _forward_rows(params, tokens, k_bufs, v_bufs, 0, visible, bias,
+                         [flops] * L if flops is not None else None)
 
 
 def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
                         bias_scheme: str = "rank",
-                        flops: FlopCounter | None = None):
+                        flops: list[FlopCounter] | None = None):
     """Extend ``cache`` with tagged tokens; return (logits for them, cache).
 
     ``new_tokens`` is a sequence of (token_id, CacheTag).  Each new token
     attends, in canonical tag order, to everything cached or earlier in the
     call whose tag orders at or before its own (itself included).  Because
     mid-prompt and target tags order after all source tags, a source token
-    ingested late ignores the mid-prompt and target entries already cached.
+    ingested late ignores the mid-prompt and target entries already cached,
+    and a call may mix regions: a source token and a target token ingested
+    together see exactly what they would see in two calls, source first.
+    Each row's arithmetic is independent of how rows are grouped into
+    calls, so the logits are bit-identical too.  ``flops``, when given,
+    holds one FlopCounter per new token, charged with that token's row, so
+    one call can serve several trace events.
     Per-head biases follow ``bias_scheme``:
 
     * ``"rank"``: -slope * (canonical-rank distance within the visible
@@ -365,6 +380,8 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
     new_tokens = list(new_tokens)
     slopes = np.asarray(alibi_slopes(cfg.n_heads).slopes)[:, None]
     past, m = len(cache), len(new_tokens)
+    if flops is not None and len(flops) != m:
+        raise ShapeError(f"{len(flops)} FLOP counters for {m} new tokens")
     counts = list(cache.counts)
     slots = []
     for tok, tag in new_tokens:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from simulbench.cli import main
+from simulbench.cli import _write_out, main
 from simulbench.config import build_config
 from simulbench.data import gen_synthetic, save_corpus
 from simulbench.experiment import run_experiment
@@ -118,6 +118,26 @@ class TestCli:
         assert main(["eval", "--dataset", corpus, "--checkpoint", ckpt,
                      "--out", out, "--eval-k", "1"]) == 4
         assert not os.path.exists(os.path.join(out, "metrics.csv"))
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--task", "copy", "--n", "2", "--min-len", "3",
+         "--max-len", "4"],
+        ["mask-dump", "--layout", "1,4,1,4"],
+        ["bias-dump", "--layout", "1,4,1,4"],
+    ])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, argv):
+        missing_dir = os.path.join(tmp_path, "missing")
+        assert main(argv + ["--out", os.path.join(missing_dir, "x")]) == 2
+        assert "config error" in capsys.readouterr().err
+        # a directory in the way fails the open too, and is left alone
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert os.listdir(tmp_path) == []
+
+    def test_write_cut_short_leaves_no_file(self, tmp_path):
+        path = os.path.join(tmp_path, "out.txt")
+        with pytest.raises(UnicodeEncodeError):
+            _write_out(path, "row\ud800")  # a lone surrogate fails to encode
+        assert not os.path.exists(path)
 
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert main(["train", "--out", os.path.join(tmp_path, "o")]) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from simulbench import engine
 from simulbench.data import PRE_ID, SEP_ID
 from simulbench.engine import (GenerationMode, ReadEvent, TranslationTrace,
                                WriteEvent, events_from_jsonl, prefix_expand,
@@ -144,6 +145,51 @@ class TestSimulGenerate:
                 step += 1
         assert trace_r.kv_rows == CFG.n_layers * expected
         assert trace_r.kv_rows > trace.kv_rows
+
+
+class TestCachedCalls:
+    """Cached generation makes one engine call per decision step."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        sizes = []
+        real = engine.forward_incremental
+
+        def counted(params, cache, new_tokens, *args, **kwargs):
+            sizes.append(len(new_tokens))
+            return real(params, cache, new_tokens, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "forward_incremental", counted)
+        return sizes
+
+    @pytest.mark.parametrize("policy, src, tgt", [
+        # k past the source: every source token is read before the first write
+        (WaitKPolicy(9, 4), [3, 4, 5, 6], [7, 8, 9, 10, 11]),
+        # several reads at once between writes, and writes with no read
+        (TablePolicy(reads=(1, 4, 4, 7, 8), source_len=8),
+         [3, 4, 5, 6, 7, 8, 9, 10], [7, 8, 9, 10, 11]),
+    ])
+    def test_one_call_per_write_forced(self, calls, policy, src, tgt):
+        params = init_model(CFG)
+        _, trace = simul_generate(params, policy, [PRE_ID, 2], src, [SEP_ID],
+                                  GenerationMode("cached"),
+                                  max_target_len=len(tgt), forced_target=tgt)
+        assert len(calls) == len(trace.writes()) == len(tgt)
+        # each call holds the step's new source tokens and one more row
+        # (the mid-prompt on the first step, the last target token after)
+        reads = [e.n for e in trace.events if isinstance(e, ReadEvent)]
+        assert calls[0] == 2 + reads[0] + 1
+        assert sum(calls) == 2 + trace.total_reads() + 1 + len(tgt) - 1
+
+    def test_one_call_per_write_to_eos(self, calls):
+        # this model greedily emits 8, 0, 2, ...: id 2 stops it at step 3
+        params = init_model(CFG)
+        hyp, trace = simul_generate(params, WaitKPolicy(1, 6), [PRE_ID],
+                                    [3, 4, 5, 6, 7, 8], [SEP_ID],
+                                    GenerationMode("cached"),
+                                    max_target_len=30, eos_id=2)
+        assert hyp == [8, 0] and trace.writes() == [8, 0, 2]
+        assert len(calls) == len(trace.writes())
 
 
 class TestGenerationModeType:

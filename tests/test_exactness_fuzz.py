@@ -3,14 +3,20 @@
 Cached generation (incremental forwards over a KV cache) and recompute
 generation (a full forward under the realized step mask at every step)
 must produce bit-identical logits at every prediction step, for any
-prompt lengths, decision policy, layer count and head count.
+prompt lengths, decision policy, layer count and head count.  Every run
+(cached with rank or stale biases, recompute) must also charge each event
+the shadow FLOPs that ``metrics`` derives for it analytically, and build
+the keys/values of exactly the rows its mode implies.
 """
 
 import numpy as np
 
 from simulbench.alibi import alibi_slopes, head_biases
-from simulbench.engine import GenerationMode, realized_step_mask, simul_generate
+from simulbench.engine import (GenerationMode, ReadEvent, realized_step_mask,
+                               simul_generate, trace_to_jsonl)
 from simulbench.masks import TablePolicy, WaitKPolicy
+from simulbench.metrics import (FlopModel, _cached_event_costs,
+                                _recompute_event_costs)
 from simulbench.model import (MIN_CACHE_CAPACITY, ModelConfig, forward_full,
                               init_model)
 
@@ -18,6 +24,7 @@ CASES = 200
 LAYER_COUNTS = (1, 2, 3)
 HEAD_COUNTS = (1, 2, 4, 8, 16)
 VOCAB = 24
+MODES = (("cached", "rank"), ("cached", "stale"), ("recompute", "rank"))
 
 
 def random_policy(rng, source_len, target_len):
@@ -31,6 +38,23 @@ def random_policy(rng, source_len, target_len):
 
 def tokens(rng, n):
     return [int(x) for x in rng.integers(1, VOCAB, size=n)]
+
+
+def expected_kv_rows(trace, n_layers):
+    """Rows whose keys/values a run builds: each token once when cached,
+    the whole canonical prefix at every step when recomputing."""
+    reads, step_reads = 0, []  # source tokens read before each write
+    for ev in trace.events:
+        if isinstance(ev, ReadEvent):
+            reads += ev.n
+        else:
+            step_reads.append(reads)
+    prompts = trace.pre_len + trace.mid_len
+    if trace.mode == "cached":
+        rows = prompts + reads + len(step_reads) - 1
+    else:
+        rows = sum(prompts + d_t + t for t, d_t in enumerate(step_reads))
+    return n_layers * rows
 
 
 def test_cached_and_recompute_step_logits_bit_identical():
@@ -48,13 +72,23 @@ def test_cached_and_recompute_step_logits_bit_identical():
         src = tokens(rng, int(rng.integers(1, 31)))
         tgt = tokens(rng, int(rng.integers(1, 31)))
         policy = random_policy(rng, len(src), len(tgt))
+        flop_model = FlopModel(cfg)
         traces = {}
-        for kind in ("cached", "recompute"):
-            _, traces[kind] = simul_generate(
+        for kind, scheme in MODES:
+            _, trace = simul_generate(
                 params, policy, pre, src, mid, GenerationMode(kind),
                 max_target_len=len(tgt), forced_target=tgt,
-                record_logits=True)
-        cached, recompute = traces["cached"], traces["recompute"]
+                record_logits=True, bias_scheme=scheme)
+            costs = (_cached_event_costs if kind == "cached"
+                     else _recompute_event_costs)(trace, flop_model)
+            assert trace.flop_log == costs, (
+                f"case {case} {kind}/{scheme}: per-event FLOPs differ")
+            assert trace.kv_rows == expected_kv_rows(trace, cfg.n_layers), (
+                f"case {case} {kind}/{scheme}: kv_rows differ")
+            traces[kind, scheme] = trace
+        cached, recompute = traces["cached", "rank"], traces["recompute", "rank"]
+        # stale biases change the logits, never the schedule or the work
+        assert trace_to_jsonl(traces["cached", "stale"]) == trace_to_jsonl(cached)
         assert cached.d == recompute.d, f"case {case}: schedules differ"
         assert len(cached.step_logits) == len(recompute.step_logits) == len(tgt)
         for t, (a, b) in enumerate(zip(cached.step_logits,

@@ -9,9 +9,9 @@ from simulbench.errors import (CacheCoherenceError, ConfigError, DataError,
                                NumericError, ShapeError)
 from simulbench.masks import (PromptLayout, Region, WaitKPolicy, causal_mask,
                               simul_mask)
-from simulbench.model import (CacheTag, KVCache, ModelConfig, forward_full,
-                              forward_incremental, init_model, load_params,
-                              save_params)
+from simulbench.model import (CacheTag, FlopCounter, KVCache, ModelConfig,
+                              forward_full, forward_incremental, init_model,
+                              load_params, save_params)
 
 CFG = ModelConfig(n_layers=2, n_heads=4, d_model=32, vocab_size=12, seed=0)
 
@@ -232,6 +232,36 @@ class TestForwardIncremental:
         logits_late, _ = forward_incremental(
             params, late, [(6, CacheTag(Region.SOURCE, 2))])
         assert np.array_equal(logits_early, logits_late)
+
+    @pytest.mark.parametrize("scheme", ["rank", "stale"])
+    def test_mixed_call_matches_split_calls(self, scheme):
+        # one call holding a step's new source tokens and the last target
+        # token gives each row the logits and the FLOPs of two calls
+        params = init_model(CFG)
+        start = [(1, CacheTag(Region.PRE_PROMPT, 0)),
+                 (4, CacheTag(Region.SOURCE, 0)),
+                 (2, CacheTag(Region.MID_PROMPT, 0))]
+        sources = [(5, CacheTag(Region.SOURCE, 1)),
+                   (6, CacheTag(Region.SOURCE, 2))]
+        target = [(7, CacheTag(Region.TARGET, 0))]
+        split, mixed = KVCache(CFG.n_layers), KVCache(CFG.n_layers)
+        for cache in (split, mixed):
+            forward_incremental(params, cache, start, bias_scheme=scheme)
+        read, write = FlopCounter(), FlopCounter()
+        src_logits, _ = forward_incremental(params, split, sources, scheme,
+                                            [read, read])
+        tgt_logits, _ = forward_incremental(params, split, target, scheme,
+                                            [write])
+        both = FlopCounter(), FlopCounter()
+        logits, _ = forward_incremental(params, mixed, sources + target,
+                                        scheme, [both[0], both[0], both[1]])
+        assert np.array_equal(logits, np.concatenate([src_logits, tgt_logits]))
+        assert [(c.total, c.kv_rows) for c in both] == [
+            (read.total, read.kv_rows), (write.total, write.kv_rows)]
+        assert np.array_equal(mixed.order[:6], split.order[:6])
+        with pytest.raises(ShapeError):
+            forward_incremental(params, mixed, target, scheme, [])
+        assert len(mixed) == 6
 
     def test_causal_prefix_consistency(self):
         params = init_model(CFG)

@@ -14,9 +14,14 @@ another, so it also catches a change that moves both paths together.
 Equal digests on two commits mean bit-identical logits and byte-identical
 bias dumps on these cases.
 
+Alongside, ``trace_sha256`` hashes every run's ``trace_to_jsonl`` dump
+(event order, payloads and per-event FLOPs), ``kv_rows`` and ``d``, so a
+change that moves an event or charges FLOPs to a different event shows up
+even when the logits and the FLOP totals stay the same.
+
 A second digest (``long_sha256``) covers a few long cases: sources of
 150-400 tokens in the two cached modes, so the KV cache grows to hundreds
-of entries.  It has no bias dumps.
+of entries.  It has no bias dumps; ``long_trace_sha256`` hashes its traces.
 
 A third digest (``train_sha256``) covers training: ``fine_tune`` over a
 mixed-length corpus, a causal/standard phase and then a simulmask/modified
@@ -33,7 +38,7 @@ import numpy as np
 
 from simulbench.alibi import alibi_slopes, bias_to_csv, head_biases
 from simulbench.data import default_layout_builder, gen_synthetic
-from simulbench.engine import GenerationMode, simul_generate
+from simulbench.engine import GenerationMode, simul_generate, trace_to_jsonl
 from simulbench.masks import PromptLayout, TablePolicy, WaitKPolicy, simul_mask
 from simulbench.model import ModelConfig, init_model
 from simulbench.training import fine_tune, loss_curve_to_csv
@@ -74,10 +79,12 @@ def _tokens(rng, n):
     return [int(x) for x in rng.integers(1, VOCAB, size=n)]
 
 
-def digest(case_set: CaseSet) -> tuple[str, int, int]:
-    """(hex digest, logit arrays hashed, bias dumps hashed)."""
+def digest(case_set: CaseSet) -> tuple[str, str, int, int]:
+    """(logits and bias hex digest, trace hex digest, logit arrays hashed,
+    bias dumps hashed)."""
     rng = np.random.default_rng(case_set.seed)
     sha = hashlib.sha256()
+    trace_sha = hashlib.sha256()
     arrays = dumps = 0
     for _ in range(case_set.cases):
         cfg = ModelConfig(n_layers=int(rng.integers(1, 4)),
@@ -98,6 +105,8 @@ def digest(case_set: CaseSet) -> tuple[str, int, int]:
                 sha.update(f"{logits.dtype}{logits.shape}".encode())
                 sha.update(np.ascontiguousarray(logits).tobytes())
                 arrays += 1
+            trace_sha.update(trace_to_jsonl(trace).encode())
+            trace_sha.update(f"kv_rows={trace.kv_rows} d={trace.d}\n".encode())
         if not case_set.bias_dumps:
             continue
         layout = PromptLayout(len(pre), len(src), len(mid), len(tgt))
@@ -106,7 +115,7 @@ def digest(case_set: CaseSet) -> tuple[str, int, int]:
             for bias in head_biases(mask, alibi_slopes(cfg.n_heads), bias_kind):
                 sha.update(bias_to_csv(bias).encode())
                 dumps += 1
-    return sha.hexdigest(), arrays, dumps
+    return sha.hexdigest(), trace_sha.hexdigest(), arrays, dumps
 
 
 # (n_heads, dtype) of each training run; all d64, two layers
@@ -144,10 +153,11 @@ def train_digest() -> tuple[str, int]:
 
 def main():
     for name, case_set in (("", SHORT), ("long_", LONG)):
-        hexdigest, arrays, dumps = digest(case_set)
+        hexdigest, trace_hexdigest, arrays, dumps = digest(case_set)
         print(f"{name}cases={case_set.cases} logit_arrays={arrays} "
               f"bias_dumps={dumps}")
         print(f"{name}sha256={hexdigest}")
+        print(f"{name}trace_sha256={trace_hexdigest}")
     hexdigest, steps = train_digest()
     print(f"train_runs={len(TRAIN_RUNS)} steps={steps}")
     print(f"train_sha256={hexdigest}")
