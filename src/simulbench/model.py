@@ -264,24 +264,26 @@ def _kv_buffers(params: ModelParams, capacity: int):
 
 
 def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, past: int,
-                  visible, bias, flops: list[FlopCounter] | None):
+                  visible: np.ndarray, counts: np.ndarray, bias: np.ndarray,
+                  flops: list[FlopCounter] | None):
     """The row engine behind both forwards.
 
     ``k_bufs``/``v_bufs`` are per-layer head-major (n_heads, capacity,
     d_head) buffers whose first ``past`` rows hold earlier keys/values; this
-    call's rows are written in place after them.  Row i attends to the
-    buffer rows indexed by ``visible[i]`` with the (H, n) additive
-    ``bias[i]``.  Every stage that does not depend on visibility (layer
-    norms, projections, FFN, vocabulary head) runs once over all rows of the
-    call, each projection as one GEMV per row run from C, never as a GEMM,
-    so a row's arithmetic never depends on how rows are grouped into calls.
-    Only attention loops over rows: one ``take`` along the token axis
-    gathers a row's visible keys (values) into a contiguous head-major
-    block, handed to ``attend_row`` as its (n, H, d_head) transposed view.
-    ``flops``, when given, holds one shadow counter per row; each row's
-    matmul work is charged to its own counter (a run of consecutive rows
-    sharing a counter in one charge), so one call may serve several
-    events.  Returns the logits.
+    call's rows are written in place after them.  ``visible`` holds every
+    row's visible buffer rows end to end, row i owning the next
+    ``counts[i]`` of them, and ``bias`` the matching (H, total) additive
+    block.  Every stage that does not depend on visibility (layer norms,
+    projections, FFN, vocabulary head) runs once over all rows of the call,
+    each projection as one GEMV per row run from C, never as a GEMM, so a
+    row's arithmetic never depends on how rows are grouped into calls.
+    Attention is one ragged ``attend_row`` call per layer: one ``take``
+    along the token axis gathers every row's visible keys (values) into a
+    contiguous head-major block, handed over as its (total, H, d_head)
+    transposed view.  ``flops``, when given, holds one shadow counter per
+    row; each row's matmul work is charged to its own counter (a run of
+    consecutive rows sharing a counter in one charge), so one call may
+    serve several events.  Returns the logits.
     """
     cfg = params.config
     d, n_heads, d_head = cfg.d_model, cfg.n_heads, cfg.d_head
@@ -294,11 +296,9 @@ def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, past: int,
             _linear(a, lp.wk).reshape(m, n_heads, d_head).transpose(1, 0, 2))
         values[:, past:past + m] = (
             _linear(a, lp.wv).reshape(m, n_heads, d_head).transpose(1, 0, 2))
-        ctx = np.empty_like(h)
-        for i, vis in enumerate(visible):
-            ctx[i] = attend_row(q[i], keys.take(vis, axis=1).transpose(1, 0, 2),
-                                values.take(vis, axis=1).transpose(1, 0, 2),
-                                bias[i]).reshape(d)
+        ctx = attend_row(q, keys.take(visible, axis=1).transpose(1, 0, 2),
+                         values.take(visible, axis=1).transpose(1, 0, 2),
+                         bias, counts).reshape(m, d)
         h2 = h + _linear(ctx, lp.wo)
         b = _layer_norm(h2, lp.ln2_g, lp.ln2_b)
         h = h2 + _linear(_gelu(_linear(b, lp.w1)), lp.w2)
@@ -312,8 +312,8 @@ def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, past: int,
             counter.add_linear(rows, d, d)
             counter.add_linear(rows, d, 4 * d)
             counter.add_linear(rows, 4 * d, d)
-            counter.add_attention_row(cfg.n_layers * n_heads * sum(
-                len(vis) for vis in visible[start:start + n]), d_head)
+            counter.add_attention_row(cfg.n_layers * n_heads * int(
+                counts[start:start + n].sum()), d_head)
             counter.add_linear(n, d, cfg.vocab_size)
             start += n
     return _linear(_layer_norm(h, params.lnf_g, params.lnf_b), params.w_out)
@@ -336,12 +336,12 @@ def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
     if any(not 0 <= t < cfg.vocab_size for t in tokens):
         raise ShapeError("token id outside vocabulary")
 
-    visible = [np.flatnonzero(row) for row in mask.visible]
-    stack = np.stack([b.matrix for b in biases])  # (H, L, L)
-    bias = [np.ascontiguousarray(stack[:, i, vis]) for i, vis in enumerate(visible)]
+    rows, visible = np.nonzero(mask.visible)  # row-major: rows ascending
+    counts = np.bincount(rows, minlength=L)
+    bias = np.stack([b.matrix for b in biases])[:, rows, visible]  # (H, total)
     k_bufs, v_bufs = _kv_buffers(params, L)
-    return _forward_rows(params, tokens, k_bufs, v_bufs, 0, visible, bias,
-                         [flops] * L if flops is not None else None)
+    return _forward_rows(params, tokens, k_bufs, v_bufs, 0, visible, counts,
+                         bias, [flops] * L if flops is not None else None)
 
 
 def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
@@ -415,8 +415,10 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
             deltas = (past + i - cache.arrival[vis]).astype(np.float32)
             bias.append(-np.float32(slopes) * deltas)
 
+    n_visible = np.array([vis.size for vis in visible], dtype=np.intp)
     logits = _forward_rows(params, [tok for tok, _ in new_tokens], cache.k,
-                           cache.v, past, visible, bias, flops)
+                           cache.v, past, np.concatenate(visible), n_visible,
+                           np.concatenate(bias, axis=1), flops)
     cache.order[lo:past + m] = tail
     cache.counts, cache._size = counts, past + m
     return logits, cache

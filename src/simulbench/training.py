@@ -189,6 +189,8 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
                        out=buf("mask_bias", H, L, L))
     ln_tmp = buf("ln_tmp", B, L, d)
     scores = buf("scores", B, H, L, L)
+    row_max = buf("row_max", B, H, L, 1)
+    peak = row_max[..., 0]
     ffn_tmp = [buf(f"ffn_tmp{i}", B, L, 4 * d) for i in range(3)]
 
     x = np.take(params.embed, tokens, axis=0, out=buf("x", B, L, d))
@@ -209,8 +211,12 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
         np.matmul(q, k.swapaxes(-1, -2), out=scores)
         np.add(scores, mask_bias, out=scores)
         np.multiply(scores, scale, out=scores)
-        np.subtract(scores, np.maximum.reduce(scores, axis=-1, keepdims=True),
-                    out=scores)
+        # row maxima column by column: rows of L entries would pay the
+        # reduction's per-row overhead, and max is exact in any order
+        np.copyto(peak, scores[..., 0])
+        for j in range(1, L):
+            np.maximum(peak, scores[..., j], out=peak)
+        np.subtract(scores, row_max, out=scores)
         np.exp(scores, out=p)
         p /= np.add.reduce(p, axis=-1, keepdims=True)
         np.matmul(p, v, out=heads(ctx))

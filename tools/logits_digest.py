@@ -1,4 +1,4 @@
-"""SHA-256 digests over the exact outputs of two fixed, seeded case sets.
+"""SHA-256 digests over the exact outputs of fixed, seeded case sets.
 
 Run from the repository root:
 
@@ -23,7 +23,13 @@ A second digest (``long_sha256``) covers a few long cases: sources of
 150-400 tokens in the two cached modes, so the KV cache grows to hundreds
 of entries.  It has no bias dumps; ``long_trace_sha256`` hashes its traces.
 
-A third digest (``train_sha256``) covers training: ``fine_tune`` over a
+A third digest (``full_sha256``) hashes ``forward_full`` logits (dtype,
+shape and bytes) over its own case set, under the causal and the streaming
+mask, each with modified and with standard biases.  Recompute mode only
+ever passes modified biases over its realized step masks; this digest
+covers the other mask and bias pairs the full forward accepts.
+
+A fourth digest (``train_sha256``) covers training: ``fine_tune`` over a
 mixed-length corpus, a causal/standard phase and then a simulmask/modified
 phase at wait-k, for H4 and H16 at d64 in float32 and one float64 run.  It
 hashes the loss curve (``loss_curve_to_csv``) and the bytes of every
@@ -39,8 +45,9 @@ import numpy as np
 from simulbench.alibi import alibi_slopes, bias_to_csv, head_biases
 from simulbench.data import default_layout_builder, gen_synthetic
 from simulbench.engine import GenerationMode, simul_generate, trace_to_jsonl
-from simulbench.masks import PromptLayout, TablePolicy, WaitKPolicy, simul_mask
-from simulbench.model import ModelConfig, init_model
+from simulbench.masks import (PromptLayout, TablePolicy, WaitKPolicy,
+                              causal_mask, simul_mask)
+from simulbench.model import ModelConfig, forward_full, init_model
 from simulbench.training import fine_tune, loss_curve_to_csv
 
 HEAD_COUNTS = (1, 2, 4, 8, 16)
@@ -118,6 +125,37 @@ def digest(case_set: CaseSet) -> tuple[str, str, int, int]:
     return sha.hexdigest(), trace_sha.hexdigest(), arrays, dumps
 
 
+FULL_SEED, FULL_CASES = 20241021, 40
+
+
+def full_digest() -> tuple[str, int]:
+    """(hex digest, logit arrays hashed) over ``forward_full`` under both
+    masks and both bias kinds."""
+    rng = np.random.default_rng(FULL_SEED)
+    sha = hashlib.sha256()
+    arrays = 0
+    for _ in range(FULL_CASES):
+        cfg = ModelConfig(n_layers=int(rng.integers(1, 4)),
+                          n_heads=int(rng.choice(HEAD_COUNTS)), d_model=64,
+                          vocab_size=VOCAB, seed=int(rng.integers(0, 1000)))
+        params = init_model(cfg)
+        pre = _tokens(rng, int(rng.integers(1, 4)))
+        mid = _tokens(rng, int(rng.integers(1, 4)))
+        src = _tokens(rng, int(rng.integers(1, 31)))
+        tgt = _tokens(rng, int(rng.integers(1, 31)))
+        layout = PromptLayout(len(pre), len(src), len(mid), len(tgt))
+        policy = _policy(rng, len(src), len(tgt))
+        for mask in (causal_mask(layout.total_len), simul_mask(layout, policy)):
+            for bias_kind in ("modified", "standard"):
+                biases = head_biases(mask, alibi_slopes(cfg.n_heads), bias_kind)
+                logits = forward_full(params, pre + src + mid + tgt, mask,
+                                      biases)
+                sha.update(f"{logits.dtype}{logits.shape}".encode())
+                sha.update(np.ascontiguousarray(logits).tobytes())
+                arrays += 1
+    return sha.hexdigest(), arrays
+
+
 # (n_heads, dtype) of each training run; all d64, two layers
 TRAIN_RUNS = ((4, np.float32), (16, np.float32), (4, np.float64))
 TRAIN_VOCAB = 32
@@ -158,6 +196,9 @@ def main():
               f"bias_dumps={dumps}")
         print(f"{name}sha256={hexdigest}")
         print(f"{name}trace_sha256={trace_hexdigest}")
+    hexdigest, arrays = full_digest()
+    print(f"full_cases={FULL_CASES} logit_arrays={arrays}")
+    print(f"full_sha256={hexdigest}")
     hexdigest, steps = train_digest()
     print(f"train_runs={len(TRAIN_RUNS)} steps={steps}")
     print(f"train_sha256={hexdigest}")
