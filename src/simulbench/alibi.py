@@ -26,6 +26,8 @@ class HeadSlopes:
         s = tuple(float(v) for v in self.slopes)
         if not s:
             raise ConfigError("at least one head required")
+        if not np.isfinite(s).all():
+            raise ConfigError("slopes must be finite")
         if any(v <= 0 for v in s) or any(nxt >= prev for prev, nxt in zip(s, s[1:])):
             raise ConfigError("slopes must be positive and strictly decreasing")
         object.__setattr__(self, "slopes", s)
@@ -51,36 +53,13 @@ def alibi_slopes(n_heads: int) -> HeadSlopes:
 def rank_biases(n_visible: int, slope: float, dtype=np.float32) -> np.ndarray:
     """Bias ladder over n visible keys in ascending order: most recent gets 0.
 
-    The incremental decoder's ladder.  The mask-side constructors compute
-    the same product, -float32(slope) * rank, for all rows at once, so the
-    two sides produce bit-identical values.  An (H, 1) column of slopes
+    The incremental decoder's ladder.  ``head_biases`` computes the same
+    product, -float32(slope) * rank, for all rows and heads at once, so
+    the two sides produce bit-identical values.  An (H, 1) column of slopes
     gives one ladder per head, shape (H, n).
     """
     ranks = np.arange(n_visible - 1, -1, -1, dtype=dtype)
     return -dtype(slope) * ranks
-
-
-@dataclass(frozen=True)
-class PositionalBias:
-    """Additive bias matrix defined on the visible entries of a mask."""
-
-    matrix: np.ndarray
-    visible: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        v = np.asarray(self.visible, dtype=bool)
-        if m.shape != v.shape:
-            raise ConfigError("bias/visibility shapes differ")
-        m.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "visible", v)
-
-    def entry(self, i: int, j: int) -> float:
-        if not self.visible[i, j]:
-            raise ConfigError(f"bias undefined at hidden entry ({i}, {j})")
-        return float(self.matrix[i, j])
 
 
 def _causal_ranks(length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,43 +85,19 @@ def _visible_ranks(visible: np.ndarray) -> np.ndarray:
     return (total[:, None] - seen).astype(np.float32)
 
 
-def _ladder(ranks: np.ndarray, visible: np.ndarray, slope: float) -> PositionalBias:
-    """-slope * rank on visible entries (rank 0 gives -0.0, as
-    ``rank_biases`` does), +0.0 on hidden ones."""
-    return PositionalBias(
-        np.where(visible, -np.float32(slope) * ranks, np.float32(0)), visible)
-
-
-def standard_alibi(length: int, slope: float) -> PositionalBias:
-    """Causal distance biases: entry (i, j) = -slope * (i - j) for j <= i."""
-    if length < 1:
-        raise ConfigError("length must be >= 1")
-    if slope <= 0:
-        raise ConfigError("slope must be positive")
-    return _ladder(*_causal_ranks(length), slope)
-
-
-def modified_alibi(mask: AttentionMaskSpec, slope: float) -> PositionalBias:
-    """Distance by visible rank: in each row the visible keys, taken in
-    ascending order, get biases -slope*(n-1), ..., -slope, 0.
-
-    On a causal mask this reproduces standard_alibi exactly; where a row's
-    visibility has gaps, the biases left of each gap shrink by exactly the
-    amount of attention removed, matching what a fresh incremental step
-    would assign over a cache lacking those entries.
-    """
-    if slope <= 0:
-        raise ConfigError("slope must be positive")
-    return _ladder(_visible_ranks(mask.visible), mask.visible, slope)
-
-
 def head_biases(mask: AttentionMaskSpec, slopes: HeadSlopes,
-                kind: str = "modified") -> list[PositionalBias]:
-    """One PositionalBias per head for a shared mask.
+                kind: str = "modified") -> np.ndarray:
+    """Read-only float32 (H, L, L) bias stack for a shared mask.
 
-    kind 'modified' follows the mask's visibility ranks; 'standard' keeps
-    plain causal distances regardless of hidden entries (the ablation that
-    leaves bias gaps).  The rank array is built once and scaled per head.
+    Head h holds -slopes[h] * rank on visible entries (rank 0 gives -0.0,
+    as ``rank_biases`` does) and +0.0 on hidden ones.  kind 'modified'
+    ranks each row's visible keys, so in each row the visible keys, taken
+    in ascending order, get -slope*(n-1), ..., -slope, 0: where a row's
+    visibility has gaps, the biases left of each gap shrink by exactly the
+    attention removed, matching what a fresh incremental step would assign
+    over a cache lacking those entries.  'standard' keeps plain causal
+    distances regardless of hidden entries (the ablation that leaves bias
+    gaps).  On a causal mask the two agree.
     """
     if kind == "modified":
         ranks, visible = _visible_ranks(mask.visible), mask.visible
@@ -152,12 +107,16 @@ def head_biases(mask: AttentionMaskSpec, slopes: HeadSlopes,
         ranks, visible = _causal_ranks(mask.rows)
     else:
         raise ConfigError(f"unknown bias kind {kind!r}")
-    return [_ladder(ranks, visible, s) for s in slopes.slopes]
+    scale = -np.asarray(slopes.slopes, dtype=np.float32)[:, None, None]
+    stack = np.where(visible, scale * ranks, np.float32(0))
+    stack.setflags(write=False)
+    return stack
 
 
-def bias_to_csv(bias: PositionalBias) -> str:
-    """CSV of (row, col, bias) over visible entries, row-major order."""
+def bias_to_csv(bias: np.ndarray, visible: np.ndarray) -> str:
+    """CSV of (row, col, bias) over the visible entries of one head's
+    (L, L) biases, row-major order."""
     lines = ["row,col,bias"]
-    for i, j in zip(*np.nonzero(bias.visible)):
-        lines.append(f"{i},{j},{repr(float(bias.matrix[i, j]))}")
+    for i, j in zip(*np.nonzero(visible)):
+        lines.append(f"{i},{j},{repr(float(bias[i, j]))}")
     return "\n".join(lines) + "\n"

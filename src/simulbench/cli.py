@@ -10,13 +10,13 @@ import os
 import sys
 
 from . import __version__
-from .alibi import bias_to_csv, modified_alibi
+from .alibi import HeadSlopes, bias_to_csv, head_biases
 from .config import build_config, load_config
 from .data import corpus_to_jsonl, gen_synthetic, load_corpus
 from .engine import GenerationMode
 from .errors import (CacheCoherenceError, ConfigError, ConsistencyError,
                      DataError, DegenerateRowError, LayoutError, NumericError,
-                     PolicyError, ScheduleError, ShapeError, WorkbenchError)
+                     PolicyError, ShapeError, WorkbenchError)
 from .experiment import _RunWriter, compare_modes, run_experiment, train_model
 from .masks import (PromptLayout, TablePolicy, WaitKPolicy, causal_mask,
                     mask_to_ascii, simul_mask)
@@ -24,7 +24,7 @@ from .metrics import FlopModel, flops_generate
 from .model import load_params, save_params
 from .training import loss_curve_to_csv
 
-_CONFIG_ERRORS = (ConfigError, LayoutError, PolicyError, ScheduleError)
+_CONFIG_ERRORS = (ConfigError, LayoutError, PolicyError)
 _DATA_ERRORS = (DataError, ConsistencyError)
 _NUMERIC_ERRORS = (DegenerateRowError, ShapeError, CacheCoherenceError,
                    NumericError)
@@ -50,16 +50,24 @@ def _load_experiment_config(args):
     return build_config({}, overrides)
 
 
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{what} must be comma-separated integers, "
+                          f"got {text!r}") from exc
+
+
 def _parse_layout(text: str) -> PromptLayout:
-    parts = text.split(",")
+    parts = _parse_ints(text, "layout")
     if len(parts) != 4:
         raise ConfigError("layout must be P1,S,P2,T")
-    return PromptLayout(*(int(p) for p in parts))
+    return PromptLayout(*parts)
 
 
 def _parse_policy(args, source_len: int):
     if args.policy:
-        return TablePolicy(reads=tuple(int(v) for v in args.policy.split(",")),
+        return TablePolicy(reads=_parse_ints(args.policy, "policy"),
                            source_len=source_len)
     return WaitKPolicy(k=args.k, source_len=source_len)
 
@@ -198,8 +206,8 @@ def _cmd_bias_dump(args) -> int:
     layout = _parse_layout(args.layout)
     policy = _parse_policy(args, layout.source_len)
     mask = simul_mask(layout, policy)
-    bias = modified_alibi(mask, args.slope)
-    _write_out(args.out, bias_to_csv(bias))
+    bias = head_biases(mask, HeadSlopes((args.slope,)))[0]
+    _write_out(args.out, bias_to_csv(bias, mask.visible))
     print(args.out)
     return 0
 

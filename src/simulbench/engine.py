@@ -261,9 +261,9 @@ def _generate_recompute(params, policy, pre_prompt, stream, mid_prompt, trace,
         d_history.append(len(sources))
         tokens = pre_prompt + sources + mid_prompt + emitted
         mask = realized_step_mask(len(pre_prompt), len(mid_prompt), d_history)
-        biases = head_biases(mask, slopes, "modified")
+        bias = head_biases(mask, slopes, "modified")
         counter = FlopCounter()
-        logits = forward_full(params, tokens, mask, biases, flops=counter)
+        logits = forward_full(params, tokens, mask, bias, flops=counter)
         tok = _emit(trace, logits[-1], t, forced_target, counter)
         if tok == eos_id:
             break

@@ -21,10 +21,6 @@ class PolicyError(WorkbenchError):
     """Invalid decision policy or policy domain too short."""
 
 
-class ScheduleError(WorkbenchError):
-    """Read schedule inconsistent with the source length."""
-
-
 class CacheCoherenceError(WorkbenchError):
     """KV-cache tag ordering violated by an ingested token."""
 

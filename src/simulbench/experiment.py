@@ -146,7 +146,7 @@ def run_experiment(config: ExperimentConfig, checkpoint: str | None = None):
             mask = simul_mask(layout, policy)
             writer.write(f"mask_k{k}.txt", mask_to_ascii(mask, policy.describe()))
             bias = head_biases(mask, alibi_slopes(config.n_heads), "modified")[0]
-            writer.write(f"bias_k{k}.csv", bias_to_csv(bias))
+            writer.write(f"bias_k{k}.csv", bias_to_csv(bias, mask.visible))
 
         writer.write("metrics.csv", metrics_rows_to_csv(all_rows))
         lines = ["k_or_chunk,mode,mean_laal,token_acc,exact_match"]

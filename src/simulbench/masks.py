@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LayoutError, PolicyError, ScheduleError, ShapeError
+from .errors import LayoutError, PolicyError, ShapeError
 from .kernel import NEG_INF
 
 
@@ -106,35 +106,21 @@ class DecisionPolicy:
 
 @dataclass(frozen=True)
 class WaitKPolicy(DecisionPolicy):
-    """Read k tokens, then alternate one write with one read.
-
-    ``word_ends`` optionally maps word counts to token counts (cumulative
-    token index of each word's last token); by default one token is one
-    word.
-    """
+    """Read k tokens, then alternate one write with one read."""
 
     k: int
     source_len: int
-    word_ends: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise PolicyError(f"wait-k lag must be >= 1, got {self.k}")
         if self.source_len < 1:
             raise PolicyError("source_len must be >= 1")
-        if self.word_ends is not None:
-            ends = tuple(self.word_ends)
-            if not ends or list(ends) != sorted(ends) or ends[-1] != self.source_len:
-                raise PolicyError("word_ends must be ascending and end at source_len")
-            object.__setattr__(self, "word_ends", ends)
 
     def cumulative_reads(self, t: int) -> int:
         if t < 1:
             raise PolicyError(f"target step must be >= 1, got {t}")
-        if self.word_ends is None:
-            return min(self.k + t - 1, self.source_len)
-        words = min(self.k + t - 1, len(self.word_ends))
-        return self.word_ends[words - 1]
+        return min(self.k + t - 1, self.source_len)
 
     def covers(self, target_len: int) -> bool:
         return True
@@ -178,26 +164,6 @@ class TablePolicy(DecisionPolicy):
 
 
 @dataclass(frozen=True)
-class ReadSchedule:
-    """Source chunk sizes of successive read steps (encoder-side modeling)."""
-
-    chunk_sizes: tuple[int, ...]
-    source_len: int | None = None
-
-    def __post_init__(self):
-        chunks = tuple(self.chunk_sizes)
-        if not chunks or any(c < 1 for c in chunks):
-            raise ScheduleError("chunk sizes must be positive")
-        object.__setattr__(self, "chunk_sizes", chunks)
-        total = sum(chunks)
-        if self.source_len is None:
-            object.__setattr__(self, "source_len", total)
-        elif self.source_len != total:
-            raise ScheduleError(
-                f"chunks sum to {total}, declared source_len {self.source_len}")
-
-
-@dataclass(frozen=True)
 class AttentionMaskSpec:
     """Boolean visibility grid: True = visible, False = hidden."""
 
@@ -237,22 +203,6 @@ def causal_mask(length: int) -> AttentionMaskSpec:
     if length < 1:
         raise ShapeError("causal mask needs length >= 1")
     return AttentionMaskSpec(np.tril(np.ones((length, length), dtype=bool)))
-
-
-def encoder_mask(schedule: ReadSchedule) -> AttentionMaskSpec:
-    """Block lower-triangular visibility over read chunks.
-
-    Source token i sees source token j iff j's read chunk is the same as or
-    earlier than i's, so tokens of one read step see each other fully.
-    """
-    n = schedule.source_len
-    chunk_of = np.empty(n, dtype=int)
-    pos = 0
-    for ci, size in enumerate(schedule.chunk_sizes):
-        chunk_of[pos:pos + size] = ci
-        pos += size
-    vis = chunk_of[None, :] <= chunk_of[:, None]
-    return AttentionMaskSpec(vis)
 
 
 def cross_attention_mask(policy: DecisionPolicy, target_len: int) -> AttentionMaskSpec:

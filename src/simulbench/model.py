@@ -5,7 +5,7 @@ enters only through per-head additive biases.  One row engine computes
 every exact forward; it is fed two ways:
 
 * ``forward_full`` runs a whole sequence, taking each row's visible keys
-  from an explicit mask and its biases from explicit per-head biases;
+  from an explicit mask and its biases from an (H, L, L) bias stack;
 * ``forward_incremental`` extends a KV cache with new tokens, taking
   visibility and biases from the cache's canonical-order index.
 
@@ -21,7 +21,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .alibi import PositionalBias, alibi_slopes, rank_biases
+from .alibi import alibi_slopes, rank_biases
 from .errors import CacheCoherenceError, ConfigError, DataError, ShapeError
 from .kernel import attend_row
 from .masks import AttentionMaskSpec, Region
@@ -320,28 +320,26 @@ def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, past: int,
 
 
 def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
-                 biases: list[PositionalBias],
+                 bias: np.ndarray,
                  flops: FlopCounter | None = None) -> np.ndarray:
-    """Logits (L, vocab) of a full sequence under an explicit mask/bias."""
+    """Logits (L, vocab) of a full sequence under an explicit mask and an
+    (H, L, L) per-head bias stack."""
     cfg = params.config
     tokens = list(tokens)
     L = len(tokens)
     if mask.rows != L or mask.cols != L:
         raise ShapeError(f"mask is {mask.rows}x{mask.cols}, sequence length {L}")
-    if len(biases) != cfg.n_heads:
-        raise ShapeError(f"need {cfg.n_heads} bias matrices, got {len(biases)}")
-    for b in biases:
-        if b.matrix.shape != (L, L):
-            raise ShapeError("bias shape does not match sequence length")
+    if bias.shape != (cfg.n_heads, L, L):
+        raise ShapeError(f"bias stack is {bias.shape}, need "
+                         f"{(cfg.n_heads, L, L)}")
     if any(not 0 <= t < cfg.vocab_size for t in tokens):
         raise ShapeError("token id outside vocabulary")
 
     rows, visible = np.nonzero(mask.visible)  # row-major: rows ascending
     counts = np.bincount(rows, minlength=L)
-    bias = np.stack([b.matrix for b in biases])[:, rows, visible]  # (H, total)
     k_bufs, v_bufs = _kv_buffers(params, L)
     return _forward_rows(params, tokens, k_bufs, v_bufs, 0, visible, counts,
-                         bias, [flops] * L if flops is not None else None)
+                         bias[:, rows, visible], [flops] * L if flops is not None else None)
 
 
 def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,

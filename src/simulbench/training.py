@@ -136,8 +136,7 @@ def build_training_mask_and_bias(layout: PromptLayout, policy: DecisionPolicy | 
         mask = causal_mask(layout.total_len)
     else:
         raise ConfigError(f"unknown mask mode {mask_mode!r}")
-    biases = head_biases(mask, alibi_slopes(n_heads), bias_mode)
-    return mask, np.stack([b.matrix for b in biases])
+    return mask, head_biases(mask, alibi_slopes(n_heads), bias_mode)
 
 
 @dataclass

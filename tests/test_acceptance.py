@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from simulbench.alibi import alibi_slopes, head_biases, modified_alibi
+from simulbench.alibi import HeadSlopes, alibi_slopes, head_biases
 from simulbench.data import (PRE_ID, SEP_ID, default_layout_builder,
                              gen_synthetic)
 from simulbench.engine import (GenerationMode, prefix_expand, replay_visibility,
@@ -59,9 +59,9 @@ def test_acceptance_02_bias_exactness():
     t0 = time.perf_counter()
     vis = np.tril(np.ones((4, 4), dtype=bool))
     vis[3, 1] = vis[3, 2] = False
-    bias = modified_alibi(AttentionMaskSpec(vis), 1.0)
-    assert bias.entry(3, 0) == -1.0
-    assert bias.entry(3, 3) == 0.0
+    bias = head_biases(AttentionMaskSpec(vis), HeadSlopes((1.0,)))[0]
+    assert bias[3, 0] == -1.0
+    assert bias[3, 3] == 0.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 0.05
     report(2, "gap row biases collapse to {k1: -1, k4: 0}", t0)

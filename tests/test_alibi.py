@@ -3,11 +3,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from simulbench.alibi import (alibi_slopes, bias_to_csv, head_biases,
-                              modified_alibi, rank_biases, standard_alibi)
+from simulbench.alibi import (HeadSlopes, alibi_slopes, bias_to_csv,
+                              head_biases, rank_biases)
 from simulbench.errors import ConfigError, DegenerateRowError
 from simulbench.masks import (AttentionMaskSpec, PromptLayout, WaitKPolicy,
                               causal_mask, simul_mask)
+
+
+def ladder(mask, slope, kind="modified"):
+    """One head's (L, L) biases at ``slope``."""
+    return head_biases(mask, HeadSlopes((slope,)), kind)[0]
 
 
 class TestSlopes:
@@ -35,29 +40,37 @@ class TestSlopes:
             with pytest.raises(ConfigError):
                 alibi_slopes(-1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            HeadSlopes((bad,))
+        with pytest.raises(ConfigError, match="finite"):
+            HeadSlopes((0.5, bad))
+
 
 class TestStandardAlibi:
     def test_row_pattern(self):
-        bias = standard_alibi(4, 1.0)
-        assert bias.matrix[3, :4].tolist() == [-3.0, -2.0, -1.0, 0.0]
+        bias = ladder(causal_mask(4), 1.0, "standard")
+        assert bias[3, :4].tolist() == [-3.0, -2.0, -1.0, 0.0]
 
     def test_single_row(self):
-        bias = standard_alibi(1, 0.5)
-        assert bias.matrix[0, 0] == 0.0
+        bias = ladder(causal_mask(1), 0.5, "standard")
+        assert bias[0, 0] == 0.0
 
     def test_arithmetic_progression(self):
-        bias = standard_alibi(9, 0.25)
+        bias = ladder(causal_mask(9), 0.25, "standard")
         for i in range(9):
-            row = bias.matrix[i, :i + 1]
+            row = bias[i, :i + 1]
             diffs = np.diff(row)
             assert np.allclose(diffs, 0.25)
             assert row[-1] == 0.0
 
     def test_invalid_inputs(self):
+        with pytest.raises(ConfigError):  # standard needs a square mask
+            ladder(AttentionMaskSpec(np.ones((2, 3), dtype=bool)), 1.0,
+                   "standard")
         with pytest.raises(ConfigError):
-            standard_alibi(0, 1.0)
-        with pytest.raises(ConfigError):
-            standard_alibi(3, -1.0)
+            ladder(causal_mask(3), -1.0, "standard")
 
 
 class TestModifiedAlibi:
@@ -65,17 +78,16 @@ class TestModifiedAlibi:
         # q4 row with k2, k3 hidden: remaining biases collapse to -1, 0
         vis = np.tril(np.ones((4, 4), dtype=bool))
         vis[3, 1] = vis[3, 2] = False
-        bias = modified_alibi(AttentionMaskSpec(vis), 1.0)
-        assert bias.entry(3, 0) == -1.0
-        assert bias.entry(3, 3) == 0.0
+        bias = ladder(AttentionMaskSpec(vis), 1.0)
+        assert bias[3, 0] == -1.0
+        assert bias[3, 3] == 0.0
 
     def test_causal_equals_standard(self):
         for n in (1, 4, 9):
             mask = causal_mask(n)
-            mod = modified_alibi(mask, 0.5)
-            std = standard_alibi(n, 0.5)
-            assert np.array_equal(mod.matrix, std.matrix)
-            assert np.array_equal(mod.visible, std.visible)
+            mod = ladder(mask, 0.5)
+            std = ladder(mask, 0.5, "standard")
+            assert mod.tobytes() == std.tobytes()
 
     def test_cache_rank_oracle(self):
         # bias equals what a fresh incremental step assigns over a cache
@@ -87,32 +99,32 @@ class TestModifiedAlibi:
             pol = WaitKPolicy(int(rng.integers(1, 6)), layout.source_len)
             mask = simul_mask(layout, pol)
             slope = float(rng.choice([0.25, 0.5, 1.0]))
-            bias = modified_alibi(mask, slope)
+            bias = ladder(mask, slope)
             for i in range(mask.rows):
                 vis = np.flatnonzero(mask.visible[i])
                 for rank_from_last, j in enumerate(reversed(vis)):
-                    assert bias.matrix[i, j] == np.float32(-slope * rank_from_last)
+                    assert bias[i, j] == np.float32(-slope * rank_from_last)
 
     def test_total_reduction_matches_hidden_count(self):
         # farthest visible key gets -slope*(visible-1); vs the standard
         # -slope*distance this is a reduction of exactly slope per hidden entry
         layout = PromptLayout(1, 8, 1, 6)
         mask = simul_mask(layout, WaitKPolicy(2, 8))
-        bias = modified_alibi(mask, 1.0)
-        std = standard_alibi(mask.rows, 1.0)
+        bias = ladder(mask, 1.0)
+        std = ladder(mask, 1.0, "standard")
         for i in range(mask.rows):
             vis = np.flatnonzero(mask.visible[i])
             hidden = i + 1 - vis.size
-            assert bias.matrix[i, vis[0]] == -(vis.size - 1)
-            assert bias.matrix[i, vis[0]] - std.matrix[i, vis[0]] == hidden
+            assert bias[i, vis[0]] == -(vis.size - 1)
+            assert bias[i, vis[0]] - std[i, vis[0]] == hidden
 
     def test_content_independence(self):
         # same visibility pattern -> same biases, whatever produced it
         vis = np.tril(np.ones((5, 5), dtype=bool))
         vis[4, 2] = False
-        a = modified_alibi(AttentionMaskSpec(vis), 1.0)
-        b = modified_alibi(AttentionMaskSpec(vis.copy()), 1.0)
-        assert np.array_equal(a.matrix, b.matrix)
+        a = ladder(AttentionMaskSpec(vis), 1.0)
+        b = ladder(AttentionMaskSpec(vis.copy()), 1.0)
+        assert np.array_equal(a, b)
 
     def test_rank_bias_helper(self):
         assert rank_biases(4, 1.0).tolist() == [-3.0, -2.0, -1.0, 0.0]
@@ -123,8 +135,8 @@ class TestHeadBiases:
     def test_modified_per_head(self):
         mask = causal_mask(5)
         biases = head_biases(mask, alibi_slopes(4), "modified")
-        assert len(biases) == 4
-        assert biases[0].matrix[4, 0] == np.float32(-4 * alibi_slopes(4)[0])
+        assert biases.shape == (4, 5, 5)
+        assert biases[0, 4, 0] == np.float32(-4 * alibi_slopes(4)[0])
 
     def test_standard_ignores_gaps(self):
         layout = PromptLayout(1, 4, 1, 4)
@@ -132,7 +144,7 @@ class TestHeadBiases:
         biases = head_biases(mask, alibi_slopes(2), "standard")
         row = layout.predictor_row(1)
         # standard biases keep plain distances even though the row has gaps
-        assert biases[0].matrix[row, 0] == np.float32(-row * alibi_slopes(2)[0])
+        assert biases[0, row, 0] == np.float32(-row * alibi_slopes(2)[0])
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -170,22 +182,21 @@ class TestLadderBytes:
     def test_modified_matches_reference(self):
         for n, mask in enumerate(random_gapped_masks(1, 60)):
             slope = self.SLOPES[n % len(self.SLOPES)]
-            bias = modified_alibi(mask, slope)
-            assert bias.matrix.dtype == np.float32
-            assert (bias.matrix.tobytes()
+            bias = ladder(mask, slope)
+            assert bias.dtype == np.float32
+            assert (bias.tobytes()
                     == reference_ladder(mask.visible, slope).tobytes())
-            assert not bias.matrix.flags.writeable
-            assert not bias.visible.flags.writeable
+            assert not bias.flags.writeable
+            assert not mask.visible.flags.writeable
 
     def test_standard_matches_reference(self):
         for n in (1, 2, 7, 16, 33):
             for slope in self.SLOPES:
-                bias = standard_alibi(n, slope)
+                bias = ladder(causal_mask(n), slope, "standard")
                 causal = np.tril(np.ones((n, n), dtype=bool))
-                assert (bias.matrix.tobytes()
+                assert (bias.tobytes()
                         == reference_ladder(causal, slope).tobytes())
-                assert np.array_equal(bias.visible, causal)
-                assert not bias.matrix.flags.writeable
+                assert not bias.flags.writeable
 
     @pytest.mark.parametrize("n_heads", [1, 4, 16])
     def test_head_biases_match_reference(self, n_heads):
@@ -195,18 +206,19 @@ class TestLadderBytes:
             for kind, visible in (("modified", mask.visible),
                                   ("standard", causal)):
                 biases = head_biases(mask, slopes, kind)
-                assert len(biases) == n_heads
+                assert biases.shape == (n_heads,) + visible.shape
+                assert not biases.flags.writeable
                 for bias, slope in zip(biases, slopes.slopes):
-                    assert (bias.matrix.tobytes()
+                    assert (bias.tobytes()
                             == reference_ladder(visible, slope).tobytes())
-                    assert np.array_equal(bias.visible, visible)
-                    assert not bias.matrix.flags.writeable
+                    assert not bias.flags.writeable
 
     def test_rank_zero_is_negative_zero(self):
-        bias = modified_alibi(causal_mask(3), 1.0)
-        assert np.signbit(bias.matrix[2, 2])  # nearest key: -0.0
-        assert not np.signbit(bias.matrix[0, 2])  # hidden: +0.0
-        assert "2,2,-0.0" in bias_to_csv(bias)
+        mask = causal_mask(3)
+        bias = ladder(mask, 1.0)
+        assert np.signbit(bias[2, 2])  # nearest key: -0.0
+        assert not np.signbit(bias[0, 2])  # hidden: +0.0
+        assert "2,2,-0.0" in bias_to_csv(bias, mask.visible)
 
     def test_all_hidden_row_names_it(self):
         # AttentionMaskSpec rejects such a grid, so pass the bare grid
@@ -215,7 +227,7 @@ class TestLadderBytes:
         vis[4, :2] = False
         mask = SimpleNamespace(visible=vis, rows=5, cols=5)
         with pytest.raises(DegenerateRowError, match=r"^row 3 "):
-            modified_alibi(mask, 1.0)
+            ladder(mask, 1.0)
         with pytest.raises(DegenerateRowError, match=r"^row 3 "):
             head_biases(mask, alibi_slopes(4), "modified")
 
@@ -224,8 +236,8 @@ class TestBiasDump:
     def test_csv_visible_entries_only(self):
         vis = np.tril(np.ones((3, 3), dtype=bool))
         vis[2, 1] = False
-        bias = modified_alibi(AttentionMaskSpec(vis), 1.0)
-        text = bias_to_csv(bias)
+        mask = AttentionMaskSpec(vis)
+        text = bias_to_csv(ladder(mask, 1.0), mask.visible)
         lines = text.strip().splitlines()
         assert lines[0] == "row,col,bias"
         got = {tuple(ln.split(",")[:2]) for ln in lines[1:]}

@@ -98,6 +98,24 @@ class TestCli:
         lines = open(out).read().splitlines()
         assert lines[0] == "row,col,bias"
 
+    @pytest.mark.parametrize("slope", ["nan", "inf"])
+    def test_non_finite_slope_is_config_error(self, tmp_path, slope):
+        out = os.path.join(tmp_path, "bias.csv")
+        assert main(["bias-dump", "--layout", "1,3,1,3", "--slope", slope,
+                     "--out", out]) == 2
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["bias-dump", "--layout", "1,a,1,3"],
+        ["mask-dump", "--layout", "1,3,1,"],
+        ["mask-dump", "--layout", "1,3,1,3", "--policy", "1,x"],
+        ["bias-dump", "--layout", "1,3,1,3", "--policy", "1,2.5,3"],
+    ])
+    def test_malformed_integers_are_config_errors(self, tmp_path, argv):
+        out = os.path.join(tmp_path, "dump")
+        assert main(argv + ["--out", out]) == 2
+        assert not os.path.exists(out)
+
     def test_config_error_exit_code(self, tmp_path):
         code = main(["eval", "--config", _write_cfg(tmp_path, "junk_key = 1\n")])
         assert code == 2

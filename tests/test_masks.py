@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from simulbench.errors import LayoutError, PolicyError, ScheduleError, ShapeError
-from simulbench.masks import (PromptLayout, ReadSchedule, TablePolicy,
-                              WaitKPolicy, ascii_to_mask, causal_mask,
-                              cross_attention_mask, encoder_mask,
-                              mask_to_ascii, simul_mask)
+from simulbench.errors import LayoutError, PolicyError, ShapeError
+from simulbench.masks import (PromptLayout, TablePolicy, WaitKPolicy,
+                              ascii_to_mask, causal_mask,
+                              cross_attention_mask, mask_to_ascii, simul_mask)
 
 
 def random_policy(rng, source_len, target_len):
@@ -33,40 +32,6 @@ class TestCausalMask:
     def test_zero_length(self):
         with pytest.raises(ShapeError):
             causal_mask(0)
-
-
-class TestEncoderMask:
-    def test_paper_chunk_example(self):
-        m = encoder_mask(ReadSchedule(chunk_sizes=(2, 1, 2)))
-        got = m.visible.astype(int).tolist()
-        want = [[1, 1, 0, 0, 0],
-                [1, 1, 0, 0, 0],
-                [1, 1, 1, 0, 0],
-                [1, 1, 1, 1, 1],
-                [1, 1, 1, 1, 1]]
-        assert got == want
-
-    def test_single_chunk_full_visibility(self):
-        m = encoder_mask(ReadSchedule(chunk_sizes=(5,)))
-        assert m.visible.all()
-
-    def test_chunk_membership_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            chunks = tuple(int(c) for c in rng.integers(1, 4, size=rng.integers(1, 6)))
-            m = encoder_mask(ReadSchedule(chunk_sizes=chunks))
-            chunk_of = []
-            for ci, size in enumerate(chunks):
-                chunk_of += [ci] * size
-            for i in range(len(chunk_of)):
-                for j in range(len(chunk_of)):
-                    assert m.visible[i, j] == (chunk_of[j] <= chunk_of[i])
-
-    def test_bad_schedule(self):
-        with pytest.raises(ScheduleError):
-            ReadSchedule(chunk_sizes=(2, 2), source_len=5)
-        with pytest.raises(ScheduleError):
-            ReadSchedule(chunk_sizes=())
 
 
 class TestCrossAttentionMask:
@@ -222,11 +187,6 @@ class TestPolicies:
     def test_wait_k_formula(self):
         pol = WaitKPolicy(k=3, source_len=8)
         assert [pol.cumulative_reads(t) for t in range(1, 8)] == [3, 4, 5, 6, 7, 8, 8]
-
-    def test_word_boundary_map(self):
-        # three words of 2, 1, 3 tokens over 6 source tokens
-        pol = WaitKPolicy(k=1, source_len=6, word_ends=(2, 3, 6))
-        assert [pol.cumulative_reads(t) for t in (1, 2, 3, 4)] == [2, 3, 6, 6]
 
     def test_invalid_policies(self):
         with pytest.raises(PolicyError):

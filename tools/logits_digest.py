@@ -7,10 +7,11 @@ Run from the repository root:
 For every short case it runs teacher-forced generation in three modes (cached
 with rank biases, cached with stale biases, recompute) and hashes each
 prediction step's logits (dtype, shape and bytes), then hashes the
-``bias_to_csv`` dump of every head's modified and standard bias ladder over
-the case's streaming mask.  The exactness fuzz compares cached against
-recompute within one commit; this digest compares one commit against
-another, so it also catches a change that moves both paths together.
+``bias_to_csv`` dump of every head's modified bias ladder over the case's
+streaming mask and of its standard ladder over causal visibility.  The
+exactness fuzz compares cached against recompute within one commit; this
+digest compares one commit against another, so it also catches a change
+that moves both paths together.
 Equal digests on two commits mean bit-identical logits and byte-identical
 bias dumps on these cases.
 
@@ -118,9 +119,11 @@ def digest(case_set: CaseSet) -> tuple[str, str, int, int]:
             continue
         layout = PromptLayout(len(pre), len(src), len(mid), len(tgt))
         mask = simul_mask(layout, policy)
-        for bias_kind in ("modified", "standard"):
+        # standard biases are defined on causal visibility, whatever the mask
+        for bias_kind, visible in (("modified", mask.visible),
+                                   ("standard", causal_mask(mask.rows).visible)):
             for bias in head_biases(mask, alibi_slopes(cfg.n_heads), bias_kind):
-                sha.update(bias_to_csv(bias).encode())
+                sha.update(bias_to_csv(bias, visible).encode())
                 dumps += 1
     return sha.hexdigest(), trace_sha.hexdigest(), arrays, dumps
 
@@ -147,9 +150,9 @@ def full_digest() -> tuple[str, int]:
         policy = _policy(rng, len(src), len(tgt))
         for mask in (causal_mask(layout.total_len), simul_mask(layout, policy)):
             for bias_kind in ("modified", "standard"):
-                biases = head_biases(mask, alibi_slopes(cfg.n_heads), bias_kind)
+                bias = head_biases(mask, alibi_slopes(cfg.n_heads), bias_kind)
                 logits = forward_full(params, pre + src + mid + tgt, mask,
-                                      biases)
+                                      bias)
                 sha.update(f"{logits.dtype}{logits.shape}".encode())
                 sha.update(np.ascontiguousarray(logits).tobytes())
                 arrays += 1
