@@ -31,8 +31,13 @@ class SentencePair:
     target: tuple[int, ...]
 
     def __post_init__(self):
-        src = tuple(int(t) for t in self.source)
-        tgt = tuple(int(t) for t in self.target)
+        src, tgt = tuple(self.source), tuple(self.target)
+        for t in src + tgt:
+            # bools are ints to Python, but no token id
+            if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+                raise DataError(f"token id {t!r} is not an integer")
+        src = tuple(int(t) for t in src)
+        tgt = tuple(int(t) for t in tgt)
         if not src or not tgt:
             raise DataError("source and target must be non-empty")
         if min(src + tgt) < 0:
@@ -119,6 +124,8 @@ def load_corpus(path: str, vocab_size: int | None = None) -> list[SentencePair]:
                                         target=tuple(rec["target"]))
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise DataError(f"{path}:{lineno}: bad corpus line") from exc
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from exc
                 if vocab_size is not None:
                     pair.check_vocab(vocab_size)
                 corpus.append(pair)

@@ -450,7 +450,8 @@ def load_params(path: str) -> ModelParams:
     """Read a checkpoint written by ``save_params``.
 
     The header's tensors must be exactly those of its config, with the
-    config's shapes, and the data must hold exactly their bytes.
+    config's shapes, their offsets must tile the data in header order, and
+    the data must hold exactly their bytes.
     """
     try:
         with open(path, "rb") as fh:
@@ -463,12 +464,18 @@ def load_params(path: str) -> ModelParams:
         if sorted(spec["name"] for spec in specs) != sorted(want):
             raise DataError(f"checkpoint {path} does not hold exactly the "
                             f"tensors of its config")
+        offset = 0
         for spec in specs:
             if tuple(spec["shape"]) != want[spec["name"]]:
                 raise DataError(
                     f"checkpoint {path}: {spec['name']} has shape "
                     f"{tuple(spec['shape'])}, its config needs "
                     f"{want[spec['name']]}")
+            if spec["offset"] != offset:
+                raise DataError(
+                    f"checkpoint {path}: {spec['name']} starts at offset "
+                    f"{spec['offset']!r}, after the earlier tensors at {offset}")
+            offset += int(np.prod(spec["shape"]))
         n_bytes = 4 * sum(int(np.prod(shape)) for shape in want.values())
         if len(raw) != n_bytes:
             raise DataError(f"checkpoint {path} holds {len(raw)} data bytes, "
@@ -478,8 +485,6 @@ def load_params(path: str) -> ModelParams:
         for spec in specs:
             size = int(np.prod(spec["shape"]))
             chunk = flat[spec["offset"]:spec["offset"] + size]
-            if chunk.size != size:
-                raise DataError(f"checkpoint {path} truncated at {spec['name']}")
             arrays[spec["name"]] = chunk.reshape(spec["shape"]).astype(np.float32)
         return template.with_tensors(arrays)
     except (OSError, ValueError, KeyError, TypeError,

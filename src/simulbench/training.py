@@ -7,6 +7,16 @@ exactly the target-predicting rows: the final mid-prompt row through the
 penultimate target row.  Optimization is plain SGD with global
 gradient-norm clipping at 1.
 
+Products follow three rules.  Every activation x weight product, forward
+and backward, is one 2-D GEMM over all B*L rows.  Every weight gradient is
+one GEMM per sentence into a (B, d_in, d_out) buffer, summed over the
+sentences in order by one ``np.add.reduce``; no BLAS reduction spans
+sentences, so the bytes do not depend on the BLAS thread count (a GEMM
+over all B*L rows reduces differently when OpenBLAS threads it).  The
+embedding gradient is one stable sort of the token ids and one
+``np.add.reduceat`` over the sorted rows.  The attention products stay
+per (sentence, head).
+
 A step allocates almost nothing: every large intermediate of the forward
 and backward is written with ``out=`` (or updated in place) into a
 ``_Workspace`` that one ``fine_tune`` call owns and hands to each step, and
@@ -181,6 +191,16 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     def heads(arr):  # (B, L, d) -> (B, H, L, dh) view
         return arr.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
 
+    def flat(arr):  # (B, L, n) -> (B*L, n) view of a C-contiguous array
+        return arr.reshape(B * L, arr.shape[-1])
+
+    def weight_grad(x, dy, out):
+        # one GEMM per sentence, summed over the batch in order: no BLAS
+        # reduction spans sentences, so the bits do not depend on threading
+        per = buf("wgrad", B, x.shape[-1], dy.shape[-1])
+        np.matmul(x.transpose(0, 2, 1), dy, out=per)
+        np.add.reduce(per, axis=0, out=out)
+
     scale = dt(1.0) / np.sqrt(dt(dh))
     # mask entries are exactly 0 or -inf and biases are finite, so adding
     # their sum equals adding the mask, then the biases
@@ -203,9 +223,9 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
                      for name in ("f1", "g1", "t"))
         p = buf(f"{li}.p", B, H, L, L)
         inv1 = _ln_fwd(x, lp.ln1_g, lp.ln1_b, a, xhat1, ln_tmp)
-        np.matmul(a, lp.wq, out=q)
-        np.matmul(a, lp.wk, out=k)
-        np.matmul(a, lp.wv, out=v)
+        np.matmul(flat(a), lp.wq, out=flat(q))
+        np.matmul(flat(a), lp.wk, out=flat(k))
+        np.matmul(flat(a), lp.wv, out=flat(v))
         q, k, v = heads(q), heads(k), heads(v)
         np.matmul(q, k.swapaxes(-1, -2), out=scores)
         np.add(scores, mask_bias, out=scores)
@@ -219,18 +239,18 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
         np.exp(scores, out=p)
         p /= np.add.reduce(p, axis=-1, keepdims=True)
         np.matmul(p, v, out=heads(ctx))
-        np.matmul(ctx, lp.wo, out=x1)
+        np.matmul(flat(ctx), lp.wo, out=flat(x1))
         np.add(x, x1, out=x1)
         inv2 = _ln_fwd(x1, lp.ln2_g, lp.ln2_b, b2, xhat2, ln_tmp)
-        np.matmul(b2, lp.w1, out=f1)
+        np.matmul(flat(b2), lp.w1, out=flat(f1))
         _gelu_fwd(f1, g1, t, ffn_tmp[0])
-        np.matmul(g1, lp.w2, out=x)
+        np.matmul(flat(g1), lp.w2, out=flat(x))
         np.add(x1, x, out=x)
         saved.append((a, xhat1, inv1, q, k, v, p, ctx, b2, xhat2, inv2,
                       f1, g1, t))
     hf, xhatf = buf("hf", B, L, d), buf("xhatf", B, L, d)
     invf = _ln_fwd(x, params.lnf_g, params.lnf_b, hf, xhatf, ln_tmp)
-    logits = hf @ params.w_out  # (B, L, V)
+    logits = (flat(hf) @ params.w_out).reshape(B, L, cfg.vocab_size)
 
     R = loss_rows.size
     sel = logits[:, loss_rows, :]  # (B, R, V)
@@ -249,8 +269,9 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     dlogits[:, loss_rows, :] = probs / R
 
     grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
-    grads["w_out"] += hf.reshape(-1, d).T @ dlogits.reshape(-1, cfg.vocab_size)
-    dx = np.matmul(dlogits, params.w_out.T, out=buf("dx", B, L, d))
+    weight_grad(hf, dlogits, grads["w_out"])
+    dx = buf("dx", B, L, d)
+    np.matmul(flat(dlogits), params.w_out.T, out=flat(dx))
     dg, db = _ln_bwd(xhatf, invf, params.lnf_g, dx, ln_tmp)
     grads["lnf_g"] += dg
     grads["lnf_b"] += db
@@ -264,18 +285,19 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
          f1, g1, t) = saved[li]
         pre = f"layers.{li}."
         # FFN
-        grads[pre + "w2"] += g1.reshape(-1, 4 * d).T @ dx.reshape(-1, d)
-        df1 = np.matmul(dx, lp.w2.T, out=ffn_tmp[0])
+        weight_grad(g1, dx, grads[pre + "w2"])
+        df1 = ffn_tmp[0]
+        np.matmul(flat(dx), lp.w2.T, out=flat(df1))
         _gelu_bwd(f1, t, df1, *ffn_tmp[1:])
-        grads[pre + "w1"] += b2.reshape(-1, d).T @ df1.reshape(-1, 4 * d)
-        np.matmul(df1, lp.w1.T, out=dx1)
+        weight_grad(b2, df1, grads[pre + "w1"])
+        np.matmul(flat(df1), lp.w1.T, out=flat(dx1))
         dgain, doff = _ln_bwd(xhat2, inv2, lp.ln2_g, dx1, ln_tmp)
         grads[pre + "ln2_g"] += dgain
         grads[pre + "ln2_b"] += doff
         np.add(dx1, dx, out=dx1)
         # attention
-        grads[pre + "wo"] += ctx.reshape(-1, d).T @ dx1.reshape(-1, d)
-        np.matmul(dx1, lp.wo.T, out=dctx)
+        weight_grad(ctx, dx1, grads[pre + "wo"])
+        np.matmul(flat(dx1), lp.wo.T, out=flat(dctx))
         np.matmul(heads(dctx), v.swapaxes(-1, -2), out=dp)
         np.matmul(p.swapaxes(-1, -2), heads(dctx), out=heads(dv))
         np.multiply(dp, p, out=scores)
@@ -284,22 +306,25 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
         dscores = np.multiply(dp, scale, out=dp)
         np.matmul(dscores, k, out=heads(dq))
         np.matmul(dscores.swapaxes(-1, -2), q, out=heads(dk))
-        dq2, dk2, dv2 = dq.reshape(-1, d), dk.reshape(-1, d), dv.reshape(-1, d)
-        da2 = da.reshape(-1, d)
-        tmp2 = ln_tmp.reshape(-1, d)
-        np.matmul(dq2, lp.wq.T, out=da2)
-        np.add(da2, np.matmul(dk2, lp.wk.T, out=tmp2), out=da2)
-        np.add(da2, np.matmul(dv2, lp.wv.T, out=tmp2), out=da2)
-        a2 = a.reshape(-1, d)
-        grads[pre + "wq"] += a2.T @ dq2
-        grads[pre + "wk"] += a2.T @ dk2
-        grads[pre + "wv"] += a2.T @ dv2
+        da2, tmp2 = flat(da), flat(ln_tmp)
+        np.matmul(flat(dq), lp.wq.T, out=da2)
+        np.add(da2, np.matmul(flat(dk), lp.wk.T, out=tmp2), out=da2)
+        np.add(da2, np.matmul(flat(dv), lp.wv.T, out=tmp2), out=da2)
+        weight_grad(a, dq, grads[pre + "wq"])
+        weight_grad(a, dk, grads[pre + "wk"])
+        weight_grad(a, dv, grads[pre + "wv"])
         dgain, doff = _ln_bwd(xhat1, inv1, lp.ln1_g, da, ln_tmp)
         grads[pre + "ln1_g"] += dgain
         grads[pre + "ln1_b"] += doff
         np.add(da, dx1, out=dx)
 
-    np.add.at(grads["embed"], tokens.reshape(-1), dx.reshape(-1, d))
+    # embedding rows: a stable sort groups each token's rows, and one
+    # segmented sum adds each group
+    ids = tokens.reshape(-1)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    grads["embed"][ids[starts]] = np.add.reduceat(flat(dx)[order], starts, axis=0)
     return ForwardBackward(loss, grads, logits, dlogits)
 
 

@@ -125,6 +125,16 @@ class TestCli:
                      "--out", os.path.join(tmp_path, "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("source", ['"abc"', "[1e400]", "[4.7, 5]"])
+    def test_non_integer_token_ids_exit_code(self, tmp_path, source):
+        corpus = os.path.join(tmp_path, "c.jsonl")
+        with open(corpus, "w") as fh:
+            fh.write(f'{{"source": {source}, "target": [4, 5]}}\n')
+        out = os.path.join(tmp_path, "run")
+        assert main(["flops-report", "--dataset", corpus, "--out", out,
+                     "--eval-k", "1"]) == 3
+        assert not os.path.exists(os.path.join(out, "flops_report.csv"))
+
     def test_numeric_error_exit_code(self, tmp_path):
         corpus = os.path.join(tmp_path, "c.jsonl")
         save_corpus(corpus, gen_synthetic("copy", 2, 3, 4, 24, 0))

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from simulbench.config import build_config, load_config, parse_config_text
@@ -83,6 +84,33 @@ class TestCorpusIO:
             SentencePair((), (1,))
         with pytest.raises(DataError):
             SentencePair((1,), (-2,))
+
+    @pytest.mark.parametrize("source", [
+        "abc", (4.7, 5), (5.0,), (float("inf"),), (True, 5), ("5",), (None,),
+        (np.float32(4),)])
+    def test_token_ids_must_be_integers(self, source):
+        with pytest.raises(DataError, match="not an integer"):
+            SentencePair(source, (4,))
+        with pytest.raises(DataError, match="not an integer"):
+            SentencePair((4,), source)
+
+    def test_numpy_integer_ids_accepted(self):
+        pair = SentencePair(np.array([4, 5]), (np.int32(6),))
+        assert pair.source == (4, 5) and pair.target == (6,)
+        assert all(type(t) is int for t in pair.source + pair.target)
+
+    @pytest.mark.parametrize("line", [
+        '{"source": "abc", "target": [4]}',
+        '{"source": [1e400], "target": [4]}',
+        '{"source": [4.7, 5], "target": [4]}',
+        '{"source": [4], "target": [true]}',
+    ])
+    def test_load_rejects_non_integer_ids(self, tmp_path, line):
+        path = os.path.join(tmp_path, "bad.jsonl")
+        with open(path, "w") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(DataError, match="not an integer"):
+            load_corpus(path)
 
 
 class TestLayoutBuilder:

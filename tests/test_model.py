@@ -385,6 +385,20 @@ class TestCheckpointErrors:
         with pytest.raises(DataError, match="shape"):
             load_params(path)
 
+    def test_offsets_must_tile_the_data(self, tmp_path):
+        # layers.0.wv pointing at layers.0.wq's data would load wq's weights
+        path = self._saved(tmp_path)
+
+        def alias_wv(header):
+            offsets = {t["name"]: t["offset"] for t in header["tensors"]}
+            for t in header["tensors"]:
+                if t["name"] == "layers.0.wv":
+                    t["offset"] = offsets["layers.0.wq"]
+
+        rewrite_checkpoint(path, alias_wv)
+        with pytest.raises(DataError, match="layers.0.wv starts at offset"):
+            load_params(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = self._saved(tmp_path)
         rewrite_checkpoint(path, lambda h: None, b"garbage!")

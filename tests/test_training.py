@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import simulbench
 from simulbench.alibi import alibi_slopes, head_biases
 from simulbench.data import default_layout_builder, gen_synthetic
 from simulbench.errors import ConfigError, DataError, NumericError
@@ -132,6 +136,50 @@ class TestWorkspace:
             results.append((fb, snapshot(fb)))
         for fb, ref in results:
             assert_same(fb, ref)
+
+
+# one learning-smoke-shaped step (B=25, L=26, H16, d64) per dtype; prints a
+# digest of the loss, the logits and every gradient
+THREAD_PROBE = '''
+import hashlib
+import numpy as np
+from simulbench.masks import PromptLayout, WaitKPolicy
+from simulbench.model import ModelConfig, init_model
+from simulbench.training import batch_forward_backward, build_training_mask_and_bias
+layout = PromptLayout(1, 13, 1, 11)
+mask, bias = build_training_mask_and_bias(layout, WaitKPolicy(5, 13),
+                                          "simulmask", "modified", 16)
+rows = np.asarray(layout.predictor_rows())
+rng = np.random.default_rng(0)
+tokens = rng.integers(0, 48, size=(25, layout.total_len))
+labels = rng.integers(0, 48, size=(25, rows.size))
+for dtype in (np.float32, np.float64):
+    params = init_model(ModelConfig(n_layers=2, n_heads=16, d_model=64,
+                                    vocab_size=48, seed=0)).astype(dtype)
+    fb = batch_forward_backward(params, tokens, mask, bias, rows, labels)
+    arrays = [("loss", np.float64(fb.loss)), ("logits", fb.logits)]
+    for name, arr in arrays + sorted(fb.grads.items()):
+        print(dtype.__name__, name, hashlib.sha256(arr.tobytes()).hexdigest())
+'''
+
+
+def test_step_bytes_independent_of_blas_threads():
+    # thread counts go only into the children's environments
+    path = [os.path.dirname(os.path.dirname(simulbench.__file__))]
+    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    outputs = []
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=120).stdout.splitlines()
+        # per dtype: loss, logits and the gradient of each of the 24
+        # tensors of a two-layer model
+        assert len(out) == 2 * (2 + 24)
+        outputs.append(out)
+    differ = [a.rsplit(" ", 1)[0] for a, b in zip(*outputs) if a != b]
+    assert not differ, f"bytes differ between 1 and 2 BLAS threads: {differ}"
 
 
 class TestFineTune:

@@ -35,10 +35,24 @@ mixed-length corpus, a causal/standard phase and then a simulmask/modified
 phase at wait-k, for H4 and H16 at d64 in float32 and one float64 run.  It
 hashes the loss curve (``loss_curve_to_csv``) and the bytes of every
 parameter after each phase.  Batches alternate between layouts and batch
-sizes within one call, so every step shape is covered.
+sizes within one call, so every step shape is covered.  One more run has
+the learning smoke test's step shape (batches of 25, H16, d64, float32,
+vocabulary 48): one causal/standard step, then one simulmask/modified step
+at wait-5.
+
+With ``--threads 1,2,4`` the tool reruns itself once per thread count in a
+subprocess whose environment sets ``OPENBLAS_NUM_THREADS``, prints for
+each digest whether all thread counts agree, and exits 1 if any digest
+differs:
+
+    PYTHONPATH=src python tools/logits_digest.py --threads 1,2,4
 """
 
+import argparse
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,35 +178,93 @@ TRAIN_RUNS = ((4, np.float32), (16, np.float32), (4, np.float64))
 TRAIN_VOCAB = 32
 
 
-def train_digest() -> tuple[str, int]:
-    """(hex digest, optimizer steps hashed) over the ``fine_tune`` runs."""
+@dataclass(frozen=True)
+class TrainRun:
+    n_heads: int
+    dtype: type
+    vocab: int
+    epochs: int
+    batch_size: int
+    wait_k: int
+    seed: int
+
+
+def _train_phases(run: TrainRun, corpus):
+    """The causal/standard phase, then the simulmask/modified one."""
+    params = init_model(ModelConfig(n_layers=2, n_heads=run.n_heads,
+                                    d_model=64, vocab_size=run.vocab,
+                                    seed=run.seed)).astype(run.dtype)
+    base = fine_tune(params, corpus, default_layout_builder, None,
+                     mask_mode="causal", bias_mode="standard",
+                     epochs=run.epochs, learning_rate=0.5,
+                     batch_size=run.batch_size, shuffle_seed=run.seed)
+    tuned = fine_tune(base.params, corpus, default_layout_builder,
+                      lambda source_len: WaitKPolicy(run.wait_k, source_len),
+                      mask_mode="simulmask", bias_mode="modified",
+                      epochs=run.epochs, learning_rate=0.15,
+                      batch_size=run.batch_size, shuffle_seed=run.seed + 100)
+    return base, tuned
+
+
+def train_digest() -> tuple[str, int, int]:
+    """(hex digest, runs, optimizer steps hashed) over the ``fine_tune``
+    runs."""
     # source lengths 4-8: five layouts; 40 sentences in batches of 6 leave
     # each layout's last batch short, so shapes alternate in L and in B
-    corpus = gen_synthetic("shift(2)", 40, 4, 8, TRAIN_VOCAB, 20241020)
+    mixed = gen_synthetic("shift(2)", 40, 4, 8, TRAIN_VOCAB, 20241020)
+    runs = [(TrainRun(n_heads, dtype, TRAIN_VOCAB, 3, 6, 3, seed), mixed)
+            for seed, (n_heads, dtype) in enumerate(TRAIN_RUNS)]
+    # the learning smoke test's step: 25 sentences of one layout (L=26);
+    # a weight gradient taken as one GEMM over all 650 rows reduces
+    # differently when OpenBLAS threads it
+    runs.append((TrainRun(16, np.float32, 48, 1, 25, 5, len(runs)),
+                 gen_synthetic("shift(2)", 25, 12, 12, 48, 20241022)))
     sha = hashlib.sha256()
     steps = 0
-    for run, (n_heads, dtype) in enumerate(TRAIN_RUNS):
-        params = init_model(ModelConfig(n_layers=2, n_heads=n_heads,
-                                        d_model=64, vocab_size=TRAIN_VOCAB,
-                                        seed=run)).astype(dtype)
-        base = fine_tune(params, corpus, default_layout_builder, None,
-                         mask_mode="causal", bias_mode="standard", epochs=3,
-                         learning_rate=0.5, batch_size=6, shuffle_seed=run)
-        tuned = fine_tune(base.params, corpus, default_layout_builder,
-                          lambda source_len: WaitKPolicy(3, source_len),
-                          mask_mode="simulmask", bias_mode="modified",
-                          epochs=3, learning_rate=0.15, batch_size=6,
-                          shuffle_seed=run + 100)
-        for result in (base, tuned):
+    for run, corpus in runs:
+        for result in _train_phases(run, corpus):
             sha.update(loss_curve_to_csv(result.loss_curve).encode())
             for name, arr in result.params.tensors():
                 sha.update(f"{name}{arr.dtype}{arr.shape}".encode())
                 sha.update(np.ascontiguousarray(arr).tobytes())
             steps += len(result.loss_curve)
-    return sha.hexdigest(), steps
+    return sha.hexdigest(), len(runs), steps
+
+
+def compare_threads(counts) -> int:
+    """Rerun the tool under each BLAS thread count; 1 if any digest
+    differs between them, else 0."""
+    digests = {}
+    for count in counts:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(count))
+        out = subprocess.run([sys.executable, os.path.abspath(__file__)],
+                             env=env, check=True, capture_output=True,
+                             text=True).stdout
+        for line in out.splitlines():
+            name, _, value = line.partition("=")
+            if name.endswith("sha256"):
+                digests.setdefault(name, {})[count] = value
+    status = 0
+    for name, by_count in digests.items():
+        if len(set(by_count.values())) == 1:
+            print(f"{name}: agree at threads {','.join(map(str, counts))} "
+                  f"{by_count[counts[0]]}")
+        else:
+            status = 1
+            print(f"{name}: DIFFER "
+                  + " ".join(f"{c}={v}" for c, v in by_count.items()))
+    return status
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--threads", metavar="N,N,...",
+                        type=lambda s: [int(c) for c in s.split(",")],
+                        help="rerun under these OPENBLAS_NUM_THREADS values "
+                             "and report whether the digests agree")
+    args = parser.parse_args()
+    if args.threads:
+        sys.exit(compare_threads(args.threads))
     for name, case_set in (("", SHORT), ("long_", LONG)):
         hexdigest, trace_hexdigest, arrays, dumps = digest(case_set)
         print(f"{name}cases={case_set.cases} logit_arrays={arrays} "
@@ -202,8 +274,8 @@ def main():
     hexdigest, arrays = full_digest()
     print(f"full_cases={FULL_CASES} logit_arrays={arrays}")
     print(f"full_sha256={hexdigest}")
-    hexdigest, steps = train_digest()
-    print(f"train_runs={len(TRAIN_RUNS)} steps={steps}")
+    hexdigest, runs, steps = train_digest()
+    print(f"train_runs={runs} steps={steps}")
     print(f"train_sha256={hexdigest}")
 
 
