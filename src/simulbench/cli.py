@@ -17,11 +17,12 @@ from .engine import GenerationMode
 from .errors import (CacheCoherenceError, ConfigError, ConsistencyError,
                      DataError, DegenerateRowError, LayoutError, NumericError,
                      PolicyError, ShapeError, WorkbenchError)
-from .experiment import _RunWriter, compare_modes, run_experiment, train_model
+from .experiment import (_RunWriter, compare_modes, evaluate_sentence,
+                         run_experiment, train_model)
 from .masks import (PromptLayout, TablePolicy, WaitKPolicy, causal_mask,
                     mask_to_ascii, simul_mask)
 from .metrics import FlopModel, flops_generate
-from .model import load_params, save_params
+from .model import init_model, load_params, save_params
 from .training import loss_curve_to_csv
 
 _CONFIG_ERRORS = (ConfigError, LayoutError, PolicyError)
@@ -165,17 +166,14 @@ def _cmd_train(args) -> int:
     config = _load_experiment_config(args)
     if not config.dataset:
         raise ConfigError("a dataset is required (--dataset or config)")
-    corpus = load_corpus(config.dataset, config.vocab_size)
     base = load_params(args.init_checkpoint) if args.init_checkpoint else None
-    writer = _RunWriter(config.out)
-    try:
+    model_config = base.config if base else config.model_config()
+    corpus = load_corpus(config.dataset, model_config.vocab_size)
+    with _RunWriter(config.out) as writer:
         params, loss_curve = train_model(config, corpus, base_params=base)
         ckpt = writer.path("params.bin")
         save_params(params, ckpt)
         writer.write("loss_curve.csv", loss_curve_to_csv(loss_curve))
-    except BaseException:
-        writer.cleanup()
-        raise
     print(f"checkpoint: {ckpt}")
     return 0
 
@@ -217,10 +215,8 @@ def _cmd_flops_report(args) -> int:
     if not config.dataset:
         raise ConfigError("a dataset is required (--dataset or config)")
     corpus = load_corpus(config.dataset, config.vocab_size)
-    from .experiment import evaluate_sentence
-    from .model import init_model
     params = init_model(config.model_config())
-    flop_model = FlopModel(config.model_config())
+    flop_model = FlopModel(params.config)
     k = config.eval_k[0]
     lines = ["sentence_id,k_or_chunk,seq_len,cached_total,recompute_initial,"
              "recompute_recompute"]
@@ -236,12 +232,8 @@ def _cmd_flops_report(args) -> int:
         seq_len = trace_c.total_reads() + len(trace_c.writes())
         lines.append(f"{sid},{k},{seq_len},{rep_c.total},{rep_r.initial},"
                      f"{rep_r.recompute}")
-    writer = _RunWriter(config.out)
-    try:
+    with _RunWriter(config.out) as writer:
         path = writer.write("flops_report.csv", "\n".join(lines) + "\n")
-    except BaseException:
-        writer.cleanup()
-        raise
     print(path)
     return 0
 

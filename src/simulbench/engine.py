@@ -1,7 +1,9 @@
 """Policy-driven read/write generation over a streaming source.
 
 ``simul_generate`` alternates reading source tokens and greedily emitting
-target tokens under a decision policy, in one of two modes:
+target tokens under a decision policy.  One decision loop serves both
+modes; each mode supplies one step function taking (new source tokens,
+tokens emitted so far) to (last-row logits, read counter, write counter):
 
 * cached: every token is processed once against a growing KV cache, with
   visibility and biases derived from canonical cache tags.  Each decision
@@ -9,8 +11,9 @@ target tokens under a decision policy, in one of two modes:
   source tokens followed by the last emitted target token (on the first
   step: the pre-prompt, the first source tokens and the mid-prompt);
 * recompute: every prediction step rebuilds the full canonical sequence
-  (all read source mid-sequence) and runs a full forward under the
-  visibility realized so far.
+  (all read source mid-sequence) and runs a full forward under
+  ``realized_step_mask``, the fine-tuning mask of the steps realized so
+  far; its read counter stays empty.
 
 Each run produces a TranslationTrace: the read/write event log, the
 per-emission cumulative source counts feeding latency metrics, and a
@@ -29,7 +32,8 @@ import numpy as np
 from .alibi import alibi_slopes, head_biases
 from .errors import (ConfigError, ConsistencyError, DataError, NumericError,
                      PolicyError)
-from .masks import AttentionMaskSpec, DecisionPolicy, PromptLayout, Region
+from .masks import (AttentionMaskSpec, DecisionPolicy, PromptLayout, Region,
+                    TablePolicy, causal_mask, simul_mask)
 from .model import (CacheTag, FlopCounter, KVCache, ModelParams, forward_full,
                     forward_incremental)
 
@@ -64,18 +68,20 @@ class TranslationTrace:
 
     ``d`` records, per emitted content token (end-of-sequence excluded),
     the cumulative number of source tokens read at emission time.
-    ``flop_log`` mirrors ``events`` one-to-one.
     """
 
     events: list = field(default_factory=list)
     d: list[int] = field(default_factory=list)
-    flop_log: list[int] = field(default_factory=list)
     pre_len: int = 1
     mid_len: int = 1
-    policy_desc: str = ""
     mode: str = "cached"
     kv_rows: int = 0
     step_logits: list | None = None
+
+    @property
+    def flop_log(self) -> list[int]:
+        """Per-event shadow FLOPs, in event order."""
+        return [e.flops for e in self.events]
 
     def total_reads(self) -> int:
         return sum(e.n for e in self.events if isinstance(e, ReadEvent))
@@ -85,43 +91,25 @@ class TranslationTrace:
 
 
 class _Stream:
-    """Pull-based wrapper over the source iterable."""
+    """Pull-based wrapper over the source iterable.
+
+    Once the source ends it is never pulled again, which clips every later
+    goal to the realized source length.
+    """
 
     def __init__(self, source):
         self._it = iter(source)
         self.finished = False
 
-    def pull(self) -> int | None:
-        if self.finished:
-            return None
-        try:
-            tok = next(self._it)
-        except StopIteration:
-            self.finished = True
-            return None
-        return tok
-
-
-def _record(trace: TranslationTrace, event):
-    trace.events.append(event)
-    trace.flop_log.append(event.flops)
-
-
-def _goal(policy: DecisionPolicy, t: int, stream: _Stream, reads: int) -> int:
-    goal = policy.cumulative_reads(t)
-    if stream.finished:
-        goal = min(goal, reads)
-    return goal
-
-
-def _pull_upto(stream: _Stream, goal: int, reads: int) -> list[int]:
-    new = []
-    while reads + len(new) < goal:
-        tok = stream.pull()
-        if tok is None:
-            break
-        new.append(tok)
-    return new
+    def pull(self, n: int) -> list[int]:
+        """Up to ``n`` more tokens, fewer once the source has ended."""
+        new = []
+        while len(new) < n and not self.finished:
+            try:
+                new.append(next(self._it))
+            except StopIteration:
+                self.finished = True
+        return new
 
 
 def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
@@ -157,13 +145,29 @@ def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
         # teacher forcing: no end-of-sequence stop, one write per forced token
         eos_id, max_target_len = None, len(forced_target)
 
-    stream = _Stream(source_stream)
     trace = TranslationTrace(pre_len=len(pre_prompt), mid_len=len(mid_prompt),
-                             policy_desc=policy.describe(), mode=mode.kind,
+                             mode=mode.kind,
                              step_logits=[] if record_logits else None)
-    gen = _generate_cached if mode.kind == "cached" else _generate_recompute
-    emitted = gen(params, policy, pre_prompt, stream, mid_prompt, trace,
-                  max_target_len, eos_id, forced_target, bias_scheme)
+    if mode.kind == "cached":
+        step = _cached_step(params, pre_prompt, mid_prompt, bias_scheme)
+    else:
+        step = _recompute_step(params, pre_prompt, mid_prompt)
+    stream = _Stream(source_stream)
+    emitted, reads = [], 0
+    for t in range(1, max_target_len + 1):
+        new = stream.pull(policy.cumulative_reads(t) - reads)
+        if t == 1 and not new:
+            raise DataError("source stream yielded no tokens")
+        logits, read, write = step(new, emitted)
+        if new:
+            reads += len(new)
+            trace.kv_rows += read.kv_rows
+            trace.events.append(ReadEvent(n=len(new), flops=read.total))
+        tok = _emit(trace, logits, t, forced_target, write)
+        if tok == eos_id:
+            break
+        emitted.append(tok)
+        trace.d.append(reads)
     return emitted, trace
 
 
@@ -177,102 +181,74 @@ def _emit(trace, logits_row, t, forced_target, counter):
     else:
         tok = int(np.argmax(logits_row))
     trace.kv_rows += counter.kv_rows
-    _record(trace, WriteEvent(token=tok, flops=counter.total))
+    trace.events.append(WriteEvent(token=tok, flops=counter.total))
     return tok
 
 
-def _generate_cached(params, policy, pre_prompt, stream, mid_prompt, trace,
-                     max_target_len, eos_id, forced_target, bias_scheme):
+def _cached_step(params, pre_prompt, mid_prompt, bias_scheme):
+    """Step function over one KV cache: a step is one engine call holding
+    its new source rows (after the pre-prompt on the first step), charged
+    to the read counter, then the mid-prompt (first step) or the last
+    emitted target token, charged to the write counter."""
     cache = KVCache(params.config.n_layers)
-    new = _pull_upto(stream, policy.cumulative_reads(1), 0)
-    if not new:
-        raise DataError("source stream yielded no tokens")
-    reads = 0
-    read_rows = [(tok, CacheTag(Region.PRE_PROMPT, i))
-                 for i, tok in enumerate(pre_prompt)]
-    write_rows = [(tok, CacheTag(Region.MID_PROMPT, i))
-                  for i, tok in enumerate(mid_prompt)]
-    emitted = []
-    t = 1
-    while True:
-        # one engine call per write event; its source (and pre-prompt) rows
-        # are charged to the read event, the others to the write event
-        read_rows += [(s, CacheTag(Region.SOURCE, reads + j))
-                      for j, s in enumerate(new)]
+    pre_rows = [(tok, CacheTag(Region.PRE_PROMPT, i))
+                for i, tok in enumerate(pre_prompt)]
+    mid_rows = [(tok, CacheTag(Region.MID_PROMPT, i))
+                for i, tok in enumerate(mid_prompt)]
+
+    def step(new, emitted):
+        src = cache.counts[Region.SOURCE]
+        read_rows = [(s, CacheTag(Region.SOURCE, src + j))
+                     for j, s in enumerate(new)]
+        if emitted:
+            write_rows = [(emitted[-1],
+                           CacheTag(Region.TARGET, len(emitted) - 1))]
+        else:
+            read_rows, write_rows = pre_rows + read_rows, mid_rows
         read, write = FlopCounter(), FlopCounter()
         logits, _ = forward_incremental(
             params, cache, read_rows + write_rows, bias_scheme=bias_scheme,
             flops=[read] * len(read_rows) + [write] * len(write_rows))
-        if new:
-            reads += len(new)
-            trace.kv_rows += read.kv_rows
-            _record(trace, ReadEvent(n=len(new), flops=read.total))
-        tok = _emit(trace, logits[-1], t, forced_target, write)
-        if tok == eos_id:
-            break
-        emitted.append(tok)
-        trace.d.append(reads)
-        if len(emitted) >= max_target_len:
-            break
-        t += 1
-        new = _pull_upto(stream, _goal(policy, t, stream, reads), reads)
-        read_rows, write_rows = [], [(tok, CacheTag(Region.TARGET, t - 2))]
-    return emitted
+        return logits[-1], read, write
+    return step
+
+
+def _recompute_step(params, pre_prompt, mid_prompt):
+    """Step function rebuilding the whole canonical sequence: one full
+    forward under the realized step mask, charged to the write counter."""
+    slopes = alibi_slopes(params.config.n_heads)
+    sources, d_history = [], []
+
+    def step(new, emitted):
+        sources.extend(new)
+        d_history.append(len(sources))
+        mask = realized_step_mask(len(pre_prompt), len(mid_prompt), d_history)
+        counter = FlopCounter()
+        logits = forward_full(params, pre_prompt + sources + mid_prompt + emitted,
+                              mask, head_biases(mask, slopes, "modified"),
+                              flops=counter)
+        return logits[-1], FlopCounter(), counter
+    return step
 
 
 def realized_step_mask(pre_len: int, mid_len: int, d_history) -> AttentionMaskSpec:
     """Visibility over the canonical sequence materialized at one step.
 
     ``d_history[t-1]`` is the realized cumulative read count of prediction
-    step t; the current step is the last entry.  Rows follow the same rules
-    as the fine-tuning mask, restricted to what has actually been read.
+    step t; the current step is the last entry.  This is the fine-tuning
+    mask itself: ``simul_mask`` over the targets emitted so far, with the
+    source read so far as the whole source region, under the realized read
+    counts as a table policy.  The current step's row has read everything,
+    so it is that layout's unrestricted final row; at the first step there
+    is no target yet and the mask is causal.
     """
     if not d_history:
         raise ConsistencyError("need at least the current step's read count")
-    reads = d_history[-1]
-    n_targets = len(d_history) - 1
-    total = pre_len + reads + mid_len + n_targets
-    vis = np.tril(np.ones((total, total), dtype=bool))
-    s0 = pre_len
-    s_end = pre_len + reads
-    for row in range(s_end, s_end + mid_len - 1):
-        vis[row, s0 + d_history[0]:s_end] = False
-    for step, d_t in enumerate(d_history, start=1):
-        row = s_end + mid_len - 1 if step == 1 else s_end + mid_len + step - 2
-        vis[row, s0 + d_t:s_end] = False
-    return AttentionMaskSpec(vis)
-
-
-def _generate_recompute(params, policy, pre_prompt, stream, mid_prompt, trace,
-                        max_target_len, eos_id, forced_target, bias_scheme):
-    slopes = alibi_slopes(params.config.n_heads)
-    emitted = []
-    sources = []
-    d_history = []
-    t = 1
-    while True:
-        new = _pull_upto(stream, _goal(policy, t, stream, len(sources)),
-                         len(sources))
-        if t == 1 and not new:
-            raise DataError("source stream yielded no tokens")
-        if new:
-            sources.extend(new)
-            _record(trace, ReadEvent(n=len(new), flops=0))
-        d_history.append(len(sources))
-        tokens = pre_prompt + sources + mid_prompt + emitted
-        mask = realized_step_mask(len(pre_prompt), len(mid_prompt), d_history)
-        bias = head_biases(mask, slopes, "modified")
-        counter = FlopCounter()
-        logits = forward_full(params, tokens, mask, bias, flops=counter)
-        tok = _emit(trace, logits[-1], t, forced_target, counter)
-        if tok == eos_id:
-            break
-        emitted.append(tok)
-        trace.d.append(len(sources))
-        if len(emitted) >= max_target_len:
-            break
-        t += 1
-    return emitted
+    reads, n_targets = d_history[-1], len(d_history) - 1
+    if not n_targets:
+        return causal_mask(pre_len + reads + mid_len)
+    return simul_mask(PromptLayout(pre_len, reads, mid_len, n_targets),
+                      TablePolicy(tuple(d_history[:-1]), source_len=reads))
 
 
 def schedule_trace(policy: DecisionPolicy, layout: PromptLayout) -> TranslationTrace:
@@ -286,15 +262,14 @@ def schedule_trace(policy: DecisionPolicy, layout: PromptLayout) -> TranslationT
     if policy.source_len != layout.source_len:
         raise ConsistencyError("policy/layout source lengths differ")
     trace = TranslationTrace(pre_len=layout.pre_prompt_len,
-                             mid_len=layout.mid_prompt_len,
-                             policy_desc=policy.describe(), mode="schedule")
+                             mid_len=layout.mid_prompt_len, mode="schedule")
     reads = 0
     for t in range(1, layout.target_len + 1):
         goal = min(policy.cumulative_reads(t), layout.source_len)
         if goal > reads:
-            _record(trace, ReadEvent(n=goal - reads))
+            trace.events.append(ReadEvent(n=goal - reads))
             reads = goal
-        _record(trace, WriteEvent(token=0))
+        trace.events.append(WriteEvent(token=0))
         trace.d.append(reads)
     return trace
 

@@ -79,7 +79,11 @@ def _sweep(params, corpus, k, mode, config, flop_model, bias_scheme="rank"):
 
 
 class _RunWriter:
-    """Tracks created files so a failed run leaves no partial outputs."""
+    """Tracks created files so a failed run leaves no partial outputs.
+
+    Used as a context manager: a block that raises removes every file the
+    writer created before the error propagates.
+    """
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
@@ -101,10 +105,30 @@ class _RunWriter:
         self.created.append(path)
         return path
 
-    def cleanup(self):
-        for path in self.created:
-            if os.path.exists(path):
-                os.remove(path)
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            for path in self.created:
+                if os.path.exists(path):
+                    os.remove(path)
+
+
+def _load_inputs(config: ExperimentConfig, checkpoint: str | None):
+    """(checkpoint params or None, corpus, eval corpus).
+
+    Token ids are checked against the vocabulary of the model that will
+    run: the checkpoint's when one is given, else the config's.
+    """
+    if not config.dataset:
+        raise ConfigError("config.dataset is required")
+    params = load_params(checkpoint) if checkpoint else None
+    vocab = (params.config if params else config.model_config()).vocab_size
+    corpus = load_corpus(config.dataset, vocab)
+    eval_corpus = (load_corpus(config.eval_dataset, vocab)
+                   if config.eval_dataset else corpus)
+    return params, corpus, eval_corpus
 
 
 def run_experiment(config: ExperimentConfig, checkpoint: str | None = None):
@@ -114,22 +138,15 @@ def run_experiment(config: ExperimentConfig, checkpoint: str | None = None):
     JSONL per (k, mode), and mask/bias dumps for the first eval sentence.
     Returns the list of written paths.
     """
-    if not config.dataset:
-        raise ConfigError("config.dataset is required")
-    corpus = load_corpus(config.dataset, config.vocab_size)
-    eval_corpus = (load_corpus(config.eval_dataset, config.vocab_size)
-                   if config.eval_dataset else corpus)
-    writer = _RunWriter(config.out)
-    try:
-        if checkpoint:
-            params = load_params(checkpoint)
-            loss_curve = []
-        else:
+    params, corpus, eval_corpus = _load_inputs(config, checkpoint)
+    with _RunWriter(config.out) as writer:
+        loss_curve = []
+        if params is None:
             params, loss_curve = train_model(config, corpus)
         save_params(params, writer.path("params.bin"))
         writer.write("loss_curve.csv", loss_curve_to_csv(loss_curve))
 
-        flop_model = FlopModel(config.model_config())
+        flop_model = FlopModel(params.config)
         mode = GenerationMode(config.mode)
         all_rows = []
         summaries = []
@@ -145,7 +162,8 @@ def run_experiment(config: ExperimentConfig, checkpoint: str | None = None):
             policy = WaitKPolicy(k=k, source_len=layout.source_len)
             mask = simul_mask(layout, policy)
             writer.write(f"mask_k{k}.txt", mask_to_ascii(mask, policy.describe()))
-            bias = head_biases(mask, alibi_slopes(config.n_heads), "modified")[0]
+            bias = head_biases(mask, alibi_slopes(params.config.n_heads),
+                               "modified")[0]
             writer.write(f"bias_k{k}.csv", bias_to_csv(bias, mask.visible))
 
         writer.write("metrics.csv", metrics_rows_to_csv(all_rows))
@@ -153,27 +171,17 @@ def run_experiment(config: ExperimentConfig, checkpoint: str | None = None):
         for k, kind, mean_laal, acc, exact in summaries:
             lines.append(f"{k},{kind},{repr(mean_laal)},{repr(acc)},{repr(exact)}")
         writer.write("summary.csv", "\n".join(lines) + "\n")
-    except BaseException:
-        writer.cleanup()
-        raise
     return writer.created
 
 
 def compare_modes(config: ExperimentConfig, checkpoint: str | None = None):
     """Evaluate one model under cached, recompute, and stale-bias cached
     generation; returns (summary rows, written path)."""
-    if not config.dataset:
-        raise ConfigError("config.dataset is required")
-    corpus = load_corpus(config.dataset, config.vocab_size)
-    eval_corpus = (load_corpus(config.eval_dataset, config.vocab_size)
-                   if config.eval_dataset else corpus)
-    writer = _RunWriter(config.out)
-    try:
-        if checkpoint:
-            params = load_params(checkpoint)
-        else:
+    params, corpus, eval_corpus = _load_inputs(config, checkpoint)
+    with _RunWriter(config.out) as writer:
+        if params is None:
             params, _ = train_model(config, corpus)
-        flop_model = FlopModel(config.model_config())
+        flop_model = FlopModel(params.config)
         combos = (("cached", "rank"), ("recompute", "rank"), ("cached", "stale"))
         lines = ["k_or_chunk,mode,bias_scheme,mean_laal,token_acc,exact_match,"
                  "mean_flops_total"]
@@ -187,7 +195,4 @@ def compare_modes(config: ExperimentConfig, checkpoint: str | None = None):
                     f"{k},{kind},{scheme},{repr(summary[2])},"
                     f"{repr(summary[3])},{repr(summary[4])},{repr(mean_total)}")
         path = writer.write("compare.csv", "\n".join(lines) + "\n")
-    except BaseException:
-        writer.cleanup()
-        raise
     return lines, path

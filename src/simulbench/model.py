@@ -7,7 +7,7 @@ every exact forward; it is fed two ways:
 * ``forward_full`` runs a whole sequence, taking each row's visible keys
   from an explicit mask and its biases from an (H, L, L) bias stack;
 * ``forward_incremental`` extends a KV cache with new tokens, taking
-  visibility and biases from the cache's canonical-order index.
+  visibility and biases from the cache's per-region storage rows.
 
 Given the same visible keys and biases, a row's arithmetic is the same on
 both paths, so a full-sequence forward and the equivalent sequence of
@@ -16,7 +16,8 @@ immutable after creation; a KVCache belongs to a single generation session.
 """
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -52,6 +53,10 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
+_LAYER_TENSORS = ("wq", "wk", "wv", "wo", "w1", "w2",
+                  "ln1_g", "ln1_b", "ln2_g", "ln2_b")
+
+
 @dataclass(frozen=True)
 class LayerParams:
     wq: np.ndarray
@@ -79,8 +84,7 @@ class ModelParams:
         """Deterministically ordered (name, array) pairs."""
         yield "embed", self.embed
         for i, lp in enumerate(self.layers):
-            for name in ("wq", "wk", "wv", "wo", "w1", "w2",
-                         "ln1_g", "ln1_b", "ln2_g", "ln2_b"):
+            for name in _LAYER_TENSORS:
                 yield f"layers.{i}.{name}", getattr(lp, name)
         yield "lnf_g", self.lnf_g
         yield "lnf_b", self.lnf_b
@@ -89,20 +93,38 @@ class ModelParams:
     def as_dict(self) -> dict[str, np.ndarray]:
         return dict(self.tensors())
 
+    @classmethod
+    def from_tensors(cls, config: ModelConfig,
+                     arrays: dict[str, np.ndarray]) -> "ModelParams":
+        """ModelParams of ``config`` taking each tensor from ``arrays``."""
+        layers = tuple(
+            LayerParams(**{name: arrays[f"layers.{i}.{name}"]
+                           for name in _LAYER_TENSORS})
+            for i in range(config.n_layers))
+        return cls(config=config, embed=arrays["embed"], layers=layers,
+                   lnf_g=arrays["lnf_g"], lnf_b=arrays["lnf_b"],
+                   w_out=arrays["w_out"])
+
     def with_tensors(self, arrays: dict[str, np.ndarray]) -> "ModelParams":
         """New ModelParams taking each tensor from ``arrays``."""
-        layers = []
-        for i in range(self.config.n_layers):
-            kw = {name: arrays[f"layers.{i}.{name}"]
-                  for name in ("wq", "wk", "wv", "wo", "w1", "w2",
-                               "ln1_g", "ln1_b", "ln2_g", "ln2_b")}
-            layers.append(LayerParams(**kw))
-        return replace(self, embed=arrays["embed"], layers=tuple(layers),
-                       lnf_g=arrays["lnf_g"], lnf_b=arrays["lnf_b"],
-                       w_out=arrays["w_out"])
+        return ModelParams.from_tensors(self.config, arrays)
 
     def astype(self, dtype) -> "ModelParams":
         return self.with_tensors({k: v.astype(dtype) for k, v in self.tensors()})
+
+
+def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor of a ``config`` model, in
+    ``tensors()`` order, worked out without building the model."""
+    d, v = config.d_model, config.vocab_size
+    layer = dict(zip(_LAYER_TENSORS, [(d, d)] * 4 + [(d, 4 * d), (4 * d, d)]
+                     + [(d,)] * 4))
+    shapes = {"embed": (v, d)}
+    for i in range(config.n_layers):
+        shapes.update({f"layers.{i}.{name}": shape
+                       for name, shape in layer.items()})
+    shapes.update(lnf_g=(d,), lnf_b=(d,), w_out=(d, v))
+    return shapes
 
 
 def init_model(config: ModelConfig) -> ModelParams:
@@ -162,16 +184,16 @@ class CacheTag:
 
 
 class KVCache:
-    """Per-layer cached keys/values with a canonical-order index.
+    """Per-layer cached keys/values, indexed by region in canonical order.
 
     ``k[layer]`` and ``v[layer]`` are head-major buffers of shape
     (n_heads, capacity, d_head): entry ``j`` along the token axis holds the
-    key (value) of storage row ``j`` for every head, in storage order
-    (arrival order unless permuted).  ``arrival[j]`` is the arrival number
-    of storage row ``j``, ``order[:len(cache)]`` the storage rows in
-    canonical tag order (pre | source | mid | target, each region by
-    index), and ``counts`` the cached tokens per region.  Attention reads
-    keys through ``order``, so storage order never reaches the outputs.
+    key (value) of the ``j``-th token to arrive, for every head, so a
+    storage row is an arrival number.  ``rows[region]`` lists the storage
+    rows of that region's tokens by canonical index, and ``counts`` their
+    lengths.  Canonical order is pre | source | mid | target, each region
+    by index, so a token's visible keys are the rows of every earlier
+    region followed by its own region's rows up to itself.
 
     A call writes its new rows in place after the cached ones.  When a call
     needs more room, every buffer doubles its capacity (one copy of the
@@ -187,18 +209,21 @@ class KVCache:
         self.n_layers = n_layers
         self.k: list[np.ndarray] = []
         self.v: list[np.ndarray] = []
-        self.arrival = np.empty(0, dtype=np.intp)
-        self.order = np.empty(0, dtype=np.intp)
-        self.counts = [0] * len(Region)
+        self.rows = [np.empty(0, dtype=np.intp) for _ in Region]
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
+    @property
+    def counts(self) -> list[int]:
+        """Cached tokens per region, in region order."""
+        return [r.size for r in self.rows]
+
     def _reserve(self, params: ModelParams, size: int):
         """Grow every buffer, by doubling, to hold at least ``size`` rows."""
-        capacity = self.order.size
-        if size <= capacity and self.k:
+        capacity = self.k[0].shape[1] if self.k else 0
+        if size <= capacity:
             return
         capacity = max(capacity, MIN_CACHE_CAPACITY)
         while capacity < size:
@@ -207,22 +232,7 @@ class KVCache:
         k, v = _kv_buffers(params, capacity)
         for new, old in zip(k + v, self.k + self.v):
             new[:, :n] = old[:, :n]
-        arrival, order = np.empty((2, capacity), dtype=np.intp)
-        arrival[:n], order[:n] = self.arrival[:n], self.order[:n]
-        self.k, self.v, self.arrival, self.order = k, v, arrival, order
-
-    def permute_storage(self, perm):
-        """Reorder physical storage (testing hook; outputs must not change)."""
-        n = self._size
-        if sorted(perm) != list(range(n)):
-            raise ConfigError("perm must be a permutation of cache indices")
-        perm = np.asarray(perm, dtype=np.intp)
-        for buf in self.k + self.v:
-            buf[:, :n] = buf[:, perm]
-        self.arrival[:n] = self.arrival[perm]
-        moved_to = np.empty_like(perm)
-        moved_to[perm] = np.arange(n)
-        self.order[:n] = moved_to[self.order[:n]]
+        self.k, self.v = k, v
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -348,16 +358,16 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
     """Extend ``cache`` with tagged tokens; return (logits for them, cache).
 
     ``new_tokens`` is a sequence of (token_id, CacheTag).  Each new token
-    attends, in canonical tag order, to everything cached or earlier in the
-    call whose tag orders at or before its own (itself included).  Because
-    mid-prompt and target tags order after all source tags, a source token
-    ingested late ignores the mid-prompt and target entries already cached,
-    and a call may mix regions: a source token and a target token ingested
-    together see exactly what they would see in two calls, source first.
-    Each row's arithmetic is independent of how rows are grouped into
-    calls, so the logits are bit-identical too.  ``flops``, when given,
-    holds one FlopCounter per new token, charged with that token's row, so
-    one call can serve several trace events.
+    attends, in canonical tag order, to the rows of every earlier region
+    and its own region's rows up to itself, cached or earlier in the call.
+    Because mid-prompt and target regions come after the source region, a
+    source token ingested late ignores the mid-prompt and target entries
+    already cached, and a call may mix regions: a source token and a target
+    token ingested together see exactly what they would see in two calls,
+    source first.  Each row's arithmetic is independent of how rows are
+    grouped into calls, so the logits are bit-identical too.  ``flops``,
+    when given, holds one FlopCounter per new token, charged with that
+    token's row, so one call can serve several trace events.
     Per-head biases follow ``bias_scheme``:
 
     * ``"rank"``: -slope * (canonical-rank distance within the visible
@@ -367,8 +377,8 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
       position frozen at its arrival — the scheme a naive cache implements,
       kept as a negative control.
 
-    A call that raises leaves ``len(cache)``, ``counts`` and ``order`` as
-    they were.
+    The new ``rows`` are stored only once the row engine has returned, so
+    a call that raises leaves ``len(cache)`` and ``rows`` as they were.
     """
     cfg = params.config
     if cache.n_layers != cfg.n_layers:
@@ -380,45 +390,30 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
     past, m = len(cache), len(new_tokens)
     if flops is not None and len(flops) != m:
         raise ShapeError(f"{len(flops)} FLOP counters for {m} new tokens")
-    counts = list(cache.counts)
-    slots = []
-    for tok, tag in new_tokens:
+    rows = list(cache.rows)
+    visible, bias = [], []
+    for i, (tok, tag) in enumerate(new_tokens):
         if not 0 <= tok < cfg.vocab_size:
             raise ShapeError("token id outside vocabulary")
-        if tag.canonical_index != counts[tag.role]:
+        region = tag.role
+        if tag.canonical_index != rows[region].size:
             raise CacheCoherenceError(
                 f"{tag} does not extend canonical order "
-                f"(expected index {counts[tag.role]})")
-        # every token of an earlier region, or earlier in this region,
-        # orders before this one
-        slots.append(sum(counts[:tag.role + 1]))
-        counts[tag.role] += 1
-
-    cache._reserve(params, past + m)
-    cache.arrival[past:past + m] = np.arange(past, past + m)
-    # canonical positions before the lowest slot keep their storage rows;
-    # the rest of ``order`` is rebuilt in ``tail`` and stored only once
-    # the call has succeeded, so a call that raises leaves the cache as it was
-    lo = min(slots, default=past)
-    head, tail = cache.order[:lo], cache.order[lo:past]
-    visible, bias = [], []
-    for i, slot in enumerate(slots):
-        j = slot - lo
-        tail = np.concatenate((tail[:j], [past + i], tail[j:]))
-        vis = np.concatenate((head, tail[:j + 1]))
+                f"(expected index {rows[region].size})")
+        rows[region] = np.concatenate((rows[region], [past + i]))
+        vis = np.concatenate(rows[:region + 1])
         visible.append(vis)
         if bias_scheme == "rank":
             bias.append(rank_biases(vis.size, slopes))
         else:
-            deltas = (past + i - cache.arrival[vis]).astype(np.float32)
-            bias.append(-np.float32(slopes) * deltas)
+            bias.append(-np.float32(slopes) * (past + i - vis).astype(np.float32))
 
+    cache._reserve(params, past + m)
     n_visible = np.array([vis.size for vis in visible], dtype=np.intp)
     logits = _forward_rows(params, [tok for tok, _ in new_tokens], cache.k,
                            cache.v, past, np.concatenate(visible), n_visible,
                            np.concatenate(bias, axis=1), flops)
-    cache.order[lo:past + m] = tail
-    cache.counts, cache._size = counts, past + m
+    cache.rows, cache._size = rows, past + m
     return logits, cache
 
 
@@ -451,19 +446,24 @@ def load_params(path: str) -> ModelParams:
 
     The header's tensors must be exactly those of its config, with the
     config's shapes, their offsets must tile the data in header order, and
-    the data must hold exactly their bytes.
+    the data must hold exactly their bytes.  The shapes are worked out from
+    the config, so a bad checkpoint is rejected before any tensor is built.
     """
     try:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode())
             raw = fh.read()
         config = ModelConfig(**header["config"])
-        template = init_model(config)
-        want = {name: arr.shape for name, arr in template.tensors()}
         specs = header["tensors"]
+        not_its_tensors = DataError(f"checkpoint {path} does not hold "
+                                    f"exactly the tensors of its config")
+        # count first: the tensor names of a config grow with its layer
+        # count, which the header alone sets
+        if len(specs) != 4 + len(_LAYER_TENSORS) * config.n_layers:
+            raise not_its_tensors
+        want = _tensor_shapes(config)
         if sorted(spec["name"] for spec in specs) != sorted(want):
-            raise DataError(f"checkpoint {path} does not hold exactly the "
-                            f"tensors of its config")
+            raise not_its_tensors
         offset = 0
         for spec in specs:
             if tuple(spec["shape"]) != want[spec["name"]]:
@@ -475,18 +475,18 @@ def load_params(path: str) -> ModelParams:
                 raise DataError(
                     f"checkpoint {path}: {spec['name']} starts at offset "
                     f"{spec['offset']!r}, after the earlier tensors at {offset}")
-            offset += int(np.prod(spec["shape"]))
-        n_bytes = 4 * sum(int(np.prod(shape)) for shape in want.values())
+            offset += math.prod(spec["shape"])
+        n_bytes = 4 * offset
         if len(raw) != n_bytes:
             raise DataError(f"checkpoint {path} holds {len(raw)} data bytes, "
                             f"its tensors {n_bytes}")
         flat = np.frombuffer(raw, dtype="<f4")
         arrays = {}
         for spec in specs:
-            size = int(np.prod(spec["shape"]))
+            size = math.prod(spec["shape"])
             chunk = flat[spec["offset"]:spec["offset"] + size]
             arrays[spec["name"]] = chunk.reshape(spec["shape"]).astype(np.float32)
-        return template.with_tensors(arrays)
+        return ModelParams.from_tensors(config, arrays)
     except (OSError, ValueError, KeyError, TypeError,
             UnicodeDecodeError) as exc:
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc

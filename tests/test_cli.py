@@ -1,5 +1,6 @@
 import filecmp
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -209,3 +210,88 @@ def _write_cfg(tmp_path, text):
     with open(path, "w") as fh:
         fh.write(text)
     return path
+
+
+class TestCheckpointConfig:
+    """A loaded checkpoint's own config sets the vocabulary check, the
+    FLOP accounting and the bias dump's head count."""
+
+    def _checkpoint(self, tmp_path, **config):
+        path = os.path.join(tmp_path, "ckpt.bin")
+        save_params(init_model(ModelConfig(**config)), path)
+        return path
+
+    @pytest.mark.parametrize("command, names", [
+        ("eval", ["metrics.csv", "bias_k1.csv"]),
+        ("compare", ["compare.csv"]),
+    ])
+    def test_checkpoint_config_sets_flops_and_heads(self, corpus_path,
+                                                    tmp_path, command, names):
+        # a 1-layer, 8-head checkpoint under the default 2-layer, 4-head
+        # config writes what it writes under a config matching it
+        ckpt = self._checkpoint(tmp_path, n_layers=1, n_heads=8)
+        outs = {}
+        for name, text in (("default", "epochs = 0\n"),
+                           ("matching", "epochs = 0\nn_layers = 1\n"
+                                        "n_heads = 8\n")):
+            outs[name] = os.path.join(tmp_path, name)
+            cfg = os.path.join(tmp_path, f"{name}.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(text)
+            assert main([command, "--dataset", corpus_path, "--checkpoint",
+                         ckpt, "--out", outs[name], "--eval-k", "1",
+                         "--config", cfg]) == 0
+        for name in names:
+            assert filecmp.cmp(os.path.join(outs["default"], name),
+                               os.path.join(outs["matching"], name),
+                               shallow=False), name
+
+    @pytest.fixture
+    def wide_corpus(self, tmp_path):
+        # id 35 fits a 48-token config but not the 24-token checkpoint
+        path = os.path.join(tmp_path, "wide.jsonl")
+        with open(path, "w") as fh:
+            fh.write('{"source": [4, 35, 6], "target": [7, 8]}\n')
+        return path
+
+    def test_train_init_checkpoint_vocab_is_checked(self, tmp_path,
+                                                    wide_corpus, capsys):
+        ckpt = self._checkpoint(tmp_path, vocab_size=24)
+        out = os.path.join(tmp_path, "run")
+        assert main(["train", "--dataset", wide_corpus, "--init-checkpoint",
+                     ckpt, "--out", out, "--config",
+                     _write_cfg(tmp_path, "vocab_size = 48\nepochs = 1\n")]) == 3
+        assert "vocabulary of size 24" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "params.bin"))
+
+    def test_eval_checkpoint_vocab_is_checked(self, tmp_path, wide_corpus,
+                                              capsys):
+        ckpt = self._checkpoint(tmp_path, vocab_size=24)
+        out = os.path.join(tmp_path, "run")
+        assert main(["eval", "--dataset", wide_corpus, "--checkpoint", ckpt,
+                     "--out", out, "--eval-k", "1", "--config",
+                     _write_cfg(tmp_path, "vocab_size = 48\n")]) == 3
+        assert "vocabulary of size 24" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "metrics.csv"))
+
+
+def _walkthrough_commands():
+    """The commands of README.md's CLI walkthrough, one argv each."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    text = open(readme, encoding="utf-8").read()
+    block = text.split("## CLI walkthrough", 1)[1].split("```bash\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("simulbench ")]
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch):
+    # each walkthrough command runs as written, with only --n reduced
+    monkeypatch.chdir(tmp_path)
+    commands = _walkthrough_commands()
+    assert [argv[0] for argv in commands] == [
+        "gen-data", "train", "eval", "mask-dump", "bias-dump", "compare"]
+    for argv in commands:
+        if "--n" in argv:
+            argv[argv.index("--n") + 1] = "12"
+        assert main(argv) == 0, argv

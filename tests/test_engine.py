@@ -192,6 +192,63 @@ class TestCachedCalls:
         assert len(calls) == len(trace.writes())
 
 
+class TestLazyPulls:
+    """Sources are pulled lazily: exactly min(f(t), |S|) tokens before
+    write t, and nothing after the last write."""
+
+    @pytest.fixture
+    def log(self, monkeypatch):
+        log = []
+        real = engine._emit
+
+        def logged(trace, *args):
+            tok = real(trace, *args)
+            log.append(("write", tok))
+            return tok
+
+        monkeypatch.setattr(engine, "_emit", logged)
+        return log
+
+    @staticmethod
+    def source(tokens, log):
+        for tok in tokens:
+            log.append(("pull", tok))
+            yield tok
+
+    @pytest.mark.parametrize("mode", ["cached", "recompute"])
+    @pytest.mark.parametrize("policy, src, kw, stop", [
+        (WaitKPolicy(2, 6), [3, 4, 5, 6, 7, 8],
+         dict(forced_target=[7, 8, 9, 10, 11]), "forced"),
+        # several reads at once, and writes with no read between them
+        (TablePolicy(reads=(1, 4, 4, 7, 8), source_len=8),
+         [3, 4, 5, 6, 7, 8, 9, 10], dict(forced_target=[7, 8, 9, 10, 11]),
+         "forced"),
+        # the stream ends before f(t) does
+        (WaitKPolicy(3, 8), [3, 4], dict(forced_target=[5, 6, 7, 8]),
+         "forced"),
+        # this model greedily emits 8, 0, 2, ...: id 2 stops it at step 3
+        (WaitKPolicy(1, 6), [3, 4, 5, 6, 7, 8], dict(eos_id=2), "eos"),
+        (WaitKPolicy(2, 6), [3, 4, 5, 6, 7, 8], dict(eos_id=None), "max"),
+    ])
+    def test_pulls_before_each_write(self, log, mode, policy, src, kw, stop):
+        params = init_model(CFG)
+        max_len = len(kw.get("forced_target", [])) or (30 if stop == "eos" else 3)
+        hyp, trace = simul_generate(params, policy, [PRE_ID],
+                                    self.source(src, log), [SEP_ID],
+                                    GenerationMode(mode),
+                                    max_target_len=max_len, **kw)
+        writes = [i for i, (kind, _) in enumerate(log) if kind == "write"]
+        assert [tok for kind, tok in log if kind == "write"] == trace.writes()
+        for t, at in enumerate(writes, start=1):
+            pulled = sum(kind == "pull" for kind, _ in log[:at])
+            assert pulled == min(policy.cumulative_reads(t), len(src)), t
+        assert writes[-1] == len(log) - 1  # nothing pulled after the last write
+        if stop == "eos":
+            assert trace.writes()[-1] == 2 and len(hyp) == 2
+        if stop == "max":
+            assert len(hyp) == max_len and trace.total_reads() < len(src)
+
+
 class TestGenerationModeType:
     def test_valid_kinds(self):
         assert GenerationMode("cached").kind == "cached"
@@ -320,7 +377,6 @@ class TestTraceSerialization:
     def test_deterministic_field_order(self):
         trace = TranslationTrace()
         trace.events = [ReadEvent(n=2, flops=10), WriteEvent(token=5, flops=3)]
-        trace.flop_log = [10, 3]
         text = trace_to_jsonl(trace)
         assert text.splitlines()[0] == '{"type": "read", "payload": 2, "flops": 10}'
         assert text.splitlines()[1] == '{"type": "write", "payload": 5, "flops": 3}'

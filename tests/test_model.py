@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,20 +155,6 @@ class TestForwardIncremental:
         for row, logits in step_logits.items():
             assert np.abs(logits - full[row]).max() < 1e-4
 
-    def test_cache_permutation_bit_identical(self):
-        params = init_model(CFG)
-        layout = PromptLayout(1, 4, 1, 3)
-        tokens = [1, 3, 4, 5, 6, 2, 7, 8, 9]
-        ref_cache = KVCache(CFG.n_layers)
-        forward_incremental(params, ref_cache, tagged(tokens[:6], layout))
-        shuffled = KVCache(CFG.n_layers)
-        forward_incremental(params, shuffled, tagged(tokens[:6], layout))
-        shuffled.permute_storage([5, 3, 1, 0, 4, 2])
-        probe = [(7, CacheTag(Region.TARGET, 0))]
-        a, _ = forward_incremental(params, ref_cache, probe)
-        b, _ = forward_incremental(params, shuffled, probe)
-        assert np.array_equal(a, b)
-
     def test_tag_order_violation(self):
         params = init_model(CFG)
         cache = KVCache(CFG.n_layers)
@@ -258,7 +245,9 @@ class TestForwardIncremental:
         assert np.array_equal(logits, np.concatenate([src_logits, tgt_logits]))
         assert [(c.total, c.kv_rows) for c in both] == [
             (read.total, read.kv_rows), (write.total, write.kv_rows)]
-        assert np.array_equal(mixed.order[:6], split.order[:6])
+        # storage rows are arrival numbers, listed per region by index
+        assert [r.tolist() for r in mixed.rows] == [[0], [1, 3, 4], [2], [5]]
+        assert [r.tolist() for r in split.rows] == [[0], [1, 3, 4], [2], [5]]
         with pytest.raises(ShapeError):
             forward_incremental(params, mixed, target, scheme, [])
         assert len(mixed) == 6
@@ -398,6 +387,36 @@ class TestCheckpointErrors:
         rewrite_checkpoint(path, alias_wv)
         with pytest.raises(DataError, match="layers.0.wv starts at offset"):
             load_params(path)
+
+    @pytest.mark.parametrize("index, error", [
+        ("empty", "tensors of its config"), ("full", "data bytes")])
+    def test_large_header_rejected_without_building_it(self, tmp_path, index,
+                                                       error):
+        # a header claiming d_model=1024 (a 128 MB model) over no data is
+        # rejected from its config's arithmetic, before any tensor exists
+        d, v = 1024, 24
+        shapes = {"embed": [v, d], "lnf_g": [d], "lnf_b": [d], "w_out": [d, v],
+                  "w1": [d, 4 * d], "w2": [4 * d, d], "ln1_g": [d],
+                  "ln1_b": [d], "ln2_g": [d], "ln2_b": [d]}
+        tensors, offset = [], 0
+        for name, _ in init_model(CFG).tensors() if index == "full" else ():
+            shape = shapes.get(name.rsplit(".", 1)[-1], [d, d])
+            tensors.append({"name": name, "shape": shape, "offset": offset})
+            offset += int(np.prod(shape))
+        path = os.path.join(tmp_path, "big.bin")
+        with open(path, "w") as fh:
+            json.dump({"config": {"n_layers": 2, "n_heads": 4, "d_model": d,
+                                  "vocab_size": v, "seed": 0},
+                       "tensors": tensors}, fh)
+            fh.write("\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=error):
+                load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = self._saved(tmp_path)
