@@ -13,7 +13,6 @@ from .data import SentencePair, default_layout_builder, gen_synthetic
 from .engine import (GenerationMode, TranslationTrace, prefix_expand,
                      replay_visibility, schedule_trace, simul_generate)
 from .errors import WorkbenchError
-from .kernel import softmax_row
 from .masks import (AttentionMaskSpec, DecisionPolicy, PromptLayout,
                     TablePolicy, WaitKPolicy, causal_mask,
                     cross_attention_mask, simul_mask)
@@ -31,5 +30,4 @@ __all__ = [
     "flops_generate", "forward_full", "forward_incremental", "gen_synthetic",
     "head_biases", "init_model", "laal", "prefix_expand", "quality_proxy",
     "replay_visibility", "schedule_trace", "simul_generate", "simul_mask",
-    "softmax_row",
 ]

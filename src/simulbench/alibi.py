@@ -53,62 +53,66 @@ def alibi_slopes(n_heads: int) -> HeadSlopes:
 def rank_biases(n_visible: int, slope: float, dtype=np.float32) -> np.ndarray:
     """Bias ladder over n visible keys in ascending order: most recent gets 0.
 
-    The incremental decoder's ladder.  ``head_biases`` computes the same
-    product, -float32(slope) * rank, for all rows and heads at once, so
-    the two sides produce bit-identical values.  An (H, 1) column of slopes
-    gives one ladder per head, shape (H, n).
+    Entry n-1-r holds -float32(slope) * r, the bias of rank r.  An (H, 1)
+    column of slopes gives one ladder per head, shape (H, n).  Every bias
+    of the package is an entry of such a ladder, so all paths produce
+    bit-identical values for equal ranks.
     """
     ranks = np.arange(n_visible - 1, -1, -1, dtype=dtype)
     return -dtype(slope) * ranks
 
 
-def _causal_ranks(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ranks, visible) of a causal mask: entry (i, j) has rank i - j."""
-    idx = np.arange(length)
-    ranks = (idx[:, None] - idx[None, :]).astype(np.float32)
-    return ranks, np.tril(np.ones((length, length), dtype=bool))
+def visible_biases(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray,
+                   slopes: HeadSlopes, kind: str) -> np.ndarray:
+    """float32 (H, n) biases of the visible entries (rows[i], cols[i]),
+    listed row-major, where row r has ``counts[r]`` of them.
 
-
-def _visible_ranks(visible: np.ndarray) -> np.ndarray:
-    """Rank of each visible key among its row's visible keys, counted from
-    the right (nearest visible key 0), as float32.
-
-    One cumulative sum covers every row: a visible key's rank is the number
-    of visible keys to its right.  Raises DegenerateRowError naming the
-    first row with no visible key.
+    This is the one rank rule: entry i is -slopes[h] * ranks[i], read off
+    one ``rank_biases`` ladder indexed by integer ranks (rank 0 gives
+    -0.0).  kind 'modified' ranks a key among its row's visible keys,
+    counted from the right (nearest visible key 0), so in each row the
+    visible keys, taken in ascending order, get
+    -slope*(n-1), ..., -slope, 0: where a row's visibility has gaps, the
+    biases left of each gap shrink by exactly the attention removed,
+    matching what a fresh incremental step would assign over a cache
+    lacking those entries.  'standard' ranks by plain distance rows - cols,
+    regardless of hidden entries (the ablation that leaves bias gaps).  On
+    a causal mask the two agree.
     """
-    total = np.count_nonzero(visible, axis=1)
-    empty = np.flatnonzero(total == 0)
-    if empty.size:
-        raise DegenerateRowError(f"row {empty[0]} has no visible key")
-    seen = np.cumsum(visible, axis=1, dtype=np.intp)
-    return (total[:, None] - seen).astype(np.float32)
+    if kind == "modified":
+        n = int(counts.max())  # ranks run up to a row's count - 1
+        ranks = np.cumsum(counts)[rows] - 1 - np.arange(rows.size)
+    elif kind == "standard":
+        n = counts.size  # causal keys: row r's distances run up to r
+        ranks = rows - cols
+    else:
+        raise ConfigError(f"unknown bias kind {kind!r}")
+    ladder = rank_biases(n, np.asarray(slopes.slopes)[:, None])
+    return ladder.take(n - 1 - ranks, axis=1)
 
 
 def head_biases(mask: AttentionMaskSpec, slopes: HeadSlopes,
                 kind: str = "modified") -> np.ndarray:
     """Read-only float32 (H, L, L) bias stack for a shared mask.
 
-    Head h holds -slopes[h] * rank on visible entries (rank 0 gives -0.0,
-    as ``rank_biases`` does) and +0.0 on hidden ones.  kind 'modified'
-    ranks each row's visible keys, so in each row the visible keys, taken
-    in ascending order, get -slope*(n-1), ..., -slope, 0: where a row's
-    visibility has gaps, the biases left of each gap shrink by exactly the
-    attention removed, matching what a fresh incremental step would assign
-    over a cache lacking those entries.  'standard' keeps plain causal
-    distances regardless of hidden entries (the ablation that leaves bias
-    gaps).  On a causal mask the two agree.
+    Head h holds ``visible_biases`` on the ranked entries and +0.0
+    elsewhere.  'modified' ranks the mask's visible entries; 'standard'
+    every causal entry, whatever the mask hides.  Raises
+    DegenerateRowError naming the first row with nothing to rank.
     """
-    if kind == "modified":
-        ranks, visible = _visible_ranks(mask.visible), mask.visible
-    elif kind == "standard":
+    if kind == "standard":
         if mask.rows != mask.cols:
             raise ConfigError("standard biases need a square mask")
-        ranks, visible = _causal_ranks(mask.rows)
+        ranked = np.tril(np.ones((mask.rows, mask.rows), dtype=bool))
     else:
-        raise ConfigError(f"unknown bias kind {kind!r}")
-    scale = -np.asarray(slopes.slopes, dtype=np.float32)[:, None, None]
-    stack = np.where(visible, scale * ranks, np.float32(0))
+        ranked = mask.visible
+    rows, cols = np.nonzero(ranked)
+    counts = np.bincount(rows, minlength=ranked.shape[0])
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise DegenerateRowError(f"row {empty[0]} has no visible key")
+    stack = np.zeros((len(slopes),) + ranked.shape, dtype=np.float32)
+    stack[:, rows, cols] = visible_biases(rows, cols, counts, slopes, kind)
     stack.setflags(write=False)
     return stack
 

@@ -106,11 +106,6 @@ def corpus_to_jsonl(corpus) -> str:
                    for pair in corpus)
 
 
-def save_corpus(path: str, corpus):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(corpus_to_jsonl(corpus))
-
-
 def load_corpus(path: str, vocab_size: int | None = None) -> list[SentencePair]:
     corpus = []
     try:

@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alibi import alibi_slopes, head_biases
+from .alibi import head_biases  # noqa: F401  (perfbench's tracer rebinds it here)
 from .errors import (ConfigError, ConsistencyError, DataError, NumericError,
                      PolicyError)
 from .masks import (AttentionMaskSpec, DecisionPolicy, PromptLayout, Region,
-                    TablePolicy, causal_mask, simul_mask)
+                    read_count_mask)
 from .model import (CacheTag, FlopCounter, KVCache, ModelParams, forward_full,
                     forward_incremental)
 
@@ -216,7 +216,6 @@ def _cached_step(params, pre_prompt, mid_prompt, bias_scheme):
 def _recompute_step(params, pre_prompt, mid_prompt):
     """Step function rebuilding the whole canonical sequence: one full
     forward under the realized step mask, charged to the write counter."""
-    slopes = alibi_slopes(params.config.n_heads)
     sources, d_history = [], []
 
     def step(new, emitted):
@@ -225,8 +224,7 @@ def _recompute_step(params, pre_prompt, mid_prompt):
         mask = realized_step_mask(len(pre_prompt), len(mid_prompt), d_history)
         counter = FlopCounter()
         logits = forward_full(params, pre_prompt + sources + mid_prompt + emitted,
-                              mask, head_biases(mask, slopes, "modified"),
-                              flops=counter)
+                              mask, "modified", flops=counter)
         return logits[-1], FlopCounter(), counter
     return step
 
@@ -238,17 +236,14 @@ def realized_step_mask(pre_len: int, mid_len: int, d_history) -> AttentionMaskSp
     step t; the current step is the last entry.  This is the fine-tuning
     mask itself: ``simul_mask`` over the targets emitted so far, with the
     source read so far as the whole source region, under the realized read
-    counts as a table policy.  The current step's row has read everything,
-    so it is that layout's unrestricted final row; at the first step there
-    is no target yet and the mask is causal.
+    counts.  The current step's row has read everything, so it is that
+    layout's unrestricted final row; at the first step the mask is causal.
+    Raises LayoutError for an empty prompt or source, and PolicyError for
+    read counts that decrease, at every step alike.
     """
     if not d_history:
         raise ConsistencyError("need at least the current step's read count")
-    reads, n_targets = d_history[-1], len(d_history) - 1
-    if not n_targets:
-        return causal_mask(pre_len + reads + mid_len)
-    return simul_mask(PromptLayout(pre_len, reads, mid_len, n_targets),
-                      TablePolicy(tuple(d_history[:-1]), source_len=reads))
+    return read_count_mask(pre_len, mid_len, d_history)
 
 
 def schedule_trace(policy: DecisionPolicy, layout: PromptLayout) -> TranslationTrace:
@@ -352,19 +347,3 @@ def trace_to_jsonl(trace: TranslationTrace) -> str:
             lines.append(json.dumps(
                 {"type": "write", "payload": ev.token, "flops": ev.flops}))
     return "\n".join(lines) + "\n"
-
-
-def events_from_jsonl(text: str) -> list:
-    """Parse a trace dump back into event objects."""
-    events = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        rec = json.loads(line)
-        if rec["type"] == "read":
-            events.append(ReadEvent(n=rec["payload"], flops=rec["flops"]))
-        elif rec["type"] == "write":
-            events.append(WriteEvent(token=rec["payload"], flops=rec["flops"]))
-        else:
-            raise DataError(f"unknown event type {rec['type']!r}")
-    return events

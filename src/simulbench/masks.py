@@ -12,7 +12,6 @@ fine-tuning/inference mismatch for cached streaming decoding.
 """
 
 import enum
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,12 @@ class Region(enum.IntEnum):
     TARGET = 3
 
 
+def _check_lengths(**lengths):
+    for name, n in lengths.items():
+        if n < 1:
+            raise LayoutError(f"{name} must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class PromptLayout:
     """Region lengths of one training sequence (all >= 1)."""
@@ -40,9 +45,10 @@ class PromptLayout:
     target_len: int
 
     def __post_init__(self):
-        for name in ("pre_prompt_len", "source_len", "mid_prompt_len", "target_len"):
-            if getattr(self, name) < 1:
-                raise LayoutError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_lengths(pre_prompt_len=self.pre_prompt_len,
+                       source_len=self.source_len,
+                       mid_prompt_len=self.mid_prompt_len,
+                       target_len=self.target_len)
 
     @property
     def total_len(self) -> int:
@@ -60,18 +66,6 @@ class PromptLayout:
     @property
     def target_start(self) -> int:
         return self.mid_start + self.mid_prompt_len
-
-    def region_of(self, pos: int) -> tuple[Region, int]:
-        """(region, 0-based index within the region) of an absolute position."""
-        if not 0 <= pos < self.total_len:
-            raise LayoutError(f"position {pos} outside sequence of length {self.total_len}")
-        if pos < self.source_start:
-            return Region.PRE_PROMPT, pos
-        if pos < self.mid_start:
-            return Region.SOURCE, pos - self.source_start
-        if pos < self.target_start:
-            return Region.MID_PROMPT, pos - self.mid_start
-        return Region.TARGET, pos - self.target_start
 
     def predictor_row(self, t: int) -> int:
         """Absolute row of the query that predicts target token t (1-based).
@@ -173,7 +167,7 @@ class AttentionMaskSpec:
         vis = np.asarray(self.visible, dtype=bool)
         if vis.ndim != 2:
             raise ShapeError("mask grid must be 2-D")
-        if (~vis).all(axis=1).any():
+        if not vis.any(axis=1).all():
             raise ShapeError("every query row needs at least one visible entry")
         vis.setflags(write=False)
         object.__setattr__(self, "visible", vis)
@@ -191,11 +185,6 @@ class AttentionMaskSpec:
         out = np.zeros(self.visible.shape, dtype=dtype)
         out[~self.visible] = NEG_INF
         return out
-
-    def hidden_beyond_causal(self) -> set[tuple[int, int]]:
-        """(row, col) pairs hidden although a causal mask would show them."""
-        causal = np.tril(np.ones((self.rows, self.cols), dtype=bool))
-        return {(int(i), int(j)) for i, j in zip(*np.nonzero(causal & ~self.visible))}
 
 
 def causal_mask(length: int) -> AttentionMaskSpec:
@@ -236,15 +225,36 @@ def simul_mask(layout: PromptLayout, policy: DecisionPolicy) -> AttentionMaskSpe
             f"policy source_len {policy.source_len} != layout {layout.source_len}")
     if not policy.covers(layout.target_len):
         raise PolicyError(f"policy does not cover {layout.target_len} target steps")
-    vis = np.tril(np.ones((layout.total_len, layout.total_len), dtype=bool))
-    s0 = layout.source_start
-    s_end = layout.mid_start
-    for t in range(1, layout.target_len + 1):
-        row = layout.predictor_row(t)
-        vis[row, s0 + policy.cumulative_reads(t):s_end] = False
-    f1 = policy.cumulative_reads(1)
-    for row in range(layout.mid_start, layout.target_start - 1):
-        vis[row, s0 + f1:s_end] = False
+    reads = [policy.cumulative_reads(t) for t in range(1, layout.target_len + 1)]
+    return read_count_mask(layout.pre_prompt_len, layout.mid_prompt_len,
+                           reads + [layout.source_len])
+
+
+def read_count_mask(pre_len: int, mid_len: int, reads) -> AttentionMaskSpec:
+    """Streaming visibility from cumulative read counts.
+
+    The sequence is pre | source | mid | target with ``reads[-1]`` source
+    and ``len(reads) - 1`` target tokens, so its last row predicts token
+    ``len(reads)``.  Each row sees its causal prefix, except that rows
+    from the mid-prompt on see only the source tokens before their
+    frontier: the row predicting token t the first ``reads[t-1]``, the
+    mid-prompt rows before it the first ``reads[0]``.  Raises LayoutError
+    for an empty region and PolicyError for read counts outside
+    1..reads[-1] or decreasing.
+    """
+    reads = np.asarray(reads, dtype=np.intp)
+    src = int(reads[-1])
+    _check_lengths(pre_prompt_len=pre_len, source_len=src,
+                   mid_prompt_len=mid_len)
+    if reads[0] < 1 or (reads[1:] < reads[:-1]).any():
+        raise PolicyError(f"read counts must be non-decreasing within 1..{src}")
+    s_end = pre_len + src
+    cols = np.arange(s_end + mid_len - 1 + reads.size)
+    vis = cols <= cols[:, None]
+    frontier = np.empty(cols.size - s_end, dtype=np.intp)  # rows s_end..
+    frontier[:mid_len - 1] = reads[0]
+    frontier[mid_len - 1:] = reads
+    vis[s_end:, pre_len:s_end] = cols[:src] < frontier[:, None]
     return AttentionMaskSpec(vis)
 
 
@@ -254,22 +264,3 @@ def mask_to_ascii(mask: AttentionMaskSpec, policy_desc: str) -> str:
     for row in mask.visible:
         lines.append("".join("#" if v else "." for v in row))
     return "\n".join(lines) + "\n"
-
-
-def ascii_to_mask(text: str) -> tuple[AttentionMaskSpec, str]:
-    """Parse the output of mask_to_ascii; returns (mask, policy descriptor)."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines:
-        raise ShapeError("empty mask dump")
-    m = re.fullmatch(r"L=(\d+) policy=(.*)", lines[0])
-    if not m:
-        raise ShapeError(f"bad mask header: {lines[0]!r}")
-    n = int(m.group(1))
-    if len(lines) != n + 1:
-        raise ShapeError(f"expected {n} mask rows, found {len(lines) - 1}")
-    grid = []
-    for ln in lines[1:]:
-        if set(ln) - {"#", "."}:
-            raise ShapeError(f"bad mask row: {ln!r}")
-        grid.append([c == "#" for c in ln])
-    return AttentionMaskSpec(np.array(grid, dtype=bool)), m.group(2)

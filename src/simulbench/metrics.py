@@ -11,8 +11,6 @@ the model's shadow counters provide the independent check.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import GenerationMode, ReadEvent, TranslationTrace
 from .errors import ConsistencyError, DataError
 from .model import ModelConfig
@@ -189,15 +187,3 @@ def metrics_rows_to_csv(rows) -> str:
         lines.append(",".join(
             repr(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def fit_loglog_exponent(lengths, costs) -> float:
-    """Least-squares slope of log(cost) against log(length)."""
-    lengths = np.asarray(lengths, dtype=float)
-    costs = np.asarray(costs, dtype=float)
-    if lengths.size < 2:
-        raise DataError("need at least two points to fit")
-    if (lengths <= 0).any() or (costs <= 0).any():
-        raise DataError("log-log fit needs positive values")
-    slope, _ = np.polyfit(np.log(lengths), np.log(costs), 1)
-    return float(slope)

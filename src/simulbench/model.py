@@ -5,7 +5,8 @@ enters only through per-head additive biases.  One row engine computes
 every exact forward; it is fed two ways:
 
 * ``forward_full`` runs a whole sequence, taking each row's visible keys
-  from an explicit mask and its biases from an (H, L, L) bias stack;
+  from an explicit mask and their biases from the rank rule of a bias
+  kind;
 * ``forward_incremental`` extends a KV cache with new tokens, taking
   visibility and biases from the cache's per-region storage rows.
 
@@ -22,7 +23,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .alibi import alibi_slopes, rank_biases
+from .alibi import alibi_slopes, rank_biases, visible_biases
 from .errors import CacheCoherenceError, ConfigError, DataError, ShapeError
 from .kernel import attend_row
 from .masks import AttentionMaskSpec, Region
@@ -89,9 +90,6 @@ class ModelParams:
         yield "lnf_g", self.lnf_g
         yield "lnf_b", self.lnf_b
         yield "w_out", self.w_out
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return dict(self.tensors())
 
     @classmethod
     def from_tensors(cls, config: ModelConfig,
@@ -330,26 +328,24 @@ def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, past: int,
 
 
 def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
-                 bias: np.ndarray,
-                 flops: FlopCounter | None = None) -> np.ndarray:
-    """Logits (L, vocab) of a full sequence under an explicit mask and an
-    (H, L, L) per-head bias stack."""
+                 kind: str, flops: FlopCounter | None = None) -> np.ndarray:
+    """Logits (L, vocab) of a full sequence under an explicit mask, with
+    ``kind`` ('modified' or 'standard') biases over its visible entries."""
     cfg = params.config
-    tokens = list(tokens)
-    L = len(tokens)
+    tokens = np.asarray(tokens)
+    L = tokens.size
     if mask.rows != L or mask.cols != L:
         raise ShapeError(f"mask is {mask.rows}x{mask.cols}, sequence length {L}")
-    if bias.shape != (cfg.n_heads, L, L):
-        raise ShapeError(f"bias stack is {bias.shape}, need "
-                         f"{(cfg.n_heads, L, L)}")
-    if any(not 0 <= t < cfg.vocab_size for t in tokens):
+    if ((tokens < 0) | (tokens >= cfg.vocab_size)).any():
         raise ShapeError("token id outside vocabulary")
 
     rows, visible = np.nonzero(mask.visible)  # row-major: rows ascending
     counts = np.bincount(rows, minlength=L)
+    bias = visible_biases(rows, visible, counts, alibi_slopes(cfg.n_heads),
+                          kind)
     k_bufs, v_bufs = _kv_buffers(params, L)
     return _forward_rows(params, tokens, k_bufs, v_bufs, 0, visible, counts,
-                         bias[:, rows, visible], [flops] * L if flops is not None else None)
+                         bias, [flops] * L if flops is not None else None)
 
 
 def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
@@ -391,7 +387,7 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
     if flops is not None and len(flops) != m:
         raise ShapeError(f"{len(flops)} FLOP counters for {m} new tokens")
     rows = list(cache.rows)
-    visible, bias = [], []
+    visible = []
     for i, (tok, tag) in enumerate(new_tokens):
         if not 0 <= tok < cfg.vocab_size:
             raise ShapeError("token id outside vocabulary")
@@ -401,12 +397,16 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
                 f"{tag} does not extend canonical order "
                 f"(expected index {rows[region].size})")
         rows[region] = np.concatenate((rows[region], [past + i]))
-        vis = np.concatenate(rows[:region + 1])
-        visible.append(vis)
-        if bias_scheme == "rank":
-            bias.append(rank_biases(vis.size, slopes))
-        else:
-            bias.append(-np.float32(slopes) * (past + i - vis).astype(np.float32))
+        visible.append(np.concatenate(rows[:region + 1]))
+    # one ladder per call: token i's biases are its tail (ranks n_i-1..0)
+    # or, stale, its entries at arrival distances past + i - vis
+    n = max(vis.size for vis in visible) if bias_scheme == "rank" else past + m
+    ladder = rank_biases(n, slopes)
+    if bias_scheme == "rank":
+        bias = [ladder[:, n - vis.size:] for vis in visible]
+    else:
+        bias = [ladder[:, vis + (n - 1 - past - i)]
+                for i, vis in enumerate(visible)]
 
     cache._reserve(params, past + m)
     n_visible = np.array([vis.size for vis in visible], dtype=np.intp)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from simulbench.alibi import HeadSlopes, alibi_slopes, head_biases
+from simulbench.alibi import HeadSlopes, head_biases
 from simulbench.data import (PRE_ID, SEP_ID, default_layout_builder,
                              gen_synthetic)
 from simulbench.engine import (GenerationMode, prefix_expand, replay_visibility,
@@ -17,11 +17,12 @@ from simulbench.engine import (GenerationMode, prefix_expand, replay_visibility,
 from simulbench.experiment import evaluate_sentence
 from simulbench.masks import (AttentionMaskSpec, PromptLayout, TablePolicy,
                               WaitKPolicy, simul_mask)
-from simulbench.metrics import (FlopModel, fit_loglog_exponent, flops_generate,
-                                laal, quality_proxy)
+from simulbench.metrics import FlopModel, flops_generate, laal, quality_proxy
 from simulbench.model import ModelConfig, forward_full, init_model
 from simulbench.training import (build_training_mask_and_bias, fine_tune,
                                  sentence_forward_backward)
+
+from helpers import fit_loglog_exponent, hidden_beyond_causal
 
 ACCEPTANCE_CONFIG = ModelConfig(n_layers=2, n_heads=4, d_model=64,
                                 vocab_size=24, seed=0)
@@ -47,7 +48,7 @@ def test_acceptance_01_mask_exactness():
     t0 = time.perf_counter()
     layout = PromptLayout(1, 4, 1, 4)
     mask = simul_mask(layout, WaitKPolicy(1, 4))
-    hidden = mask.hidden_beyond_causal()
+    hidden = hidden_beyond_causal(mask)
     # p2 is row 5; t1, t2 rows 6, 7; s2..s4 are columns 2..4
     assert hidden == {(5, 2), (5, 3), (5, 4), (6, 3), (6, 4), (7, 4)}
     elapsed = time.perf_counter() - t0
@@ -83,9 +84,8 @@ def test_acceptance_03_central_equivalence():
         layout = PromptLayout(1, s, 1, t)
         pol = WaitKPolicy(k, s)
         mask = simul_mask(layout, pol)
-        biases = head_biases(mask, alibi_slopes(cfg.n_heads), "modified")
         full = forward_full(params, [PRE_ID] + src + [SEP_ID] + tgt, mask,
-                            biases)
+                            "modified")
         _, trace = forced_generation(params, pol, src, tgt,
                                      GenerationMode("cached"))
         rows = layout.predictor_rows()
@@ -227,7 +227,7 @@ def test_acceptance_08_gradient_correctness():
     rows = np.asarray(layout.predictor_rows())
     labels = np.asarray([tokens[r + 1] for r in rows])
     fb = sentence_forward_backward(params, tokens, mask, bias, rows, labels)
-    arrays = params.as_dict()
+    arrays = dict(params.tensors())
     h = 1e-5
     worst = 0.0
     checked = 0

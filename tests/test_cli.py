@@ -7,10 +7,11 @@ import pytest
 
 from simulbench.cli import _write_out, main
 from simulbench.config import build_config
-from simulbench.data import gen_synthetic, save_corpus
+from simulbench.data import gen_synthetic
 from simulbench.experiment import run_experiment
-from simulbench.masks import ascii_to_mask
 from simulbench.model import ModelConfig, init_model, save_params
+
+from helpers import ascii_to_mask, hidden_beyond_causal, save_corpus
 
 
 @pytest.fixture
@@ -81,7 +82,7 @@ class TestCli:
                      "--out", out]) == 0
         mask, desc = ascii_to_mask(open(out).read())
         assert desc == "wait-1"
-        assert mask.hidden_beyond_causal() == {
+        assert hidden_beyond_causal(mask) == {
             (5, 2), (5, 3), (5, 4), (6, 3), (6, 4), (7, 4)}
 
     def test_causal_mask_dump(self, tmp_path):
@@ -89,7 +90,7 @@ class TestCli:
         assert main(["mask-dump", "--layout", "1,2,1,2", "--causal",
                      "--out", out]) == 0
         mask, _ = ascii_to_mask(open(out).read())
-        assert mask.hidden_beyond_causal() == set()
+        assert hidden_beyond_causal(mask) == set()
         assert np.array_equal(mask.visible, np.tril(np.ones((6, 6), bool)))
 
     def test_bias_dump(self, tmp_path):
@@ -142,7 +143,7 @@ class TestCli:
         params = init_model(ModelConfig(vocab_size=24))
         ckpt = os.path.join(tmp_path, "nan.bin")
         save_params(params.with_tensors(dict(
-            params.as_dict(), w_out=np.full_like(params.w_out, np.nan))), ckpt)
+            params.tensors(), w_out=np.full_like(params.w_out, np.nan))), ckpt)
         out = os.path.join(tmp_path, "run")
         assert main(["eval", "--dataset", corpus, "--checkpoint", ckpt,
                      "--out", out, "--eval-k", "1"]) == 4

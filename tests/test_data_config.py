@@ -6,8 +6,10 @@ import pytest
 from simulbench.config import build_config, load_config, parse_config_text
 from simulbench.data import (EOS_ID, PRE_ID, SEP_ID, SentencePair,
                              default_layout_builder, gen_synthetic,
-                             load_corpus, parse_task, save_corpus)
+                             load_corpus, parse_task)
 from simulbench.errors import ConfigError, DataError
+
+from helpers import save_corpus
 
 
 class TestGenSynthetic:

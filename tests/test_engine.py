@@ -4,13 +4,14 @@ import pytest
 from simulbench import engine
 from simulbench.data import PRE_ID, SEP_ID
 from simulbench.engine import (GenerationMode, ReadEvent, TranslationTrace,
-                               WriteEvent, events_from_jsonl, prefix_expand,
-                               replay_visibility, schedule_trace, simul_generate,
-                               trace_to_jsonl)
+                               WriteEvent, prefix_expand, replay_visibility,
+                               schedule_trace, simul_generate, trace_to_jsonl)
 from simulbench.errors import (ConfigError, ConsistencyError, DataError,
                                NumericError, PolicyError)
 from simulbench.masks import PromptLayout, TablePolicy, WaitKPolicy, simul_mask
 from simulbench.model import ModelConfig, init_model
+
+from helpers import events_from_jsonl
 
 CFG = ModelConfig(n_layers=2, n_heads=4, d_model=32, vocab_size=12, seed=0)
 
@@ -75,7 +76,7 @@ class TestSimulGenerate:
         # end the run with a silently empty hypothesis
         params = init_model(CFG)
         broken = params.with_tensors(
-            dict(params.as_dict(), w_out=np.full_like(params.w_out, np.nan)))
+            dict(params.tensors(), w_out=np.full_like(params.w_out, np.nan)))
         for kind in ("cached", "recompute"):
             with pytest.raises(NumericError, match="prediction step 1"):
                 simul_generate(broken, WaitKPolicy(2, 4), [PRE_ID], [3, 4, 5, 6],

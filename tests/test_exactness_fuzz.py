@@ -11,7 +11,6 @@ the keys/values of exactly the rows its mode implies.
 
 import numpy as np
 
-from simulbench.alibi import alibi_slopes, head_biases
 from simulbench.engine import (GenerationMode, ReadEvent, realized_step_mask,
                                simul_generate, trace_to_jsonl)
 from simulbench.masks import TablePolicy, WaitKPolicy
@@ -130,10 +129,8 @@ def test_long_cache_steps_match_full_forward():
         steps |= {crossing - 1, crossing} - {0}
         capacity *= 2
     assert capacity >= 16 * MIN_CACHE_CAPACITY  # at least four doublings
-    slopes = alibi_slopes(cfg.n_heads)
     for t in sorted(steps):
         mask = realized_step_mask(len(pre), len(mid), trace.d[:t])
         seq = pre + src[:trace.d[t - 1]] + mid + tgt[:t - 1]
-        full = forward_full(params, seq, mask,
-                            head_biases(mask, slopes, "modified"))
+        full = forward_full(params, seq, mask, "modified")
         assert np.array_equal(trace.step_logits[t - 1], full[-1]), f"step {t}"

@@ -3,8 +3,10 @@ import pytest
 
 from simulbench.errors import LayoutError, PolicyError, ShapeError
 from simulbench.masks import (PromptLayout, TablePolicy, WaitKPolicy,
-                              ascii_to_mask, causal_mask,
-                              cross_attention_mask, mask_to_ascii, simul_mask)
+                              causal_mask, cross_attention_mask, mask_to_ascii,
+                              simul_mask)
+
+from helpers import ascii_to_mask, hidden_beyond_causal
 
 
 def random_policy(rng, source_len, target_len):
@@ -66,7 +68,7 @@ class TestSimulMask:
         layout = PromptLayout(1, 4, 1, 4)
         m = simul_mask(layout, WaitKPolicy(k=1, source_len=4))
         # rows/cols 0-based: p2 = 5, t1 = 6, t2 = 7; sources at cols 1..4
-        assert m.hidden_beyond_causal() == {
+        assert hidden_beyond_causal(m) == {
             (5, 2), (5, 3), (5, 4), (6, 3), (6, 4), (7, 4)}
 
     def test_k_at_least_source_is_causal(self):
@@ -111,7 +113,7 @@ class TestSimulMaskProperties:
             m = simul_mask(layout, pol)
             causal = causal_mask(layout.total_len).visible
             assert not (m.visible & ~causal).any()
-            hidden = m.hidden_beyond_causal()
+            hidden = hidden_beyond_causal(m)
             s0, s1 = layout.source_start, layout.mid_start
             for i, j in hidden:
                 assert s0 <= j < s1 and i != j
@@ -123,10 +125,10 @@ class TestSimulMaskProperties:
                                   int(rng.integers(1, 8)))
             k = int(rng.integers(1, layout.source_len + 1))
             k2 = int(rng.integers(k, layout.source_len + 2))
-            h_low = simul_mask(layout, WaitKPolicy(k, layout.source_len)
-                               ).hidden_beyond_causal()
-            h_high = simul_mask(layout, WaitKPolicy(k2, layout.source_len)
-                                ).hidden_beyond_causal()
+            h_low = hidden_beyond_causal(
+                simul_mask(layout, WaitKPolicy(k, layout.source_len)))
+            h_high = hidden_beyond_causal(
+                simul_mask(layout, WaitKPolicy(k2, layout.source_len)))
             assert h_high <= h_low
 
     def test_visible_source_count_equals_policy(self):

@@ -6,9 +6,11 @@ from simulbench.engine import (GenerationMode, ReadEvent, TranslationTrace,
                                WriteEvent, schedule_trace, simul_generate)
 from simulbench.errors import DataError
 from simulbench.masks import PromptLayout, WaitKPolicy
-from simulbench.metrics import (FlopModel, fit_loglog_exponent, flops_generate,
-                                laal, metrics_rows_to_csv, quality_proxy)
+from simulbench.metrics import (FlopModel, flops_generate, laal,
+                                metrics_rows_to_csv, quality_proxy)
 from simulbench.model import ModelConfig, init_model
+
+from helpers import fit_loglog_exponent
 
 CFG = ModelConfig(n_layers=2, n_heads=4, d_model=32, vocab_size=12, seed=0)
 

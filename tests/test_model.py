@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simulbench.alibi import alibi_slopes, head_biases
 from simulbench.errors import (CacheCoherenceError, ConfigError, DataError,
                                NumericError, ShapeError)
 from simulbench.masks import (PromptLayout, Region, WaitKPolicy, causal_mask,
@@ -14,17 +13,15 @@ from simulbench.model import (CacheTag, FlopCounter, KVCache, ModelConfig,
                               forward_full, forward_incremental, init_model,
                               load_params, save_params)
 
+from helpers import region_of
+
 CFG = ModelConfig(n_layers=2, n_heads=4, d_model=32, vocab_size=12, seed=0)
-
-
-def causal_biases(cfg, length):
-    return head_biases(causal_mask(length), alibi_slopes(cfg.n_heads), "modified")
 
 
 def tagged(tokens, layout):
     out = []
     for i, tok in enumerate(tokens):
-        region, idx = layout.region_of(i)
+        region, idx = region_of(layout, i)
         out.append((tok, CacheTag(region, idx)))
     return out
 
@@ -81,30 +78,28 @@ class TestForwardFull:
     def test_single_token_ignores_bias_content(self):
         params = init_model(CFG)
         mask = causal_mask(1)
-        b1 = causal_biases(CFG, 1)
-        out1 = forward_full(params, [3], mask, b1)
-        # any admissible 1x1 bias gives the same logits (single entry is 0)
+        out1 = forward_full(params, [3], mask, "modified")
+        # either bias kind gives the same logits (the single entry is 0)
         assert out1.shape == (1, CFG.vocab_size)
+        assert np.array_equal(out1, forward_full(params, [3], mask, "standard"))
 
     def test_causal_edit_after_i_invariance(self):
         params = init_model(CFG)
         tokens = [1, 2, 3, 4, 5]
         mask = causal_mask(5)
-        biases = causal_biases(CFG, 5)
-        base = forward_full(params, tokens, mask, biases)
-        edited = forward_full(params, [1, 2, 3, 9, 9], mask, biases)
+        base = forward_full(params, tokens, mask, "modified")
+        edited = forward_full(params, [1, 2, 3, 9, 9], mask, "modified")
         assert np.array_equal(base[:3], edited[:3])
         assert not np.array_equal(base[3:], edited[3:])
 
     def test_shape_errors(self):
         params = init_model(CFG)
         with pytest.raises(ShapeError):
-            forward_full(params, [1, 2], causal_mask(3), causal_biases(CFG, 3))
+            forward_full(params, [1, 2], causal_mask(3), "modified")
+        with pytest.raises(ConfigError):
+            forward_full(params, [1, 2, 3], causal_mask(3), "other")
         with pytest.raises(ShapeError):
-            forward_full(params, [1, 2, 3], causal_mask(3),
-                         causal_biases(CFG, 3)[:2])
-        with pytest.raises(ShapeError):
-            forward_full(params, [1, 99], causal_mask(2), causal_biases(CFG, 2))
+            forward_full(params, [1, 99], causal_mask(2), "modified")
 
 
 class TestForwardIncremental:
@@ -113,7 +108,7 @@ class TestForwardIncremental:
         cache = KVCache(CFG.n_layers)
         logits, _ = forward_incremental(
             params, cache, [(5, CacheTag(Region.PRE_PROMPT, 0))])
-        full = forward_full(params, [5], causal_mask(1), causal_biases(CFG, 1))
+        full = forward_full(params, [5], causal_mask(1), "modified")
         assert np.array_equal(logits, full)
 
     def test_full_ingestion_matches_full_forward_exactly(self):
@@ -122,8 +117,7 @@ class TestForwardIncremental:
         tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
         cache = KVCache(CFG.n_layers)
         inc, _ = forward_incremental(params, cache, tagged(tokens, layout))
-        full = forward_full(params, tokens, causal_mask(10),
-                            causal_biases(CFG, 10))
+        full = forward_full(params, tokens, causal_mask(10), "modified")
         assert np.array_equal(inc, full)
 
     def test_interleaved_ingestion_matches_simul_mask_forward(self):
@@ -132,8 +126,7 @@ class TestForwardIncremental:
         pol = WaitKPolicy(k=2, source_len=5)
         tokens = [1, 3, 4, 5, 6, 7, 2, 8, 9, 10, 11]
         mask = simul_mask(layout, pol)
-        biases = head_biases(mask, alibi_slopes(CFG.n_heads), "modified")
-        full = forward_full(params, tokens, mask, biases)
+        full = forward_full(params, tokens, mask, "modified")
 
         cache = KVCache(CFG.n_layers)
         step_logits = {}
@@ -188,7 +181,7 @@ class TestForwardIncremental:
                 forward_incremental(params, cache, more)
         else:
             bad = params.with_tensors(dict(
-                params.as_dict(),
+                params.tensors(),
                 **{"layers.1.wq": np.full_like(params.layers[1].wq, np.nan)}))
             with pytest.raises(NumericError):
                 forward_incremental(bad, cache, more)
@@ -255,9 +248,8 @@ class TestForwardIncremental:
     def test_causal_prefix_consistency(self):
         params = init_model(CFG)
         tokens = [1, 2, 3, 4, 5, 6]
-        full = forward_full(params, tokens, causal_mask(6), causal_biases(CFG, 6))
-        prefix = forward_full(params, tokens[:4], causal_mask(4),
-                              causal_biases(CFG, 4))
+        full = forward_full(params, tokens, causal_mask(6), "modified")
+        prefix = forward_full(params, tokens[:4], causal_mask(4), "modified")
         assert np.array_equal(full[:4], prefix)
 
     def test_stale_scheme_matches_rank_in_canonical_order(self):

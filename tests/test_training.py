@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import simulbench
-from simulbench.alibi import alibi_slopes, head_biases
 from simulbench.data import default_layout_builder, gen_synthetic
 from simulbench.errors import ConfigError, DataError, NumericError
 from simulbench.masks import PromptLayout, WaitKPolicy
@@ -42,8 +41,7 @@ class TestForwardBackward:
         params = init_model(CFG)
         tokens, layout, mask, bias, rows, labels = small_case()
         fast = sentence_logits(params, tokens, mask, bias)
-        biases = head_biases(mask, alibi_slopes(CFG.n_heads), "modified")
-        exact = forward_full(params, tokens, mask, biases)
+        exact = forward_full(params, tokens, mask, "modified")
         assert np.abs(fast - exact).max() < 1e-4
 
     def test_loss_masking_zero_gradients(self):
@@ -62,7 +60,7 @@ class TestForwardBackward:
         fb = sentence_forward_backward(params, tokens, mask, bias, rows, labels)
         rng = np.random.default_rng(0)
         h = 1e-5
-        arrays = params.as_dict()
+        arrays = dict(params.tensors())
         checked = 0
         for name, arr in arrays.items():
             n_samples = max(1, arr.size // 100)
@@ -213,7 +211,7 @@ class TestFineTune:
     def test_non_finite_loss_rejected(self):
         params = init_model(CFG)
         broken = params.with_tensors(
-            dict(params.as_dict(), w_out=np.full_like(params.w_out, np.nan)))
+            dict(params.tensors(), w_out=np.full_like(params.w_out, np.nan)))
         with pytest.raises(NumericError, match="loss at step 1"):
             fine_tune(broken, self._corpus(), default_layout_builder, wait_k(2),
                       epochs=1, batch_size=4)
@@ -223,7 +221,7 @@ class TestFineTune:
         # gradients overflow float32
         params = init_model(CFG)
         broken = params.with_tensors(
-            dict(params.as_dict(), w_out=params.w_out * np.float32(1e25)))
+            dict(params.tensors(), w_out=params.w_out * np.float32(1e25)))
         with pytest.raises(NumericError, match="gradient norm at step 1"), \
                 np.errstate(over="ignore"):
             fine_tune(broken, self._corpus(), default_layout_builder, wait_k(2),

@@ -164,9 +164,8 @@ def full_digest() -> tuple[str, int]:
         policy = _policy(rng, len(src), len(tgt))
         for mask in (causal_mask(layout.total_len), simul_mask(layout, policy)):
             for bias_kind in ("modified", "standard"):
-                bias = head_biases(mask, alibi_slopes(cfg.n_heads), bias_kind)
                 logits = forward_full(params, pre + src + mid + tgt, mask,
-                                      bias)
+                                      bias_kind)
                 sha.update(f"{logits.dtype}{logits.shape}".encode())
                 sha.update(np.ascontiguousarray(logits).tobytes())
                 arrays += 1

@@ -1,0 +1,108 @@
+"""Mutation check: does the fast test suite kill each known mutant?
+
+Run from the repository root:
+
+    python tools/mutants.py
+
+Each mutant is one textual replacement in one source file, a small
+deliberate fault in an exactness invariant.  For each, the tool copies the
+repository to a temporary directory, applies the replacement there (never
+in the working tree) and runs ``pytest -m "not slow" -x -q`` on the copy.
+A failing run kills the mutant; a passing run lets it survive.  First the
+unmutated copy must pass, so that a broken environment cannot kill
+everything.  Prints one line per mutant and exits 1 if any mutant survives
+or if any replacement site is not found exactly once, so the check cannot
+pass by applying nothing.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (name, file, original text, mutated text)
+MUTANTS = (
+    ("stale delta + 1", "src/simulbench/model.py",
+     "ladder[:, vis + (n - 1 - past - i)]",
+     "ladder[:, vis + (n - 2 - past - i)]"),
+    ("mid-prompt rows left unrestricted in simul_mask",
+     "src/simulbench/masks.py",
+     "frontier[:mid_len - 1] = reads[0]",
+     "frontier[:mid_len - 1] = src"),
+    ("LAAL tau test >= -> >", "src/simulbench/metrics.py",
+     "if d_i >= source_len:",
+     "if d_i > source_len:"),
+    ("softmax normalizer by np.add.reduceat", "src/simulbench/kernel.py",
+     """    sums = np.empty_like(peak)
+    for r, (lo, hi) in enumerate(zip(starts, ends)):
+        np.add.reduce(e[..., lo:hi], axis=-1, out=sums[..., r])
+""",
+     """    sums = np.add.reduceat(e, starts, axis=-1)
+"""),
+    ("recompute mid-prompt pairs charged with d_hist[-1]",
+     "src/simulbench/metrics.py",
+     "pairs += sum(pre + d_hist[0] + i + 1 for i in range(mid - 1))",
+     "pairs += sum(pre + d_hist[-1] + i + 1 for i in range(mid - 1))"),
+    ("one extra source pull at step 1", "src/simulbench/engine.py",
+     "new = stream.pull(policy.cumulative_reads(t) - reads)",
+     "new = stream.pull(policy.cumulative_reads(t) - reads + (t == 1))"),
+)
+
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "out")
+
+
+def run_suite(tree: str) -> int:
+    """Return code of the fast test suite run on ``tree``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-m", "not slow", "-x", "-q",
+         "-p", "no:cacheprovider"],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def fresh_copy(scratch: str) -> str:
+    """A new copy of the repository under ``scratch``."""
+    tree = os.path.join(scratch, "tree")
+    shutil.rmtree(tree, ignore_errors=True)
+    shutil.copytree(ROOT, tree, ignore=IGNORE)
+    return tree
+
+
+def apply(tree: str, mutant) -> bool:
+    """Apply ``mutant`` to ``tree``; False when its site is not found
+    exactly once."""
+    _, path, old, new = mutant
+    target = os.path.join(tree, path)
+    with open(target, encoding="utf-8") as fh:
+        text = fh.read()
+    if text.count(old) != 1:
+        return False
+    with open(target, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(old, new))
+    return True
+
+
+def main() -> int:
+    ok = True
+    with tempfile.TemporaryDirectory() as scratch:
+        if run_suite(fresh_copy(scratch)) != 0:
+            print("baseline: the unmutated suite fails; nothing checked")
+            return 1
+        for mutant in MUTANTS:
+            tree = fresh_copy(scratch)
+            if not apply(tree, mutant):
+                verdict, ok = "site not found", False
+            elif run_suite(tree) != 0:
+                verdict = "killed"
+            else:
+                verdict, ok = "survived", False
+            print(f"{verdict}: {mutant[0]}", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
