@@ -5,6 +5,7 @@ Every key has a documented default; unknown keys are errors so drift fails
 fast.  Command-line flags override file values.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -64,8 +65,11 @@ class ExperimentConfig:
             raise ConfigError("wait-k values must be >= 1")
         if not self.eval_k:
             raise ConfigError("need at least one eval k")
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate < 0:
+        if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("invalid training settings")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and >= 0, "
+                              f"got {self.learning_rate!r}")
         object.__setattr__(self, "eval_k", tuple(self.eval_k))
 
     def model_config(self) -> ModelConfig:

@@ -7,10 +7,13 @@ can arise from ``-inf - finite``.
 
 Both kernels work on ragged blocks: the rows of a call are laid end to end
 along the key axis, and ``counts[r]`` says how many entries row ``r`` owns.
+``attend_row`` also takes each row's first key: its keys need not be laid
+end to end, so rows may read overlapping prefixes of one cache in place.
 Every operation here is a pure function of its inputs and is safe to call
 from concurrent threads.
 """
 
+import functools
 from itertools import accumulate
 
 import numpy as np
@@ -37,7 +40,8 @@ def _rows(counts, total: int):
 
 
 def _softmax(x: np.ndarray, rows) -> np.ndarray:
-    """Softmax of ``x`` over each row's slice of the last axis.
+    """Softmax of ``x`` over each row's slice of the last axis, in place:
+    returns ``x``, overwritten.
 
     The maxima, the subtraction, ``exp`` and the division run once over the
     whole block; only the normalizer is summed per row, since a sum over
@@ -52,11 +56,13 @@ def _softmax(x: np.ndarray, rows) -> np.ndarray:
         if np.isneginf(peak[~finite]).all():
             raise DegenerateRowError("softmax over a row with no finite entry")
         raise NumericError("non-finite attention scores")
-    e = np.exp(x - peak.repeat(counts, axis=-1))
+    x -= peak.repeat(counts, axis=-1)
+    np.exp(x, out=x)
     sums = np.empty_like(peak)
     for r, (lo, hi) in enumerate(zip(starts, ends)):
-        np.add.reduce(e[..., lo:hi], axis=-1, out=sums[..., r])
-    return e / sums.repeat(counts, axis=-1)
+        np.add.reduce(x[..., lo:hi], axis=-1, out=sums[..., r])
+    x /= sums.repeat(counts, axis=-1)
+    return x
 
 
 def softmax_row(x: np.ndarray, counts) -> np.ndarray:
@@ -68,48 +74,65 @@ def softmax_row(x: np.ndarray, counts) -> np.ndarray:
     normalizer and map to exactly 0 in the output.  Raises
     DegenerateRowError when some row is empty or has no finite entry, or
     NumericError when some row's maximum is NaN or +inf (broken numbers,
-    not an empty visible set).
+    not an empty visible set).  ``x`` itself is left unchanged.
     """
     x = np.asarray(x)
     if x.ndim < 1:
         raise ShapeError("softmax_row expects at least one axis")
-    return _softmax(x, _rows(counts, x.shape[-1]))
+    # the dtype ``np.exp`` gives x: integers and booleans become floats
+    return _softmax(x.astype(np.result_type(x.dtype, np.float16)),
+                    _rows(counts, x.shape[-1]))
+
+
+@functools.lru_cache(maxsize=None)
+def _scale(dtype: np.dtype, d_head: int):
+    """sqrt(d_head) as a scalar of ``dtype``, made once per pair."""
+    return np.sqrt(d_head).astype(dtype)
 
 
 def attend_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
-               bias: np.ndarray, counts) -> np.ndarray:
+               bias: np.ndarray, counts, offsets) -> np.ndarray:
     """Attention outputs (m, H, d_head) of m query rows over their keys.
 
-    ``q`` is (m, H, d_head).  ``keys``/``values`` hold every row's
-    already-gathered visible keys end to end, (total, H, d_head) each:
-    row ``r`` owns the next ``counts[r]`` of them.  ``bias`` is the
-    matching (H, total) additive block.  Visibility does not depend on the
-    head, so all heads attend from one gather.  This is the single
-    attention code path of the package, which is what makes full-sequence
-    and incremental forwards bit-identical: a row's result depends only on
-    its own query, keys, values and biases, never on the other rows of the
-    call.  Per row, each head's scores are one GEMV over a C-contiguous
-    (n, d_head) block, its softmax normalizer one sum over its own slice,
-    and its output one GEMV; everything else runs once over the block.
-    The row engine gathers keys and values head-major, (H, total, d_head)
-    C-contiguous, and passes their transposed views, so transposing back
-    below copies nothing.
+    ``q`` is (m, H, d_head) and ``keys``/``values`` are (n, H, d_head)
+    each: row ``r`` attends to the ``counts[r]`` keys from ``offsets[r]``
+    on, so rows may share keys.  The row engine hands over either every
+    row's gathered keys end to end (offsets the running sum of counts) or a
+    view of a KV cache prefix (every offset 0).  ``bias`` is the
+    (H, sum(counts)) additive block of every row's biases end to end, row
+    ``r`` owning the next ``counts[r]`` entries.  Visibility does not
+    depend on the head, so all heads attend over the same keys.  This is
+    the single attention code path of the package, which is what makes
+    full-sequence and incremental forwards bit-identical: a row's result
+    depends only on its own query, keys, values and biases, never on the
+    other rows of the call.  Per row, each head's scores are one GEMV over
+    its (counts[r], d_head) block of keys, read where it lies (the caller
+    keeps each head's keys C-contiguous along the token axis, as the
+    head-major transposed views of the row engine are), its softmax
+    normalizer one sum over its own slice, and its output one GEMV;
+    everything else runs once over the block, in place.
     """
-    if bias.ndim != 2 or bias.shape != (q.shape[1], keys.shape[0]):
-        raise ShapeError(f"bias shape {bias.shape} != scores shape "
-                         f"{(q.shape[1], keys.shape[0])}")
-    rows = _rows(counts, keys.shape[0])
-    bounds = list(zip(*rows[1:]))
-    if len(bounds) != q.shape[0]:
-        raise ShapeError(f"{len(bounds)} counts for {q.shape[0]} query rows")
-    by_head = np.ascontiguousarray(keys.transpose(1, 0, 2))
-    scores = np.empty(bias.shape, dtype=np.result_type(q, keys))
-    for r, (lo, hi) in enumerate(bounds):
-        np.matmul(by_head[:, lo:hi], q[r, :, :, None], out=scores[:, lo:hi, None])
-    w = _softmax((scores + bias) / np.sqrt(q.shape[-1]).astype(q.dtype), rows)
-    by_head = np.ascontiguousarray(values.transpose(1, 0, 2))
+    if bias.ndim != 2 or bias.shape[0] != q.shape[1]:
+        raise ShapeError(f"bias shape {bias.shape} != ({q.shape[1]}, keys)")
+    rows = _rows(counts, bias.shape[1])
+    spans = list(zip(rows[1], rows[2], offsets))
+    if not len(spans) == len(offsets) == q.shape[0]:
+        raise ShapeError(f"{len(rows[1])} counts and {len(offsets)} offsets "
+                         f"for {q.shape[0]} query rows")
+    if any(at < 0 or at + hi - lo > keys.shape[0] for lo, hi, at in spans):
+        raise ShapeError(f"a row's keys run outside the {keys.shape[0]} given")
+    by_head = keys.transpose(1, 0, 2)
+    scores = np.empty(bias.shape, dtype=np.result_type(q, keys, bias))
+    for r, (lo, hi, at) in enumerate(spans):
+        np.matmul(by_head[:, at:at + hi - lo], q[r, :, :, None],
+                  out=scores[:, lo:hi, None])
+    scores += bias
+    scores /= _scale(q.dtype, q.shape[-1])
+    w = _softmax(scores, rows)
+    by_head = values.transpose(1, 0, 2)
     out = np.empty((q.shape[0], q.shape[1], values.shape[-1]),
                    dtype=np.result_type(w, values))
-    for r, (lo, hi) in enumerate(bounds):
-        np.matmul(w[:, None, lo:hi], by_head[:, lo:hi], out=out[r, :, None])
+    for r, (lo, hi, at) in enumerate(spans):
+        np.matmul(w[:, None, lo:hi], by_head[:, at:at + hi - lo],
+                  out=out[r, :, None])
     return out

@@ -7,8 +7,9 @@ every exact forward; it is fed two ways:
 * ``forward_full`` runs a whole sequence, taking each row's visible keys
   from an explicit mask and their biases from the rank rule of a bias
   kind;
-* ``forward_incremental`` extends a KV cache with new tokens, taking
-  visibility and biases from the cache's per-region storage rows.
+* ``forward_incremental`` extends a KV cache with new tokens; the cache
+  stores its rows in canonical order, so each new token attends to a
+  prefix of it, read in place.
 
 Given the same visible keys and biases, a row's arithmetic is the same on
 both paths, so a full-sequence forward and the equivalent sequence of
@@ -16,10 +17,11 @@ incremental calls produce bit-identical float32 logits.  ModelParams are
 immutable after creation; a KVCache belongs to a single generation session.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, chain, groupby
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .masks import AttentionMaskSpec, Region
 
 LN_EPS = 1e-5
 MIN_CACHE_CAPACITY = 16  # rows a KVCache first allocates
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,8 @@ def init_model(config: ModelConfig) -> ModelParams:
 
 
 class FlopCounter:
-    """Shadow counter incremented at each matmul site with its true sizes.
+    """Shadow counter the row engine charges with the true sizes of the
+    matrix products it runs.
 
     Convention: one multiply-accumulate = 2 operations; only matrix products
     are counted (no softmax, normalization, activation, or embedding
@@ -161,13 +165,6 @@ class FlopCounter:
     def __init__(self):
         self.total = 0
         self.kv_rows = 0  # (token, layer) pairs whose keys/values were built
-
-    def add_linear(self, tokens: int, d_in: int, d_out: int):
-        self.total += 2 * tokens * d_in * d_out
-
-    def add_attention_row(self, n_visible: int, d_head: int):
-        # n_visible query-key pairs of one head: scores + weighted sum
-        self.total += 4 * n_visible * d_head
 
 
 @dataclass(frozen=True, order=True)
@@ -182,23 +179,25 @@ class CacheTag:
 
 
 class KVCache:
-    """Per-layer cached keys/values, indexed by region in canonical order.
+    """Per-layer cached keys/values, stored in canonical order.
 
     ``k[layer]`` and ``v[layer]`` are head-major buffers of shape
-    (n_heads, capacity, d_head): entry ``j`` along the token axis holds the
-    key (value) of the ``j``-th token to arrive, for every head, so a
-    storage row is an arrival number.  ``rows[region]`` lists the storage
-    rows of that region's tokens by canonical index, and ``counts`` their
-    lengths.  Canonical order is pre | source | mid | target, each region
-    by index, so a token's visible keys are the rows of every earlier
-    region followed by its own region's rows up to itself.
+    (n_heads, capacity, d_head).  Their first ``len(cache)`` entries along
+    the token axis hold the cached tokens in canonical order, pre | source |
+    mid | target, each region by index, and ``counts`` says how many tokens
+    each region holds.  A token's visible keys are the rows of every earlier
+    region followed by its own region's rows up to itself, which is exactly
+    every row up to its own: attention reads a prefix of the buffers, in
+    place.
 
-    A call writes its new rows in place after the cached ones.  When a call
-    needs more room, every buffer doubles its capacity (one copy of the
-    cache per doubling), so growth costs amortized O(1) per token and a
-    call never copies the whole cache otherwise.  Entries past
-    ``len(cache)`` are scratch.  One logical owner per cache; no concurrent
-    mutation.
+    A call that adds rows to a region moves the blocks of the later regions
+    right to make room, one slice copy per buffer and block (a source token
+    read after mid-prompt and target rows exist moves those rows).  When a
+    call needs more room, every buffer doubles its capacity (one copy of
+    the cache per doubling), so growth costs amortized O(1) per token.
+    Entries past ``len(cache)`` are scratch.  ``arrival`` gives the arrival
+    number of each cached row, in canonical order; only the ``stale`` bias
+    control reads it.  One logical owner per cache; no concurrent mutation.
     """
 
     def __init__(self, n_layers: int):
@@ -207,7 +206,8 @@ class KVCache:
         self.n_layers = n_layers
         self.k: list[np.ndarray] = []
         self.v: list[np.ndarray] = []
-        self.rows = [np.empty(0, dtype=np.intp) for _ in Region]
+        self._counts = [0] * len(Region)
+        self._arrivals = [[] for _ in Region]  # per region, by index
         self._size = 0
 
     def __len__(self) -> int:
@@ -216,7 +216,13 @@ class KVCache:
     @property
     def counts(self) -> list[int]:
         """Cached tokens per region, in region order."""
-        return [r.size for r in self.rows]
+        return list(self._counts)
+
+    @property
+    def arrival(self) -> np.ndarray:
+        """Arrival number of every cached row, in canonical order."""
+        return np.fromiter(chain.from_iterable(self._arrivals), dtype=np.intp,
+                           count=self._size)
 
     def _reserve(self, params: ModelParams, size: int):
         """Grow every buffer, by doubling, to hold at least ``size`` rows."""
@@ -232,19 +238,77 @@ class KVCache:
             new[:, :n] = old[:, :n]
         self.k, self.v = k, v
 
+    def _move(self, moves):
+        """Move each block (lo, hi, by) of rows right by ``by`` rows, in the
+        order given (last block first, so no block lands on one not yet
+        moved)."""
+        for lo, hi, by in moves:
+            for buf in self.k + self.v:
+                buf[:, lo + by:hi + by] = buf[:, lo:hi]
+
+    def _move_back(self, moves):
+        """Undo ``_move(moves)``: every block returns to where it was."""
+        for lo, hi, by in reversed(moves):
+            for buf in self.k + self.v:
+                buf[:, lo:hi] = buf[:, lo + by:hi + by]
+
+    def _truncate(self, counts: list[int]):
+        """Forget every row past ``counts[region]`` rows of each region;
+        the rows kept must already sit where ``counts`` puts them."""
+        self._counts = list(counts)
+        for arrivals, n in zip(self._arrivals, counts):
+            del arrivals[n:]
+        self._size = sum(counts)
+
+
+def _plan(counts: list[int], added: list[int]):
+    """Block moves and new rows of a call adding ``added[r]`` tokens to
+    region r of a cache holding ``counts[r]``.
+
+    Returns the blocks to move as (lo, hi, by) triples, last block first,
+    adjacent blocks moving equally merged into one, and the canonical row
+    of each new token, in region order.
+    """
+    moves, rows = [], []
+    start = end = 0  # the region's first row before and after the call
+    for count, k in zip(counts, added):
+        by = end - start
+        if by and count:
+            if moves and moves[-1][1:] == (start, by):
+                moves[-1] = (moves[-1][0], start + count, by)
+            else:
+                moves.append((start, start + count, by))
+        start += count
+        end += count + k
+        rows.extend(range(end - k, end))
+    return moves[::-1], rows
+
+
+@functools.lru_cache(maxsize=None)
+def _scalars(dtype: np.dtype, *values):
+    """``values`` as scalars of ``dtype``, made once per dtype."""
+    return tuple(dtype.type(v) for v in values)
+
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """Layer norm of each row of ``x`` over its last axis.
 
     Each row reduces exactly as a 1-D ``row.mean(dtype=row.dtype)`` would
     (a same-dtype sum, then one division by the count), without numpy's
-    Python-level ``mean`` wrapper.
+    Python-level ``mean`` wrapper.  Every step after the centring runs in
+    place on the centred copy.
     """
-    n = x.dtype.type(x.shape[-1])
-    mu = np.add.reduce(x, axis=-1, dtype=x.dtype, keepdims=True) / n
+    n, eps = _scalars(x.dtype, x.shape[-1], LN_EPS)
+    mu = np.add.reduce(x, axis=-1, dtype=x.dtype, keepdims=True)
+    mu /= n
     c = x - mu
-    var = np.add.reduce(c * c, axis=-1, dtype=x.dtype, keepdims=True) / n
-    return c / np.sqrt(var + x.dtype.type(LN_EPS)) * gain + offset
+    var = np.add.reduce(c * c, axis=-1, dtype=x.dtype, keepdims=True)
+    var /= n
+    var += eps
+    c /= np.sqrt(var, out=var)
+    c *= gain
+    c += offset
+    return c
 
 
 def _linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -258,8 +322,18 @@ def _linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    c = x.dtype.type(np.sqrt(2.0 / np.pi))
-    return x.dtype.type(0.5) * x * (1.0 + np.tanh(c * (x + x.dtype.type(0.044715) * (x * x * x))))
+    """0.5 x (1 + tanh(c (x + 0.044715 x^3))), in place on one temporary."""
+    half, c, cubic = _scalars(x.dtype, 0.5, _GELU_C, 0.044715)
+    t = x * x
+    t *= x
+    t *= cubic
+    t += x
+    t *= c
+    np.tanh(t, out=t)
+    t += 1.0
+    out = half * x
+    out *= t
+    return out
 
 
 def _kv_buffers(params: ModelParams, capacity: int):
@@ -271,27 +345,29 @@ def _kv_buffers(params: ModelParams, capacity: int):
             [np.empty(shape, dtype=dtype) for _ in range(cfg.n_layers)])
 
 
-def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, past: int,
-                  visible: np.ndarray, counts: np.ndarray, bias: np.ndarray,
-                  flops: list[FlopCounter] | None):
+def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, slots,
+                  visible, counts: list[int], offsets: list[int],
+                  bias: np.ndarray, flops: list[FlopCounter] | None):
     """The row engine behind both forwards.
 
     ``k_bufs``/``v_bufs`` are per-layer head-major (n_heads, capacity,
-    d_head) buffers whose first ``past`` rows hold earlier keys/values; this
-    call's rows are written in place after them.  ``visible`` holds every
-    row's visible buffer rows end to end, row i owning the next
-    ``counts[i]`` of them, and ``bias`` the matching (H, total) additive
-    block.  Every stage that does not depend on visibility (layer norms,
+    d_head) buffers; this call's keys/values are written in place at
+    ``slots`` along the token axis (a slice or an index array).
+    ``visible`` maps a buffer to the (n_heads, n, d_head) rows the call's
+    attention reads: ``forward_full`` gathers every row's visible keys end
+    to end with one ``take``, ``forward_incremental`` passes a prefix view
+    of the cache, read in place.  Row i attends to the ``counts[i]`` of
+    those rows from ``offsets[i]`` on, with the matching entries of the
+    (H, sum(counts)) additive ``bias`` block, every row's biases end to end.
+    Every stage that does not depend on visibility (layer norms,
     projections, FFN, vocabulary head) runs once over all rows of the call,
     each projection as one GEMV per row run from C, never as a GEMM, so a
     row's arithmetic never depends on how rows are grouped into calls.
-    Attention is one ragged ``attend_row`` call per layer: one ``take``
-    along the token axis gathers every row's visible keys (values) into a
-    contiguous head-major block, handed over as its (total, H, d_head)
-    transposed view.  ``flops``, when given, holds one shadow counter per
-    row; each row's matmul work is charged to its own counter (a run of
-    consecutive rows sharing a counter in one charge), so one call may
-    serve several events.  Returns the logits.
+    Attention is one ragged ``attend_row`` call per layer.  ``flops``, when
+    given, holds one shadow counter per row; each row's matmul work is
+    charged to its own counter (a run of consecutive rows sharing a
+    counter in one charge), so one call may serve several events.  Returns
+    the logits.
     """
     cfg = params.config
     d, n_heads, d_head = cfg.d_model, cfg.n_heads, cfg.d_head
@@ -300,29 +376,27 @@ def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, past: int,
     for lp, keys, values in zip(params.layers, k_bufs, v_bufs):
         a = _layer_norm(h, lp.ln1_g, lp.ln1_b)
         q = _linear(a, lp.wq).reshape(m, n_heads, d_head)
-        keys[:, past:past + m] = (
+        keys[:, slots] = (
             _linear(a, lp.wk).reshape(m, n_heads, d_head).transpose(1, 0, 2))
-        values[:, past:past + m] = (
+        values[:, slots] = (
             _linear(a, lp.wv).reshape(m, n_heads, d_head).transpose(1, 0, 2))
-        ctx = attend_row(q, keys.take(visible, axis=1).transpose(1, 0, 2),
-                         values.take(visible, axis=1).transpose(1, 0, 2),
-                         bias, counts).reshape(m, d)
+        ctx = attend_row(q, visible(keys).transpose(1, 0, 2),
+                         visible(values).transpose(1, 0, 2),
+                         bias, counts, offsets).reshape(m, d)
         h2 = h + _linear(ctx, lp.wo)
         b = _layer_norm(h2, lp.ln2_g, lp.ln2_b)
         h = h2 + _linear(_gelu(_linear(b, lp.w1)), lp.w2)
     if flops:
+        # per row and layer: q, k, v, output projection and FFN, 24 d^2;
+        # per row: the vocabulary head; per visible key and layer: scores
+        # and weighted sum over all heads, 4 d
+        per_row = 2 * d * (12 * d * cfg.n_layers + cfg.vocab_size)
+        per_key = 4 * d * cfg.n_layers
         start = 0
         for counter, run in groupby(flops):  # counters compare by identity
             n = len(list(run))
-            rows = cfg.n_layers * n
-            counter.kv_rows += rows
-            counter.add_linear(rows, d, 3 * d)  # q, k, v
-            counter.add_linear(rows, d, d)
-            counter.add_linear(rows, d, 4 * d)
-            counter.add_linear(rows, 4 * d, d)
-            counter.add_attention_row(cfg.n_layers * n_heads * int(
-                counts[start:start + n].sum()), d_head)
-            counter.add_linear(n, d, cfg.vocab_size)
+            counter.kv_rows += cfg.n_layers * n
+            counter.total += n * per_row + per_key * sum(counts[start:start + n])
             start += n
     return _linear(_layer_norm(h, params.lnf_g, params.lnf_b), params.w_out)
 
@@ -339,13 +413,17 @@ def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
     if ((tokens < 0) | (tokens >= cfg.vocab_size)).any():
         raise ShapeError("token id outside vocabulary")
 
-    rows, visible = np.nonzero(mask.visible)  # row-major: rows ascending
+    rows, cols = np.nonzero(mask.visible)  # row-major: rows ascending
     counts = np.bincount(rows, minlength=L)
-    bias = visible_biases(rows, visible, counts, alibi_slopes(cfg.n_heads),
-                          kind)
+    bias = visible_biases(rows, cols, counts, alibi_slopes(cfg.n_heads), kind)
+    counts = counts.tolist()
     k_bufs, v_bufs = _kv_buffers(params, L)
-    return _forward_rows(params, tokens, k_bufs, v_bufs, 0, visible, counts,
-                         bias, [flops] * L if flops is not None else None)
+    # a fancy index buf[:, cols] would gather token-major and several times
+    # slower; one take keeps every head's keys contiguous
+    return _forward_rows(params, tokens, k_bufs, v_bufs, slice(0, L),
+                         lambda buf: buf.take(cols, axis=1), counts,
+                         list(accumulate(counts, initial=0))[:-1], bias,
+                         [flops] * L if flops is not None else None)
 
 
 def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
@@ -360,10 +438,13 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
     source token ingested late ignores the mid-prompt and target entries
     already cached, and a call may mix regions: a source token and a target
     token ingested together see exactly what they would see in two calls,
-    source first.  Each row's arithmetic is independent of how rows are
-    grouped into calls, so the logits are bit-identical too.  ``flops``,
-    when given, holds one FlopCounter per new token, charged with that
-    token's row, so one call can serve several trace events.
+    source first.  The cache keeps its rows in canonical order, so every
+    new token attends to a prefix of it, which the row engine reads in
+    place; a call whose tokens are not in region order runs as one engine
+    call per region-ordered run.  Each row's arithmetic is independent of
+    how rows are grouped into calls, so the logits are bit-identical too.
+    ``flops``, when given, holds one FlopCounter per new token, charged
+    with that token's row, so one call can serve several trace events.
     Per-head biases follow ``bias_scheme``:
 
     * ``"rank"``: -slope * (canonical-rank distance within the visible
@@ -373,8 +454,9 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
       position frozen at its arrival — the scheme a naive cache implements,
       kept as a negative control.
 
-    The new ``rows`` are stored only once the row engine has returned, so
-    a call that raises leaves ``len(cache)`` and ``rows`` as they were.
+    Every token is validated before the cache changes.  If the row engine
+    raises, the blocks a call moved go back and its rows are dropped, so
+    ``len(cache)``, ``counts`` and every cached row are as they were.
     """
     cfg = params.config
     if cache.n_layers != cfg.n_layers:
@@ -382,39 +464,89 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
     if bias_scheme not in ("rank", "stale"):
         raise ConfigError(f"unknown bias scheme {bias_scheme!r}")
     new_tokens = list(new_tokens)
-    slopes = np.asarray(alibi_slopes(cfg.n_heads).slopes)[:, None]
-    past, m = len(cache), len(new_tokens)
+    m = len(new_tokens)
     if flops is not None and len(flops) != m:
         raise ShapeError(f"{len(flops)} FLOP counters for {m} new tokens")
-    rows = list(cache.rows)
-    visible = []
-    for i, (tok, tag) in enumerate(new_tokens):
+    counts = cache.counts
+    regions = []
+    for tok, tag in new_tokens:
         if not 0 <= tok < cfg.vocab_size:
             raise ShapeError("token id outside vocabulary")
         region = tag.role
-        if tag.canonical_index != rows[region].size:
+        if tag.canonical_index != counts[region]:
             raise CacheCoherenceError(
                 f"{tag} does not extend canonical order "
-                f"(expected index {rows[region].size})")
-        rows[region] = np.concatenate((rows[region], [past + i]))
-        visible.append(np.concatenate(rows[:region + 1]))
-    # one ladder per call: token i's biases are its tail (ranks n_i-1..0)
-    # or, stale, its entries at arrival distances past + i - vis
-    n = max(vis.size for vis in visible) if bias_scheme == "rank" else past + m
-    ladder = rank_biases(n, slopes)
+                f"(expected index {counts[region]})")
+        counts[region] += 1
+        regions.append(region)
+    tokens = [tok for tok, _ in new_tokens]
+    cuts = [i for i in range(1, m) if regions[i] < regions[i - 1]]
+    before, done, logits = cache.counts, [], []
+    try:
+        for lo, hi in zip([0] + cuts, cuts + [m]):
+            out, moves = _ingest(params, cache, tokens[lo:hi], regions[lo:hi],
+                                 bias_scheme,
+                                 None if flops is None else flops[lo:hi])
+            logits.append(out)
+            done.append(moves)
+    except BaseException:
+        for moves in reversed(done):
+            cache._move_back(moves)
+        cache._truncate(before)
+        raise
+    return logits[0] if len(logits) == 1 else np.concatenate(logits), cache
+
+
+def _ingest(params: ModelParams, cache: KVCache, tokens, regions,
+            bias_scheme: str, flops):
+    """One engine call over validated tokens in region order.
+
+    Moves the later blocks to make room, runs the row engine with every
+    new row attending to the prefix of the cache that ends at its own
+    canonical row, and commits the rows.  Returns the logits and the
+    block moves made.  If the engine raises, the moved blocks go back
+    first.
+    """
+    past, m = len(cache), len(tokens)
+    counts = cache.counts
+    added = [regions.count(r) for r in Region]
+    moves, rows = _plan(counts, added)
+    n_visible = [row + 1 for row in rows]
+    width = n_visible[-1]
+    arrivals = [[] for _ in Region]
+    for i, region in enumerate(regions):
+        arrivals[region].append(past + i)
+    slopes = np.asarray(alibi_slopes(params.config.n_heads).slopes)[:, None]
     if bias_scheme == "rank":
-        bias = [ladder[:, n - vis.size:] for vis in visible]
+        # one ladder per call: token i's biases are its tail, ranks n_i-1..0
+        ladder = rank_biases(width, slopes)
+        bias = ladder if m == 1 else np.concatenate(
+            [ladder[:, width - n:] for n in n_visible], axis=1)
     else:
-        bias = [ladder[:, vis + (n - 1 - past - i)]
-                for i, vis in enumerate(visible)]
+        # token i's entries at arrival distances past + i - arrival
+        n = past + m
+        ladder = rank_biases(n, slopes)
+        arrival = np.array([a for r in Region
+                            for a in cache._arrivals[r] + arrivals[r]])
+        bias = np.concatenate(
+            [ladder[:, arrival[:size] + (n - 1 - past - i)]
+             for i, size in enumerate(n_visible)], axis=1)
 
     cache._reserve(params, past + m)
-    n_visible = np.array([vis.size for vis in visible], dtype=np.intp)
-    logits = _forward_rows(params, [tok for tok, _ in new_tokens], cache.k,
-                           cache.v, past, np.concatenate(visible), n_visible,
-                           np.concatenate(bias, axis=1), flops)
-    cache.rows, cache._size = rows, past + m
-    return logits, cache
+    cache._move(moves)
+    try:
+        logits = _forward_rows(params, tokens, cache.k, cache.v,
+                               np.array(rows, dtype=np.intp),
+                               lambda buf: buf[:, :width], n_visible,
+                               [0] * m, bias, flops)
+    except BaseException:
+        cache._move_back(moves)
+        raise
+    for kept, new in zip(cache._arrivals, arrivals):
+        kept += new
+    cache._counts = [c + k for c, k in zip(counts, added)]
+    cache._size = past + m
+    return logits, moves
 
 
 def save_params(params: ModelParams, path: str):

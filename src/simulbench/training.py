@@ -380,13 +380,21 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
     built fresh per sentence; within an optimizer step, sentences sharing a
     layout (hence a mask) are processed as one stacked batch for speed.
     Sentences longer than ``max_seq_len`` are skipped with a warning.
-    Raises NumericError when a step's loss or gradient norm is not finite.
+    Raises ConfigError when ``learning_rate`` or ``clip_norm`` is negative
+    or not finite, and NumericError when a step's loss or gradient norm is
+    not finite.
     Deterministic for fixed seed and corpus order.
     """
     if not corpus:
         raise DataError("empty corpus")
-    if epochs < 0 or learning_rate < 0 or batch_size < 1:
+    if epochs < 0 or batch_size < 1:
         raise ConfigError("invalid training settings")
+    # fails for NaN as well as for negative and infinite values: one such
+    # step would poison every weight
+    for name, value in (("learning_rate", learning_rate),
+                        ("clip_norm", clip_norm)):
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
     cfg = params.config
 
     prepared = []

@@ -172,6 +172,18 @@ class TestCli:
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert main(["train", "--out", os.path.join(tmp_path, "o")]) == 2
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_config_error(self, tmp_path, rate):
+        # one layout, one batch, one step: the update is the last thing the
+        # run does, so a NaN step would reach the checkpoint unnoticed
+        corpus = os.path.join(tmp_path, "c.jsonl")
+        save_corpus(corpus, gen_synthetic("shift(2)", 5, 7, 7, 24, 0))
+        out = os.path.join(tmp_path, "run")
+        cfg = _write_cfg(tmp_path, f"epochs = 1\nlearning_rate = {rate}\n")
+        assert main(["train", "--dataset", corpus, "--out", out,
+                     "--config", cfg]) == 2
+        assert not os.path.exists(os.path.join(out, "params.bin"))
+
     def test_failed_train_leaves_no_checkpoint(self, corpus_path, tmp_path):
         out = os.path.join(tmp_path, "run")
         os.makedirs(os.path.join(out, "loss_curve.csv"))  # its write fails

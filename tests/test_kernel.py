@@ -13,7 +13,7 @@ def softmax_one(x):
 
 def attend_one(q, keys, values, bias):
     """Attention of one query row (H, d_head) over its (n, H, d_head) keys."""
-    return attend_row(q[None], keys, values, bias, [keys.shape[0]])[0]
+    return attend_row(q[None], keys, values, bias, [keys.shape[0]], [0])[0]
 
 
 class TestSoftmaxRow:
@@ -227,22 +227,50 @@ class TestRaggedAttention:
             counts = np.array(counts)
             q, keys, values, bias = self._block(rng, counts, n_heads, dtype)
             out = attend_row(q, keys.transpose(1, 0, 2),
-                             values.transpose(1, 0, 2), bias, counts)
+                             values.transpose(1, 0, 2), bias, counts,
+                             np.cumsum(counts) - counts)
             assert out.shape == q.shape and out.dtype == dtype
             for r, (lo, n) in enumerate(zip(np.cumsum(counts) - counts, counts)):
                 k = np.ascontiguousarray(keys[:, lo:lo + n]).transpose(1, 0, 2)
                 v = np.ascontiguousarray(values[:, lo:lo + n]).transpose(1, 0, 2)
                 b = np.ascontiguousarray(bias[:, lo:lo + n])
-                alone = attend_row(q[r:r + 1], k, v, b, [n])[0]
+                alone = attend_row(q[r:r + 1], k, v, b, [n], [0])[0]
                 assert np.array_equal(out[r], alone), f"row of {n} keys"
                 assert np.array_equal(alone, per_row_reference(q[r], k, v, b)), (
                     f"row of {n} keys")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_heads", [1, 4, 16])
+    def test_prefix_rows_in_place_match_gathered_rows(self, dtype, n_heads):
+        # rows reading prefixes of one head-major buffer in place, as
+        # cached rows do (spare capacity past the keys, every offset 0),
+        # match the same rows over gathered end-to-end copies of their keys
+        rng = np.random.default_rng(100 + n_heads)
+        counts = np.array(RAGGED_COUNTS[:-1])
+        d_head, width = 64 // n_heads, counts.max()
+        q = rng.standard_normal((len(counts), n_heads, d_head)).astype(dtype)
+        keys, values = (rng.standard_normal((n_heads, 2 * width, d_head))
+                        .astype(dtype) for _ in range(2))
+        bias = (-4 * rng.random((n_heads, counts.sum()))).astype(np.float32)
+        snapshot = [a.copy() for a in (q, keys, values, bias)]
+        in_place = attend_row(q, keys[:, :width].transpose(1, 0, 2),
+                              values[:, :width].transpose(1, 0, 2), bias,
+                              counts, [0] * len(counts))
+        cols = np.concatenate([np.arange(n) for n in counts])
+        gathered = attend_row(q, keys.take(cols, axis=1).transpose(1, 0, 2),
+                              values.take(cols, axis=1).transpose(1, 0, 2),
+                              bias, counts, np.cumsum(counts) - counts)
+        assert np.array_equal(in_place, gathered)
+        for before, after in zip(snapshot, (q, keys, values, bias)):
+            assert np.array_equal(before, after)  # inputs left as they were
 
     def test_ragged_softmax_rows_normalize_alone(self):
         rng = np.random.default_rng(7)
         counts = np.array(RAGGED_COUNTS)
         x = rng.standard_normal((4, counts.sum())).astype(np.float32)
+        before = x.copy()
         out = softmax_row(x, counts)
+        assert np.array_equal(x, before)  # the softmax works on a copy
         for lo, n in zip(np.cumsum(counts) - counts, counts):
             assert np.array_equal(out[:, lo:lo + n],
                                   softmax_row(x[:, lo:lo + n].copy(), [n]))
@@ -252,7 +280,7 @@ class TestRaggedAttention:
         q, keys, values, bias = self._block(rng, [3, 2], 4, np.float32)
         with pytest.raises(DegenerateRowError):
             attend_row(np.concatenate([q[:1], q]), keys.transpose(1, 0, 2),
-                       values.transpose(1, 0, 2), bias, [3, 0, 2])
+                       values.transpose(1, 0, 2), bias, [3, 0, 2], [0, 3, 3])
         with pytest.raises(DegenerateRowError):
             softmax_row(np.zeros(5, dtype=np.float32), [3, 0, 2])
 
@@ -263,18 +291,23 @@ class TestRaggedAttention:
         q[1, 2, 0] = np.nan  # one head of the middle row
         with pytest.raises(NumericError, match="non-finite attention scores"):
             attend_row(q, keys.transpose(1, 0, 2), values.transpose(1, 0, 2),
-                       bias, counts)
+                       bias, counts, [0, 4, 9])
         q[1, 2, 0] = 0.0
         bias[:, 4:9] = NEG_INF  # the middle row sees nothing
         with pytest.raises(DegenerateRowError):
             attend_row(q, keys.transpose(1, 0, 2), values.transpose(1, 0, 2),
-                       bias, counts)
+                       bias, counts, [0, 4, 9])
 
     def test_counts_must_cover_block_and_rows(self):
         rng = np.random.default_rng(10)
         q, keys, values, bias = self._block(rng, [3, 2], 4, np.float32)
         k, v = keys.transpose(1, 0, 2), values.transpose(1, 0, 2)
         with pytest.raises(ShapeError):
-            attend_row(q, k, v, bias, [3, 1])
+            attend_row(q, k, v, bias, [3, 1], [0, 3])
         with pytest.raises(ShapeError):
-            attend_row(q, k, v, bias, [5])
+            attend_row(q, k, v, bias, [5], [0])
+        with pytest.raises(ShapeError):  # one offset for two rows
+            attend_row(q, k, v, bias, [3, 2], [0])
+        for offsets in ([0, 4], [-1, 3]):  # keys run past either end
+            with pytest.raises(ShapeError):
+                attend_row(q, k, v, bias, [3, 2], offsets)

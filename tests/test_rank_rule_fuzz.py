@@ -11,7 +11,7 @@ formulas of the incremental path.
 import numpy as np
 import pytest
 
-from simulbench import model
+from simulbench import engine, model
 from simulbench.alibi import (alibi_slopes, head_biases, rank_biases,
                               visible_biases)
 from simulbench.engine import GenerationMode, realized_step_mask, simul_generate
@@ -104,18 +104,36 @@ def test_rank_rule_block_is_head_biases_entries():
 
 @pytest.mark.parametrize("scheme", ["rank", "stale"])
 def test_incremental_blocks_match_per_token_ladders(monkeypatch, scheme):
-    # capture the bias block of every engine call, with the visible storage
-    # rows it belongs to, and rebuild it token by token
-    calls = []
+    # capture the bias block of every engine call, with the arrival numbers
+    # of the cache rows it reads, and rebuild it token by token; every row
+    # reads the cache prefix that ends at its own canonical row
+    calls, caches = [], []
     engine_rows = model._forward_rows
 
-    def spy(params, tokens, k_bufs, v_bufs, past, visible, counts, bias,
-            flops):
-        calls.append((past, visible.copy(), counts.copy(), bias.copy()))
-        return engine_rows(params, tokens, k_bufs, v_bufs, past, visible,
-                           counts, bias, flops)
+    class Recorded(model.KVCache):
+        def __init__(self, n_layers):
+            super().__init__(n_layers)
+            caches.append(self)
+
+    def spy(params, tokens, k_bufs, v_bufs, slots, visible, counts, offsets,
+            bias, flops):
+        cache, m = caches[-1], len(tokens)
+        past = len(cache)  # the call's rows are not committed yet
+        rows = np.arange(past + m)
+        new = rows[slots]  # the canonical rows of the call's tokens
+        arrival = np.empty(past + m, dtype=np.intp)
+        arrival[new] = past + np.arange(m)
+        arrival[np.setdiff1d(rows, new)] = cache.arrival
+        assert list(counts) == (new + 1).tolist()
+        assert list(offsets) == [0] * m
+        read = visible(rows[None, :, None])[0, :, 0]
+        assert read.tolist() == rows[:max(counts)].tolist()
+        calls.append((past, arrival, list(counts), bias.copy()))
+        return engine_rows(params, tokens, k_bufs, v_bufs, slots, visible,
+                           counts, offsets, bias, flops)
 
     monkeypatch.setattr(model, "_forward_rows", spy)
+    monkeypatch.setattr(engine, "KVCache", Recorded)
     rng = np.random.default_rng(20261020)
     for _ in range(25):
         pre, mid, src, tgt, policy = random_case(rng)
@@ -130,14 +148,14 @@ def test_incremental_blocks_match_per_token_ladders(monkeypatch, scheme):
                        max_target_len=tgt, forced_target=tokens(tgt),
                        bias_scheme=scheme)
         assert len(calls) == tgt
-        for past, visible, counts, bias in calls:
+        for past, arrival, counts, bias in calls:
             want = []
-            for i, vis in enumerate(np.split(visible, np.cumsum(counts)[:-1])):
+            for i, n in enumerate(counts):
                 if scheme == "rank":
-                    want.append(rank_biases(vis.size, slopes))
+                    want.append(rank_biases(n, slopes))
                 else:
                     want.append(-np.float32(slopes)
-                                * (past + i - vis).astype(np.float32))
+                                * (past + i - arrival[:n]).astype(np.float32))
             assert bias.tobytes() == np.concatenate(want, axis=1).tobytes()
 
 

@@ -275,3 +275,13 @@ class TestFineTune:
         with pytest.raises(ConfigError):
             fine_tune(params, self._corpus(), default_layout_builder, wait_k(1),
                       batch_size=0)
+
+    @pytest.mark.parametrize("setting", [
+        {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+        {"clip_norm": float("nan")}, {"clip_norm": float("inf")}])
+    def test_non_finite_step_settings_rejected(self, setting):
+        # one batch, one step: nothing after the update would catch its NaNs
+        params = init_model(CFG)
+        with pytest.raises(ConfigError):
+            fine_tune(params, self._corpus(n=4), default_layout_builder,
+                      wait_k(1), epochs=1, batch_size=4, **setting)

@@ -26,8 +26,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (name, file, original text, mutated text)
 MUTANTS = (
     ("stale delta + 1", "src/simulbench/model.py",
-     "ladder[:, vis + (n - 1 - past - i)]",
-     "ladder[:, vis + (n - 2 - past - i)]"),
+     "ladder[:, arrival[:size] + (n - 1 - past - i)]",
+     "ladder[:, arrival[:size] + (n - 2 - past - i)]"),
+    ("moved cache block shifted one row short", "src/simulbench/model.py",
+     "buf[:, lo + by:hi + by] = buf[:, lo:hi]",
+     "buf[:, lo + by - 1:hi + by - 1] = buf[:, lo:hi]"),
+    ("new cache row written one slot past its canonical row",
+     "src/simulbench/model.py",
+     "rows.extend(range(end - k, end))",
+     "rows.extend(range(end - k + 1, end + 1))"),
+    ("failed engine call leaves the moved blocks moved",
+     "src/simulbench/model.py",
+     """    except BaseException:
+        cache._move_back(moves)
+        raise
+""",
+     """    except BaseException:
+        raise
+"""),
     ("mid-prompt rows left unrestricted in simul_mask",
      "src/simulbench/masks.py",
      "frontier[:mid_len - 1] = reads[0]",
@@ -38,9 +54,9 @@ MUTANTS = (
     ("softmax normalizer by np.add.reduceat", "src/simulbench/kernel.py",
      """    sums = np.empty_like(peak)
     for r, (lo, hi) in enumerate(zip(starts, ends)):
-        np.add.reduce(e[..., lo:hi], axis=-1, out=sums[..., r])
+        np.add.reduce(x[..., lo:hi], axis=-1, out=sums[..., r])
 """,
-     """    sums = np.add.reduceat(e, starts, axis=-1)
+     """    sums = np.add.reduceat(x, starts, axis=-1)
 """),
     ("recompute mid-prompt pairs charged with d_hist[-1]",
      "src/simulbench/metrics.py",
