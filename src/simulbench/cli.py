@@ -6,7 +6,6 @@ numeric/degenerate error.
 """
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -17,12 +16,12 @@ from .engine import GenerationMode
 from .errors import (CacheCoherenceError, ConfigError, ConsistencyError,
                      DataError, DegenerateRowError, LayoutError, NumericError,
                      PolicyError, ShapeError, WorkbenchError)
-from .experiment import (_RunWriter, compare_modes, evaluate_sentence,
-                         run_experiment, train_model)
+from .experiment import (_RunWriter, _write_out, compare_modes,
+                         evaluate_sentence, run_experiment, train_model)
 from .masks import (PromptLayout, TablePolicy, WaitKPolicy, causal_mask,
                     mask_to_ascii, simul_mask)
 from .metrics import FlopModel, flops_generate
-from .model import init_model, load_params, save_params
+from .model import init_model, load_params, params_to_bytes
 from .training import loss_curve_to_csv
 
 _CONFIG_ERRORS = (ConfigError, LayoutError, PolicyError)
@@ -71,21 +70,6 @@ def _parse_policy(args, source_len: int):
         return TablePolicy(reads=_parse_ints(args.policy, "policy"),
                            source_len=source_len)
     return WaitKPolicy(k=args.k, source_len=source_len)
-
-
-def _write_out(path: str, text: str):
-    """Write one output file.  An unwritable path is a configuration error,
-    and a write cut short removes the partial file."""
-    try:
-        fh = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
-    try:
-        with fh:
-            fh.write(text)
-    except BaseException:
-        os.remove(path)
-        raise
 
 
 def _add_common(p):
@@ -171,8 +155,7 @@ def _cmd_train(args) -> int:
     corpus = load_corpus(config.dataset, model_config.vocab_size)
     with _RunWriter(config.out) as writer:
         params, loss_curve = train_model(config, corpus, base_params=base)
-        ckpt = writer.path("params.bin")
-        save_params(params, ckpt)
+        ckpt = writer.write("params.bin", params_to_bytes(params))
         writer.write("loss_curve.csv", loss_curve_to_csv(loss_curve))
     print(f"checkpoint: {ckpt}")
     return 0

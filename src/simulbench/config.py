@@ -45,15 +45,6 @@ class ExperimentConfig:
     max_seq_len: int = 128
     max_target_len: int = 40
 
-    _COERCE = {
-        "n_layers": int, "n_heads": int, "d_model": int, "vocab_size": int,
-        "model_seed": int, "train_k": int, "eval_k": _parse_int_list,
-        "mask": str, "bias": str, "mode": str, "dataset": str,
-        "eval_dataset": str, "out": str, "seed": int, "epochs": int,
-        "learning_rate": float, "batch_size": int, "max_seq_len": int,
-        "max_target_len": int,
-    }
-
     def __post_init__(self):
         if self.mask not in ("simulmask", "causal"):
             raise ConfigError(f"unknown mask mode {self.mask!r}")
@@ -67,6 +58,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one eval k")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("invalid training settings")
+        if min(self.max_seq_len, self.max_target_len) < 1:
+            raise ConfigError("max_seq_len and max_target_len must be >= 1")
         if not 0 <= self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and >= 0, "
                               f"got {self.learning_rate!r}")
@@ -78,7 +71,9 @@ class ExperimentConfig:
                            seed=self.model_seed)
 
 
-_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig) if not f.name.startswith("_")}
+# key -> parser of its text value, from the field types
+_COERCE = {f.name: _parse_int_list if f.type == tuple[int, ...] else f.type
+           for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> dict:
@@ -105,11 +100,10 @@ def build_config(file_values: dict | None = None,
         for key, value in source.items():
             if value is None:
                 continue
-            if key not in _KNOWN_KEYS:
+            if key not in _COERCE:
                 raise ConfigError(f"unknown config key {key!r}")
-            coerce = ExperimentConfig._COERCE[key]
             try:
-                merged[key] = coerce(value)
+                merged[key] = _COERCE[key](value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     return ExperimentConfig(**merged)

@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .masks import WaitKPolicy, mask_to_ascii, simul_mask
 from .metrics import (FlopModel, flops_generate, laal, metrics_rows_to_csv,
                       quality_proxy)
-from .model import init_model, load_params, save_params
+from .model import init_model, load_params, params_to_bytes
 from .training import fine_tune, loss_curve_to_csv
 
 
@@ -78,6 +78,23 @@ def _sweep(params, corpus, k, mode, config, flop_model, bias_scheme="rank"):
     return rows, traces, summary
 
 
+def _write_out(path: str, data: str | bytes):
+    """Write one output file, text or bytes.  An unwritable path is a
+    configuration error, and a write cut short removes the partial file."""
+    binary = isinstance(data, bytes)
+    try:
+        fh = open(path, "wb" if binary else "w",
+                  encoding=None if binary else "utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    try:
+        with fh:
+            fh.write(data)
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 class _RunWriter:
     """Tracks created files so a failed run leaves no partial outputs.
 
@@ -93,15 +110,9 @@ class _RunWriter:
         except OSError as exc:
             raise ConfigError(f"output directory {out_dir!r}: {exc}") from exc
 
-    def write(self, name: str, text: str) -> str:
+    def write(self, name: str, data: str | bytes) -> str:
         path = os.path.join(self.out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            self.created.append(path)  # ours once opened, even if cut short
-            fh.write(text)
-        return path
-
-    def path(self, name: str) -> str:
-        path = os.path.join(self.out_dir, name)
+        _write_out(path, data)
         self.created.append(path)
         return path
 
@@ -111,7 +122,7 @@ class _RunWriter:
     def __exit__(self, exc_type, exc, tb):
         if exc_type is not None:
             for path in self.created:
-                if os.path.exists(path):
+                if os.path.isfile(path):
                     os.remove(path)
 
 
@@ -143,7 +154,7 @@ def run_experiment(config: ExperimentConfig, checkpoint: str | None = None):
         loss_curve = []
         if params is None:
             params, loss_curve = train_model(config, corpus)
-        save_params(params, writer.path("params.bin"))
+        writer.write("params.bin", params_to_bytes(params))
         writer.write("loss_curve.csv", loss_curve_to_csv(loss_curve))
 
         flop_model = FlopModel(params.config)

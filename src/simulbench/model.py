@@ -7,9 +7,9 @@ every exact forward; it is fed two ways:
 * ``forward_full`` runs a whole sequence, taking each row's visible keys
   from an explicit mask and their biases from the rank rule of a bias
   kind;
-* ``forward_incremental`` extends a KV cache with new tokens; the cache
-  stores its rows in canonical order, so each new token attends to a
-  prefix of it, read in place.
+* ``forward_incremental`` extends a KV cache with one region-ordered run
+  of new tokens; the cache stores its rows in canonical order, so each
+  new token attends to a prefix of it, read in place.
 
 Given the same visible keys and biases, a row's arithmetic is the same on
 both paths, so a full-sequence forward and the equivalent sequence of
@@ -129,28 +129,19 @@ def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_model(config: ModelConfig) -> ModelParams:
-    """Deterministic pseudo-random initialization from config.seed."""
+    """Deterministic pseudo-random initialization from config.seed: layer
+    norm gains (``_g``) ones, offsets (``_b``) zeros, every other tensor a
+    scaled normal draw, drawn in ``tensors()`` order."""
     rng = np.random.default_rng(config.seed)
-    d, v = config.d_model, config.vocab_size
-
-    def w(*shape):
-        return (rng.standard_normal(shape) * 0.02).astype(np.float32)
-
-    embed = w(v, d)
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(LayerParams(
-            wq=w(d, d), wk=w(d, d), wv=w(d, d), wo=w(d, d),
-            w1=w(d, 4 * d), w2=w(4 * d, d),
-            ln1_g=np.ones(d, dtype=np.float32),
-            ln1_b=np.zeros(d, dtype=np.float32),
-            ln2_g=np.ones(d, dtype=np.float32),
-            ln2_b=np.zeros(d, dtype=np.float32),
-        ))
-    return ModelParams(
-        config=config, embed=embed, layers=tuple(layers),
-        lnf_g=np.ones(d, dtype=np.float32), lnf_b=np.zeros(d, dtype=np.float32),
-        w_out=w(d, v))
+    arrays = {}
+    for name, shape in _tensor_shapes(config).items():
+        if name.endswith("_g"):
+            arrays[name] = np.ones(shape, dtype=np.float32)
+        elif name.endswith("_b"):
+            arrays[name] = np.zeros(shape, dtype=np.float32)
+        else:
+            arrays[name] = (rng.standard_normal(shape) * 0.02).astype(np.float32)
+    return ModelParams.from_tensors(config, arrays)
 
 
 class FlopCounter:
@@ -190,11 +181,12 @@ class KVCache:
     every row up to its own: attention reads a prefix of the buffers, in
     place.
 
-    A call that adds rows to a region moves the blocks of the later regions
-    right to make room, one slice copy per buffer and block (a source token
-    read after mid-prompt and target rows exist moves those rows).  When a
-    call needs more room, every buffer doubles its capacity (one copy of
-    the cache per doubling), so growth costs amortized O(1) per token.
+    A ``forward_incremental`` call adds one region-ordered run of rows.  It
+    moves the blocks of the later regions right to make room, one slice
+    copy per buffer and block (a source token read after mid-prompt and
+    target rows exist moves those rows).  When a call needs more room,
+    every buffer doubles its capacity (one copy of the cache per
+    doubling), so growth costs amortized O(1) per token.
     Entries past ``len(cache)`` are scratch.  ``arrival`` gives the arrival
     number of each cached row, in canonical order; only the ``stale`` bias
     control reads it.  One logical owner per cache; no concurrent mutation.
@@ -251,14 +243,6 @@ class KVCache:
         for lo, hi, by in reversed(moves):
             for buf in self.k + self.v:
                 buf[:, lo:hi] = buf[:, lo + by:hi + by]
-
-    def _truncate(self, counts: list[int]):
-        """Forget every row past ``counts[region]`` rows of each region;
-        the rows kept must already sit where ``counts`` puts them."""
-        self._counts = list(counts)
-        for arrivals, n in zip(self._arrivals, counts):
-            del arrivals[n:]
-        self._size = sum(counts)
 
 
 def _plan(counts: list[int], added: list[int]):
@@ -431,18 +415,18 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
                         flops: list[FlopCounter] | None = None):
     """Extend ``cache`` with tagged tokens; return (logits for them, cache).
 
-    ``new_tokens`` is a sequence of (token_id, CacheTag).  Each new token
-    attends, in canonical tag order, to the rows of every earlier region
-    and its own region's rows up to itself, cached or earlier in the call.
-    Because mid-prompt and target regions come after the source region, a
-    source token ingested late ignores the mid-prompt and target entries
-    already cached, and a call may mix regions: a source token and a target
+    ``new_tokens`` is one region-ordered run of (token_id, CacheTag)
+    pairs, such as a step's new source tokens followed by its target
+    token.  Each new token attends, in canonical tag order, to the rows of
+    every earlier region and its own region's rows up to itself, cached or
+    earlier in the call.  Because mid-prompt and target regions come after
+    the source region, a source token ingested late ignores the mid-prompt
+    and target entries already cached, and a source token and a target
     token ingested together see exactly what they would see in two calls,
     source first.  The cache keeps its rows in canonical order, so every
     new token attends to a prefix of it, which the row engine reads in
-    place; a call whose tokens are not in region order runs as one engine
-    call per region-ordered run.  Each row's arithmetic is independent of
-    how rows are grouped into calls, so the logits are bit-identical too.
+    place, in one call.  Each row's arithmetic is independent of how rows
+    are grouped into calls, so the logits are bit-identical too.
     ``flops``, when given, holds one FlopCounter per new token, charged
     with that token's row, so one call can serve several trace events.
     Per-head biases follow ``bias_scheme``:
@@ -454,9 +438,11 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
       position frozen at its arrival — the scheme a naive cache implements,
       kept as a negative control.
 
-    Every token is validated before the cache changes.  If the row engine
-    raises, the blocks a call moved go back and its rows are dropped, so
-    ``len(cache)``, ``counts`` and every cached row are as they were.
+    Every token is validated before the cache changes: its tag must extend
+    its region's canonical order, and its region may not precede the
+    previous token's (a call is one region-ordered run).  If the row engine
+    raises, the blocks the call moved go back, so ``len(cache)``,
+    ``counts`` and every cached row are as they were.
     """
     cfg = params.config
     if cache.n_layers != cfg.n_layers:
@@ -467,56 +453,30 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
     m = len(new_tokens)
     if flops is not None and len(flops) != m:
         raise ShapeError(f"{len(flops)} FLOP counters for {m} new tokens")
-    counts = cache.counts
-    regions = []
-    for tok, tag in new_tokens:
+    past, counts = len(cache), cache.counts
+    added = [0] * len(Region)
+    arrivals = [[] for _ in Region]
+    region = Region.PRE_PROMPT
+    for i, (tok, tag) in enumerate(new_tokens):
         if not 0 <= tok < cfg.vocab_size:
             raise ShapeError("token id outside vocabulary")
+        if tag.role < region:
+            raise CacheCoherenceError(
+                f"{tag} follows a {region.name} token: a call must be in "
+                f"region order")
         region = tag.role
-        if tag.canonical_index != counts[region]:
+        expected = counts[region] + added[region]
+        if tag.canonical_index != expected:
             raise CacheCoherenceError(
                 f"{tag} does not extend canonical order "
-                f"(expected index {counts[region]})")
-        counts[region] += 1
-        regions.append(region)
+                f"(expected index {expected})")
+        added[region] += 1
+        arrivals[region].append(past + i)
     tokens = [tok for tok, _ in new_tokens]
-    cuts = [i for i in range(1, m) if regions[i] < regions[i - 1]]
-    before, done, logits = cache.counts, [], []
-    try:
-        for lo, hi in zip([0] + cuts, cuts + [m]):
-            out, moves = _ingest(params, cache, tokens[lo:hi], regions[lo:hi],
-                                 bias_scheme,
-                                 None if flops is None else flops[lo:hi])
-            logits.append(out)
-            done.append(moves)
-    except BaseException:
-        for moves in reversed(done):
-            cache._move_back(moves)
-        cache._truncate(before)
-        raise
-    return logits[0] if len(logits) == 1 else np.concatenate(logits), cache
-
-
-def _ingest(params: ModelParams, cache: KVCache, tokens, regions,
-            bias_scheme: str, flops):
-    """One engine call over validated tokens in region order.
-
-    Moves the later blocks to make room, runs the row engine with every
-    new row attending to the prefix of the cache that ends at its own
-    canonical row, and commits the rows.  Returns the logits and the
-    block moves made.  If the engine raises, the moved blocks go back
-    first.
-    """
-    past, m = len(cache), len(tokens)
-    counts = cache.counts
-    added = [regions.count(r) for r in Region]
     moves, rows = _plan(counts, added)
     n_visible = [row + 1 for row in rows]
     width = n_visible[-1]
-    arrivals = [[] for _ in Region]
-    for i, region in enumerate(regions):
-        arrivals[region].append(past + i)
-    slopes = np.asarray(alibi_slopes(params.config.n_heads).slopes)[:, None]
+    slopes = np.asarray(alibi_slopes(cfg.n_heads).slopes)[:, None]
     if bias_scheme == "rank":
         # one ladder per call: token i's biases are its tail, ranks n_i-1..0
         ladder = rank_biases(width, slopes)
@@ -546,10 +506,10 @@ def _ingest(params: ModelParams, cache: KVCache, tokens, regions,
         kept += new
     cache._counts = [c + k for c, k in zip(counts, added)]
     cache._size = past + m
-    return logits, moves
+    return logits, cache
 
 
-def save_params(params: ModelParams, path: str):
+def params_to_bytes(params: ModelParams) -> bytes:
     """Checkpoint: one-line JSON header, then float32 little-endian data."""
     tensors = list(params.tensors())
     offset = 0
@@ -567,14 +527,13 @@ def save_params(params: ModelParams, path: str):
         },
         "tensors": index,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for _, arr in tensors:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    return b"".join(
+        [json.dumps(header, sort_keys=True).encode() + b"\n"]
+        + [np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in tensors])
 
 
 def load_params(path: str) -> ModelParams:
-    """Read a checkpoint written by ``save_params``.
+    """Read a checkpoint made by ``params_to_bytes``.
 
     The header's tensors must be exactly those of its config, with the
     config's shapes, their offsets must tile the data in header order, and

@@ -381,8 +381,8 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
     layout (hence a mask) are processed as one stacked batch for speed.
     Sentences longer than ``max_seq_len`` are skipped with a warning.
     Raises ConfigError when ``learning_rate`` or ``clip_norm`` is negative
-    or not finite, and NumericError when a step's loss or gradient norm is
-    not finite.
+    or not finite, and NumericError when a step's loss or gradient norm,
+    or a parameter after its update, is not finite.
     Deterministic for fixed seed and corpus order.
     """
     if not corpus:
@@ -461,6 +461,11 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
                 for name, arr in arrays.items():
                     grads[name] *= learning_rate
                     arr -= grads[name]
+                    # the next loss misses the last step's update and any
+                    # row no sentence reads
+                    if not np.isfinite(arr).all():
+                        raise NumericError(f"non-finite {name} after the "
+                                           f"update of step {step + 1}")
             step += 1
             loss_curve.append((step, fb.loss / len(members)))
     return TrainResult(params=cur, loss_curve=loss_curve,

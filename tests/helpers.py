@@ -10,11 +10,17 @@ from simulbench.data import corpus_to_jsonl
 from simulbench.engine import ReadEvent, WriteEvent
 from simulbench.errors import DataError, ShapeError
 from simulbench.masks import AttentionMaskSpec, PromptLayout, Region
+from simulbench.model import params_to_bytes
 
 
 def save_corpus(path: str, corpus):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(corpus_to_jsonl(corpus))
+
+
+def save_params(params, path: str):
+    with open(path, "wb") as fh:
+        fh.write(params_to_bytes(params))
 
 
 def region_of(layout: PromptLayout, pos: int) -> tuple[Region, int]:

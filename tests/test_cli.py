@@ -9,9 +9,10 @@ from simulbench.cli import _write_out, main
 from simulbench.config import build_config
 from simulbench.data import gen_synthetic
 from simulbench.experiment import run_experiment
-from simulbench.model import ModelConfig, init_model, save_params
+from simulbench.model import ModelConfig, init_model
 
-from helpers import ascii_to_mask, hidden_beyond_causal, save_corpus
+from helpers import (ascii_to_mask, hidden_beyond_causal, save_corpus,
+                     save_params)
 
 
 @pytest.fixture
@@ -184,13 +185,34 @@ class TestCli:
                      "--config", cfg]) == 2
         assert not os.path.exists(os.path.join(out, "params.bin"))
 
-    def test_failed_train_leaves_no_checkpoint(self, corpus_path, tmp_path):
+    def test_overflowing_update_is_numeric_error(self, tmp_path):
+        # a finite learning rate whose one, last update overflows float32
+        corpus = os.path.join(tmp_path, "c.jsonl")
+        save_corpus(corpus, gen_synthetic("shift(2)", 5, 5, 5, 24, 0))
         out = os.path.join(tmp_path, "run")
-        os.makedirs(os.path.join(out, "loss_curve.csv"))  # its write fails
-        with pytest.raises(OSError):
-            main(["train", "--dataset", corpus_path, "--out", out,
-                  "--config", _write_cfg(tmp_path, "epochs = 0\n")])
+        cfg = _write_cfg(tmp_path, "epochs = 1\nlearning_rate = 1e40\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--dataset", corpus, "--out", out,
+                         "--config", cfg]) == 4
         assert not os.path.exists(os.path.join(out, "params.bin"))
+
+    def test_failed_train_leaves_no_checkpoint(self, corpus_path, tmp_path,
+                                               capsys):
+        # a directory takes an output's name, so opening that output fails:
+        # a config error, after which no file of the run is left (no
+        # params.bin in particular), and the directory is left alone
+        cfg = _write_cfg(tmp_path, "epochs = 0\n")
+        for command, blocked in [("train", "loss_curve.csv"),
+                                 ("train", "params.bin"),
+                                 ("eval", "summary.csv"),
+                                 ("flops-report", "flops_report.csv")]:
+            out = os.path.join(tmp_path, f"{command}-{blocked}")
+            os.makedirs(os.path.join(out, blocked))
+            assert main([command, "--dataset", corpus_path, "--out", out,
+                         "--config", cfg]) == 2, (command, blocked)
+            assert "config error" in capsys.readouterr().err
+            assert os.listdir(out) == [blocked]
+            assert os.path.isdir(os.path.join(out, blocked))
 
     def test_flops_report(self, tmp_path):
         corpus = os.path.join(tmp_path, "c.jsonl")

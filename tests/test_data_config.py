@@ -160,6 +160,11 @@ class TestConfig:
             build_config({"mask": "diagonal"}, {})
         with pytest.raises(ConfigError):
             build_config({"eval_k": "0"}, {})
+        # no sentence fits, or no target token may be written
+        for key in ("max_seq_len", "max_target_len"):
+            for value in ("0", "-1"):
+                with pytest.raises(ConfigError, match=key):
+                    build_config({key: value}, {})
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):

@@ -5,16 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simulbench import model
 from simulbench.errors import (CacheCoherenceError, ConfigError, DataError,
                                NumericError, ShapeError)
 from simulbench.masks import (PromptLayout, Region, WaitKPolicy, causal_mask,
                               simul_mask)
 from simulbench.model import (CacheTag, FlopCounter, KVCache, ModelConfig,
                               forward_full, forward_incremental, init_model,
-                              load_params, save_params)
+                              load_params)
 
-from helpers import region_of
+from helpers import region_of, save_params
 
 CFG = ModelConfig(n_layers=2, n_heads=4, d_model=32, vocab_size=12, seed=0)
 
@@ -158,13 +157,15 @@ class TestForwardIncremental:
         with pytest.raises(CacheCoherenceError):
             forward_incremental(params, cache, [(2, CacheTag(Region.SOURCE, 0))])
 
-    @pytest.mark.parametrize("failure", ["bad tag", "nan query weights"])
+    @pytest.mark.parametrize("failure",
+                             ["bad tag", "region order", "nan query weights"])
     def test_rejected_call_leaves_cache_unchanged(self, failure):
         # the rejected call holds 50 source tokens, enough to grow the
         # cache's buffers and, once mid-prompt and target rows are cached
         # (later = 1), to move them; it fails validation at its last token,
         # or inside the row engine (NaN queries leave a row with no finite
-        # score, only NaN ones)
+        # score, only NaN ones); or it is a target, a source and a target
+        # token, which is not one region-ordered run
         params = init_model(CFG)
         layout = PromptLayout(1, 60, 1, 2)
         tokens = [1] + [int(t) for t in
@@ -181,11 +182,16 @@ class TestForwardIncremental:
 
             cache = KVCache(CFG.n_layers)
             forward_incremental(params, cache, prefix)
-            n = len(cache)
+            n, arrival = len(cache), cache.arrival.tolist()
             rows = [buf[:, :n].tobytes() for buf in cache.k + cache.v]
             if failure == "bad tag":
                 more[-1] = (more[-1][0], CacheTag(Region.SOURCE, 99))
                 with pytest.raises(CacheCoherenceError):
+                    forward_incremental(params, cache, more)
+            elif failure == "region order":
+                more = [(8, CacheTag(Region.TARGET, later)), more[0],
+                        (9, CacheTag(Region.TARGET, later + 1))]
+                with pytest.raises(CacheCoherenceError, match="region order"):
                     forward_incremental(params, cache, more)
             else:
                 bad = params.with_tensors(dict(params.tensors(), **{
@@ -194,47 +200,10 @@ class TestForwardIncremental:
                     forward_incremental(bad, cache, more)
             assert len(cache) == n == 11 + 2 * later
             assert cache.counts == [1, 10, later, later]
+            assert cache.arrival.tolist() == arrival
             assert [buf[:, :n].tobytes() for buf in cache.k + cache.v] == rows
             got, _ = forward_incremental(params, cache, probe)
             assert np.array_equal(got, want)
-
-    def test_failed_run_of_split_call_undoes_earlier_runs(self, monkeypatch):
-        # a call out of region order runs as region-ordered engine calls;
-        # when a later one raises, the earlier ones (which moved the
-        # mid-prompt and target rows) are undone too
-        params = init_model(CFG)
-        start = [(1, CacheTag(Region.PRE_PROMPT, 0)),
-                 (4, CacheTag(Region.SOURCE, 0)),
-                 (5, CacheTag(Region.SOURCE, 1)),
-                 (2, CacheTag(Region.MID_PROMPT, 0)),
-                 (7, CacheTag(Region.TARGET, 0))]
-        call = [(6, CacheTag(Region.SOURCE, 2)), (8, CacheTag(Region.TARGET, 1)),
-                (9, CacheTag(Region.SOURCE, 3))]
-        probe = [(3, CacheTag(Region.SOURCE, 2)), (8, CacheTag(Region.TARGET, 1))]
-        ref, cache = KVCache(CFG.n_layers), KVCache(CFG.n_layers)
-        for c in (ref, cache):
-            forward_incremental(params, c, start)
-        want, _ = forward_incremental(params, ref, probe)
-        rows = [buf[:, :5].tobytes() for buf in cache.k + cache.v]
-
-        engine_rows, runs = model._forward_rows, []
-
-        def fails_second_run(*args):
-            runs.append(len(args[1]))
-            if len(runs) == 2:
-                raise NumericError("injected")
-            return engine_rows(*args)
-
-        monkeypatch.setattr(model, "_forward_rows", fails_second_run)
-        with pytest.raises(NumericError, match="injected"):
-            forward_incremental(params, cache, call)
-        monkeypatch.undo()
-        assert runs == [2, 1]
-        assert len(cache) == 5 and cache.counts == [1, 2, 1, 1]
-        assert cache.arrival.tolist() == [0, 1, 2, 3, 4]
-        assert [buf[:, :5].tobytes() for buf in cache.k + cache.v] == rows
-        got, _ = forward_incremental(params, cache, probe)
-        assert np.array_equal(got, want)
 
     def test_source_ingestion_ignores_later_regions(self):
         # appending a source token after targets exist must not change its
@@ -290,38 +259,6 @@ class TestForwardIncremental:
         with pytest.raises(ShapeError):
             forward_incremental(params, mixed, target, scheme, [])
         assert len(mixed) == 6
-
-    @pytest.mark.parametrize("scheme", ["rank", "stale"])
-    @pytest.mark.parametrize("late", ["source", "mid-prompt"])
-    def test_call_out_of_region_order_matches_one_call_per_token(self, scheme,
-                                                                 late):
-        # a target token, then a source (or a second mid-prompt) token,
-        # then another target token in one call: each row gets the logits
-        # and the FLOP charges of one call per token, and the cache ends up
-        # holding the same rows
-        params = init_model(CFG)
-        start = [(1, CacheTag(Region.PRE_PROMPT, 0)),
-                 (4, CacheTag(Region.SOURCE, 0)),
-                 (2, CacheTag(Region.MID_PROMPT, 0))]
-        region = Region.SOURCE if late == "source" else Region.MID_PROMPT
-        items = [(7, CacheTag(Region.TARGET, 0)), (5, CacheTag(region, 1)),
-                 (8, CacheTag(Region.TARGET, 1))]
-        one, per_token = KVCache(CFG.n_layers), KVCache(CFG.n_layers)
-        for cache in (one, per_token):
-            forward_incremental(params, cache, start, scheme)
-        counters = [FlopCounter() for _ in items]
-        logits, _ = forward_incremental(params, one, items, scheme, counters)
-        for i, item in enumerate(items):
-            alone = FlopCounter()
-            want, _ = forward_incremental(params, per_token, [item], scheme,
-                                          [alone])
-            assert np.array_equal(logits[i:i + 1], want), i
-            assert (counters[i].total, counters[i].kv_rows) == (
-                alone.total, alone.kv_rows), i
-        probe = [(9, CacheTag(Region.TARGET, 2))]
-        assert np.array_equal(
-            forward_incremental(params, one, probe, scheme)[0],
-            forward_incremental(params, per_token, probe, scheme)[0])
 
     def test_causal_prefix_consistency(self):
         params = init_model(CFG)

@@ -44,6 +44,9 @@ MUTANTS = (
      """    except BaseException:
         raise
 """),
+    ("region-order check removed", "src/simulbench/model.py",
+     "if tag.role < region:",
+     "if tag.role < Region.PRE_PROMPT:"),
     ("mid-prompt rows left unrestricted in simul_mask",
      "src/simulbench/masks.py",
      "frontier[:mid_len - 1] = reads[0]",
