@@ -9,12 +9,15 @@ Both kernels work on ragged blocks: the rows of a call are laid end to end
 along the key axis, and ``counts[r]`` says how many entries row ``r`` owns.
 ``attend_row`` also takes each row's first key: its keys need not be laid
 end to end, so rows may read overlapping prefixes of one cache in place.
+A call's layout is validated once, by ``row_plan``, into a ``RowPlan``
+that every layer's ``attend_row`` reuses, checking only its sizes.
 Every operation here is a pure function of its inputs and is safe to call
 from concurrent threads.
 """
 
 import functools
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,10 +26,9 @@ from .errors import DegenerateRowError, NumericError, ShapeError
 NEG_INF = float("-inf")
 
 
-def _rows(counts, total: int):
-    """(counts, row starts, row ends) of a ragged block of ``total`` entries;
-    rejects empty rows, before ``reduceat`` would hand them one entry of the
-    next row, and counts that do not cover the block."""
+def _rows(counts):
+    """(counts, row starts, row ends) of a ragged block; rejects empty rows,
+    before ``reduceat`` would hand them one entry of the next row."""
     counts = np.asarray(counts, dtype=np.intp)
     if counts.ndim != 1 or counts.size == 0:
         raise ShapeError("counts must be a non-empty 1-D sequence")
@@ -34,12 +36,40 @@ def _rows(counts, total: int):
     if min(sizes) < 1:
         raise DegenerateRowError("softmax over a row with no entry")
     ends = list(accumulate(sizes))
-    if ends[-1] != total:
-        raise ShapeError(f"counts cover {ends[-1]} entries, block has {total}")
     return counts, [0] + ends[:-1], ends
 
 
-def _softmax(x: np.ndarray, rows) -> np.ndarray:
+class RowPlan(NamedTuple):
+    """A validated ragged layout of the rows of one call.
+
+    Row r owns the entries ``starts[r]:ends[r]`` of the score block;
+    ``spans[r]`` is (start, end, first key), its keys running from the
+    first key on; ``reach`` is the number of keys the rows read.
+    """
+
+    counts: np.ndarray
+    starts: list[int]
+    ends: list[int]
+    spans: list[tuple[int, int, int]]
+    reach: int
+
+
+def row_plan(counts, offsets) -> RowPlan:
+    """The RowPlan of rows owning ``counts[r]`` entries each, row r's keys
+    starting at ``offsets[r]``.  Raises DegenerateRowError for an empty row
+    and ShapeError for a malformed layout."""
+    counts, starts, ends = _rows(counts)
+    offsets = [int(at) for at in offsets]
+    if len(offsets) != len(starts):
+        raise ShapeError(f"{len(starts)} counts and {len(offsets)} offsets")
+    if min(offsets) < 0:
+        raise ShapeError("a row's keys start before the first key")
+    spans = list(zip(starts, ends, offsets))
+    reach = max(at + hi - lo for lo, hi, at in spans)
+    return RowPlan(counts, starts, ends, spans, reach)
+
+
+def _softmax(x: np.ndarray, counts, starts, ends) -> np.ndarray:
     """Softmax of ``x`` over each row's slice of the last axis, in place:
     returns ``x``, overwritten.
 
@@ -49,7 +79,6 @@ def _softmax(x: np.ndarray, rows) -> np.ndarray:
     that row would, and ``np.add.reduceat`` does not.  Max is exact in any
     order.
     """
-    counts, starts, ends = rows
     peak = np.maximum.reduceat(x, starts, axis=-1)
     finite = np.isfinite(peak)
     if not finite.all():
@@ -79,9 +108,13 @@ def softmax_row(x: np.ndarray, counts) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim < 1:
         raise ShapeError("softmax_row expects at least one axis")
+    counts, starts, ends = _rows(counts)
+    if ends[-1] != x.shape[-1]:
+        raise ShapeError(f"counts cover {ends[-1]} entries, block has "
+                         f"{x.shape[-1]}")
     # the dtype ``np.exp`` gives x: integers and booleans become floats
     return _softmax(x.astype(np.result_type(x.dtype, np.float16)),
-                    _rows(counts, x.shape[-1]))
+                    counts, starts, ends)
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,35 +124,39 @@ def _scale(dtype: np.dtype, d_head: int):
 
 
 def attend_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
-               bias: np.ndarray, counts, offsets) -> np.ndarray:
+               bias: np.ndarray, plan: RowPlan) -> np.ndarray:
     """Attention outputs (m, H, d_head) of m query rows over their keys.
 
     ``q`` is (m, H, d_head) and ``keys``/``values`` are (n, H, d_head)
-    each: row ``r`` attends to the ``counts[r]`` keys from ``offsets[r]``
-    on, so rows may share keys.  The row engine hands over either every
-    row's gathered keys end to end (offsets the running sum of counts) or a
-    view of a KV cache prefix (every offset 0).  ``bias`` is the
-    (H, sum(counts)) additive block of every row's biases end to end, row
-    ``r`` owning the next ``counts[r]`` entries.  Visibility does not
-    depend on the head, so all heads attend over the same keys.  This is
-    the single attention code path of the package, which is what makes
-    full-sequence and incremental forwards bit-identical: a row's result
-    depends only on its own query, keys, values and biases, never on the
-    other rows of the call.  Per row, each head's scores are one GEMV over
-    its (counts[r], d_head) block of keys, read where it lies (the caller
-    keeps each head's keys C-contiguous along the token axis, as the
-    head-major transposed views of the row engine are), its softmax
-    normalizer one sum over its own slice, and its output one GEMV;
-    everything else runs once over the block, in place.
+    each.  ``plan`` is the call's ragged layout, validated once by
+    ``row_plan`` and shared by every layer: row ``r`` attends to the
+    ``counts[r]`` keys from ``offsets[r]`` on, so rows may share keys.  The
+    row engine hands over either every row's gathered keys end to end
+    (offsets the running sum of counts) or a view of a KV cache prefix
+    (every offset 0).  ``bias`` is the (H, sum(counts)) additive block of
+    every row's biases end to end, row ``r`` owning the next ``counts[r]``
+    entries.  Here only the sizes are checked against the plan.
+    Visibility does not depend on the head, so all heads attend over the
+    same keys.  This is the single attention code path of the package,
+    which is what makes full-sequence and incremental forwards
+    bit-identical: a row's result depends only on its own query, keys,
+    values and biases, never on the other rows of the call.  Per row, each
+    head's scores are one GEMV over its (counts[r], d_head) block of keys,
+    read where it lies (the caller keeps each head's keys C-contiguous
+    along the token axis, as the head-major transposed views of the row
+    engine are), its softmax normalizer one sum over its own slice, and its
+    output one GEMV; everything else runs once over the block, in place.
     """
+    counts, starts, ends, spans, reach = plan
     if bias.ndim != 2 or bias.shape[0] != q.shape[1]:
         raise ShapeError(f"bias shape {bias.shape} != ({q.shape[1]}, keys)")
-    rows = _rows(counts, bias.shape[1])
-    spans = list(zip(rows[1], rows[2], offsets))
-    if not len(spans) == len(offsets) == q.shape[0]:
-        raise ShapeError(f"{len(rows[1])} counts and {len(offsets)} offsets "
-                         f"for {q.shape[0]} query rows")
-    if any(at < 0 or at + hi - lo > keys.shape[0] for lo, hi, at in spans):
+    if ends[-1] != bias.shape[1]:
+        raise ShapeError(f"counts cover {ends[-1]} entries, block has "
+                         f"{bias.shape[1]}")
+    if len(starts) != q.shape[0]:
+        raise ShapeError(f"{len(starts)} rows planned for {q.shape[0]} "
+                         f"query rows")
+    if reach > keys.shape[0]:
         raise ShapeError(f"a row's keys run outside the {keys.shape[0]} given")
     by_head = keys.transpose(1, 0, 2)
     scores = np.empty(bias.shape, dtype=np.result_type(q, keys, bias))
@@ -128,7 +165,7 @@ def attend_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
                   out=scores[:, lo:hi, None])
     scores += bias
     scores /= _scale(q.dtype, q.shape[-1])
-    w = _softmax(scores, rows)
+    w = _softmax(scores, counts, starts, ends)
     by_head = values.transpose(1, 0, 2)
     out = np.empty((q.shape[0], q.shape[1], values.shape[-1]),
                    dtype=np.result_type(w, values))

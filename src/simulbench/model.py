@@ -11,6 +11,11 @@ every exact forward; it is fed two ways:
   of new tokens; the cache stores its rows in canonical order, so each
   new token attends to a prefix of it, read in place.
 
+Keys and values live in one arena, (n_layers, 2, n_heads, capacity,
+d_head): a ``KVCache``'s, or one built per ``forward_full`` call.  The
+engine validates a call's ragged layout once (``kernel.row_plan``) and
+every layer's attention reuses the plan.
+
 Given the same visible keys and biases, a row's arithmetic is the same on
 both paths, so a full-sequence forward and the equivalent sequence of
 incremental calls produce bit-identical float32 logits.  ModelParams are
@@ -22,12 +27,13 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
+from typing import NamedTuple
 
 import numpy as np
 
 from .alibi import alibi_slopes, rank_biases, visible_biases
 from .errors import CacheCoherenceError, ConfigError, DataError, ShapeError
-from .kernel import attend_row
+from .kernel import attend_row, row_plan
 from .masks import AttentionMaskSpec, Region
 
 LN_EPS = 1e-5
@@ -158,8 +164,7 @@ class FlopCounter:
         self.kv_rows = 0  # (token, layer) pairs whose keys/values were built
 
 
-@dataclass(frozen=True, order=True)
-class CacheTag:
+class CacheTag(NamedTuple):
     """Canonical identity of a cached token: region plus index within it.
 
     Ordering is canonical sequence order, independent of arrival order.
@@ -172,21 +177,21 @@ class CacheTag:
 class KVCache:
     """Per-layer cached keys/values, stored in canonical order.
 
-    ``k[layer]`` and ``v[layer]`` are head-major buffers of shape
-    (n_heads, capacity, d_head).  Their first ``len(cache)`` entries along
-    the token axis hold the cached tokens in canonical order, pre | source |
-    mid | target, each region by index, and ``counts`` says how many tokens
-    each region holds.  A token's visible keys are the rows of every earlier
-    region followed by its own region's rows up to itself, which is exactly
-    every row up to its own: attention reads a prefix of the buffers, in
-    place.
+    ``kv`` is one arena of shape (n_layers, 2, n_heads, capacity, d_head):
+    ``kv[layer, 0]`` holds that layer's head-major keys, ``kv[layer, 1]``
+    its values.  The first ``len(cache)`` entries along the token axis hold
+    the cached tokens in canonical order, pre | source | mid | target, each
+    region by index, and ``counts`` says how many tokens each region holds.
+    A token's visible keys are the rows of every earlier region followed by
+    its own region's rows up to itself, which is exactly every row up to
+    its own: attention reads a prefix of the arena, in place.
 
     A ``forward_incremental`` call adds one region-ordered run of rows.  It
     moves the blocks of the later regions right to make room, one slice
-    copy per buffer and block (a source token read after mid-prompt and
-    target rows exist moves those rows).  When a call needs more room,
-    every buffer doubles its capacity (one copy of the cache per
-    doubling), so growth costs amortized O(1) per token.
+    copy per block covering every layer, keys and values (a source token
+    read after mid-prompt and target rows exist moves those rows).  When a
+    call needs more room, the arena doubles its capacity (one copy of the
+    cache per growth), so growth costs amortized O(1) per token.
     Entries past ``len(cache)`` are scratch.  ``arrival`` gives the arrival
     number of each cached row, in canonical order; only the ``stale`` bias
     control reads it.  One logical owner per cache; no concurrent mutation.
@@ -196,8 +201,7 @@ class KVCache:
         if n_layers < 1:
             raise ConfigError("n_layers must be >= 1")
         self.n_layers = n_layers
-        self.k: list[np.ndarray] = []
-        self.v: list[np.ndarray] = []
+        self.kv = np.empty((n_layers, 2, 0, 0, 0), dtype=np.float32)
         self._counts = [0] * len(Region)
         self._arrivals = [[] for _ in Region]  # per region, by index
         self._size = 0
@@ -217,32 +221,31 @@ class KVCache:
                            count=self._size)
 
     def _reserve(self, params: ModelParams, size: int):
-        """Grow every buffer, by doubling, to hold at least ``size`` rows."""
-        capacity = self.k[0].shape[1] if self.k else 0
+        """Grow the arena, by doubling, to hold at least ``size`` rows."""
+        capacity = self.kv.shape[3]
         if size <= capacity:
             return
         capacity = max(capacity, MIN_CACHE_CAPACITY)
         while capacity < size:
             capacity *= 2
-        n = self._size
-        k, v = _kv_buffers(params, capacity)
-        for new, old in zip(k + v, self.k + self.v):
-            new[:, :n] = old[:, :n]
-        self.k, self.v = k, v
+        kv = _kv_arena(params, capacity)
+        if self._size:
+            kv[:, :, :, :self._size] = self.kv[:, :, :, :self._size]
+        self.kv = kv
 
     def _move(self, moves):
         """Move each block (lo, hi, by) of rows right by ``by`` rows, in the
         order given (last block first, so no block lands on one not yet
-        moved)."""
+        moved), every layer's keys and values in one slice copy."""
+        kv = self.kv
         for lo, hi, by in moves:
-            for buf in self.k + self.v:
-                buf[:, lo + by:hi + by] = buf[:, lo:hi]
+            kv[:, :, :, lo + by:hi + by] = kv[:, :, :, lo:hi]
 
     def _move_back(self, moves):
         """Undo ``_move(moves)``: every block returns to where it was."""
+        kv = self.kv
         for lo, hi, by in reversed(moves):
-            for buf in self.k + self.v:
-                buf[:, lo:hi] = buf[:, lo + by:hi + by]
+            kv[:, :, :, lo:hi] = kv[:, :, :, lo + by:hi + by]
 
 
 def _plan(counts: list[int], added: list[int]):
@@ -295,16 +298,6 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> np.ndarr
     return c
 
 
-def _linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rows of ``x`` (m, d_in) times ``w``: one GEMV per row, run from C.
-
-    A stacked (m, 1, d_in) @ (d_in, d_out) matmul is bit-identical to
-    ``row @ w`` for every row; a plain (m, d_in) @ (d_in, d_out) GEMM is
-    not, so the result would depend on how rows are grouped into calls.
-    """
-    return np.matmul(x[:, None, :], w)[:, 0]
-
-
 def _gelu(x: np.ndarray) -> np.ndarray:
     """0.5 x (1 + tanh(c (x + 0.044715 x^3))), in place on one temporary."""
     half, c, cubic = _scalars(x.dtype, 0.5, _GELU_C, 0.044715)
@@ -320,56 +313,87 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kv_buffers(params: ModelParams, capacity: int):
-    """Per-layer key and value buffers, (n_heads, capacity, d_head) each."""
+def _kv_arena(params: ModelParams, capacity: int) -> np.ndarray:
+    """An uninitialized key/value arena, (n_layers, 2, n_heads, capacity,
+    d_head): per layer, head-major keys, then values."""
     cfg = params.config
-    shape = (cfg.n_heads, capacity, cfg.d_head)
-    dtype = params.embed.dtype
-    return ([np.empty(shape, dtype=dtype) for _ in range(cfg.n_layers)],
-            [np.empty(shape, dtype=dtype) for _ in range(cfg.n_layers)])
+    return np.empty((cfg.n_layers, 2, cfg.n_heads, capacity, cfg.d_head),
+                    dtype=params.embed.dtype)
 
 
-def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, slots,
+_LADDERS: dict[int, np.ndarray] = {}  # head count -> read-only ladder
+
+
+def _rank_ladder(n_heads: int, n: int) -> np.ndarray:
+    """The read-only (n_heads, n) tail of the ``rank_biases`` ladder of
+    ``n_heads`` heads: entry j holds the bias of rank n-1-j.
+
+    One ladder is kept per head count and grown by doubling, so
+    ``rank_biases`` runs only when a call needs a longer one.  Every entry
+    is ``-float32(slope) * rank`` whatever the ladder's length, so a tail
+    is byte-equal to ``rank_biases(n, slopes)``.
+    """
+    ladder = _LADDERS.get(n_heads)
+    if ladder is None or ladder.shape[1] < n:
+        size = MIN_CACHE_CAPACITY if ladder is None else ladder.shape[1]
+        while size < n:
+            size *= 2
+        ladder = rank_biases(
+            size, np.asarray(alibi_slopes(n_heads).slopes)[:, None])
+        ladder.setflags(write=False)
+        _LADDERS[n_heads] = ladder
+    return ladder[:, ladder.shape[1] - n:]
+
+
+def _forward_rows(params: ModelParams, tokens, kv: np.ndarray, slots,
                   visible, counts: list[int], offsets: list[int],
                   bias: np.ndarray, flops: list[FlopCounter] | None):
     """The row engine behind both forwards.
 
-    ``k_bufs``/``v_bufs`` are per-layer head-major (n_heads, capacity,
-    d_head) buffers; this call's keys/values are written in place at
+    ``kv`` is a key/value arena, (n_layers, 2, n_heads, capacity, d_head);
+    each layer writes this call's keys and values in one assignment at
     ``slots`` along the token axis (a slice or an index array).
-    ``visible`` maps a buffer to the (n_heads, n, d_head) rows the call's
-    attention reads: ``forward_full`` gathers every row's visible keys end
-    to end with one ``take``, ``forward_incremental`` passes a prefix view
-    of the cache, read in place.  Row i attends to the ``counts[i]`` of
-    those rows from ``offsets[i]`` on, with the matching entries of the
-    (H, sum(counts)) additive ``bias`` block, every row's biases end to end.
-    Every stage that does not depend on visibility (layer norms,
-    projections, FFN, vocabulary head) runs once over all rows of the call,
-    each projection as one GEMV per row run from C, never as a GEMM, so a
-    row's arithmetic never depends on how rows are grouped into calls.
-    Attention is one ragged ``attend_row`` call per layer.  ``flops``, when
-    given, holds one shadow counter per row; each row's matmul work is
-    charged to its own counter (a run of consecutive rows sharing a
-    counter in one charge), so one call may serve several events.  Returns
-    the logits.
+    ``visible`` maps a layer's (2, n_heads, capacity, d_head) block to the
+    (2, n_heads, n, d_head) keys and values the call's attention reads:
+    ``forward_full`` gathers every row's visible keys end to end with one
+    ``take``, ``forward_incremental`` passes a prefix view of the cache,
+    read in place.  Row i attends to the ``counts[i]`` of those rows from
+    ``offsets[i]`` on, with the matching entries of the (H, sum(counts))
+    additive ``bias`` block, every row's biases end to end; this layout is
+    validated once per call, by ``row_plan``, and the plan is shared by
+    every layer's ``attend_row``.  Every stage that does not depend on
+    visibility (layer norms, projections, FFN, vocabulary head) runs once
+    over all rows of the call, each projection as one GEMV per row run
+    from C, never as a GEMM, so a row's arithmetic never depends on how
+    rows are grouped into calls.  Attention is one ragged ``attend_row``
+    call per layer.  ``flops``, when given, holds one shadow counter per
+    row; each row's matmul work is charged to its own counter (a run of
+    consecutive rows sharing a counter in one charge), so one call may
+    serve several events.  Returns the logits.
     """
     cfg = params.config
     d, n_heads, d_head = cfg.d_model, cfg.n_heads, cfg.d_head
     m = len(tokens)
-    h = params.embed[np.asarray(tokens, dtype=np.intp)]
-    for lp, keys, values in zip(params.layers, k_bufs, v_bufs):
+    plan = row_plan(counts, offsets)
+    # rows stay stacked as (m, 1, d): a stacked (m, 1, d_in) @ (d_in, d_out)
+    # matmul is one GEMV per row, bit-identical to ``row @ w``; a plain
+    # (m, d_in) @ (d_in, d_out) GEMM is not, so the result would depend on
+    # how rows are grouped into calls
+    h = params.embed.take(tokens, axis=0)[:, None]
+    new = np.empty((2, m, 1, d), dtype=kv.dtype)  # the call's keys, values
+    for lp, layer in zip(params.layers, kv):
         a = _layer_norm(h, lp.ln1_g, lp.ln1_b)
-        q = _linear(a, lp.wq).reshape(m, n_heads, d_head)
-        keys[:, slots] = (
-            _linear(a, lp.wk).reshape(m, n_heads, d_head).transpose(1, 0, 2))
-        values[:, slots] = (
-            _linear(a, lp.wv).reshape(m, n_heads, d_head).transpose(1, 0, 2))
-        ctx = attend_row(q, visible(keys).transpose(1, 0, 2),
-                         visible(values).transpose(1, 0, 2),
-                         bias, counts, offsets).reshape(m, d)
-        h2 = h + _linear(ctx, lp.wo)
+        q = np.matmul(a, lp.wq).reshape(m, n_heads, d_head)
+        np.matmul(a, lp.wk, out=new[0])
+        np.matmul(a, lp.wv, out=new[1])
+        layer[:, :, slots] = (
+            new.reshape(2, m, n_heads, d_head).transpose(0, 2, 1, 3))
+        seen = visible(layer)
+        ctx = attend_row(q, seen[0].transpose(1, 0, 2),
+                         seen[1].transpose(1, 0, 2), bias, plan).reshape(m, 1, d)
+        h2 = h + np.matmul(ctx, lp.wo)
         b = _layer_norm(h2, lp.ln2_g, lp.ln2_b)
-        h = h2 + _linear(_gelu(_linear(b, lp.w1)), lp.w2)
+        h = h2 + np.matmul(_gelu(np.matmul(b, lp.w1)), lp.w2)
     if flops:
         # per row and layer: q, k, v, output projection and FFN, 24 d^2;
         # per row: the vocabulary head; per visible key and layer: scores
@@ -382,7 +406,8 @@ def _forward_rows(params: ModelParams, tokens, k_bufs, v_bufs, slots,
             counter.kv_rows += cfg.n_layers * n
             counter.total += n * per_row + per_key * sum(counts[start:start + n])
             start += n
-    return _linear(_layer_norm(h, params.lnf_g, params.lnf_b), params.w_out)
+    return np.matmul(_layer_norm(h, params.lnf_g, params.lnf_b),
+                     params.w_out)[:, 0]
 
 
 def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
@@ -401,11 +426,10 @@ def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
     counts = np.bincount(rows, minlength=L)
     bias = visible_biases(rows, cols, counts, alibi_slopes(cfg.n_heads), kind)
     counts = counts.tolist()
-    k_bufs, v_bufs = _kv_buffers(params, L)
-    # a fancy index buf[:, cols] would gather token-major and several times
-    # slower; one take keeps every head's keys contiguous
-    return _forward_rows(params, tokens, k_bufs, v_bufs, slice(0, L),
-                         lambda buf: buf.take(cols, axis=1), counts,
+    # a fancy index layer[:, :, cols] would gather token-major and several
+    # times slower; one take keeps every head's keys and values contiguous
+    return _forward_rows(params, tokens, _kv_arena(params, L), slice(0, L),
+                         lambda layer: layer.take(cols, axis=2), counts,
                          list(accumulate(counts, initial=0))[:-1], bias,
                          [flops] * L if flops is not None else None)
 
@@ -433,16 +457,18 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
 
     * ``"rank"``: -slope * (canonical-rank distance within the visible
       set), nearest key 0 — the scheme matching visibility-aware training
-      biases;
+      biases.  Token i's biases are the tail of the head count's kept
+      ``rank_biases`` ladder (``_rank_ladder``), ranks n_i-1..0;
     * ``"stale"``: -slope * (arrival distance), with each entry's absolute
       position frozen at its arrival — the scheme a naive cache implements,
       kept as a negative control.
 
     Every token is validated before the cache changes: its tag must extend
     its region's canonical order, and its region may not precede the
-    previous token's (a call is one region-ordered run).  If the row engine
-    raises, the blocks the call moved go back, so ``len(cache)``,
-    ``counts`` and every cached row are as they were.
+    previous token's (a call is one region-ordered run); a call holds at
+    least one token.  If the row engine raises, the blocks the call moved
+    go back, so ``len(cache)``, ``counts`` and every cached row are as
+    they were.
     """
     cfg = params.config
     if cache.n_layers != cfg.n_layers:
@@ -451,11 +477,13 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
         raise ConfigError(f"unknown bias scheme {bias_scheme!r}")
     new_tokens = list(new_tokens)
     m = len(new_tokens)
+    if not m:
+        raise ShapeError("a call needs at least one new token")
     if flops is not None and len(flops) != m:
         raise ShapeError(f"{len(flops)} FLOP counters for {m} new tokens")
     past, counts = len(cache), cache.counts
-    added = [0] * len(Region)
-    arrivals = [[] for _ in Region]
+    added = [0] * len(counts)  # per region, without iterating the enum
+    arrivals = [[] for _ in counts]
     region = Region.PRE_PROMPT
     for i, (tok, tag) in enumerate(new_tokens):
         if not 0 <= tok < cfg.vocab_size:
@@ -476,18 +504,16 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
     moves, rows = _plan(counts, added)
     n_visible = [row + 1 for row in rows]
     width = n_visible[-1]
-    slopes = np.asarray(alibi_slopes(cfg.n_heads).slopes)[:, None]
     if bias_scheme == "rank":
-        # one ladder per call: token i's biases are its tail, ranks n_i-1..0
-        ladder = rank_biases(width, slopes)
+        ladder = _rank_ladder(cfg.n_heads, width)
         bias = ladder if m == 1 else np.concatenate(
             [ladder[:, width - n:] for n in n_visible], axis=1)
     else:
         # token i's entries at arrival distances past + i - arrival
         n = past + m
-        ladder = rank_biases(n, slopes)
-        arrival = np.array([a for r in Region
-                            for a in cache._arrivals[r] + arrivals[r]])
+        ladder = _rank_ladder(cfg.n_heads, n)
+        arrival = np.array([a for kept, new in zip(cache._arrivals, arrivals)
+                            for a in kept + new])
         bias = np.concatenate(
             [ladder[:, arrival[:size] + (n - 1 - past - i)]
              for i, size in enumerate(n_visible)], axis=1)
@@ -495,9 +521,9 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
     cache._reserve(params, past + m)
     cache._move(moves)
     try:
-        logits = _forward_rows(params, tokens, cache.k, cache.v,
+        logits = _forward_rows(params, tokens, cache.kv,
                                np.array(rows, dtype=np.intp),
-                               lambda buf: buf[:, :width], n_visible,
+                               lambda layer: layer[:, :, :width], n_visible,
                                [0] * m, bias, flops)
     except BaseException:
         cache._move_back(moves)

@@ -458,14 +458,18 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
                 raise NumericError(
                     f"non-finite gradient norm at step {step + 1}")
             if learning_rate:
-                for name, arr in arrays.items():
-                    grads[name] *= learning_rate
-                    arr -= grads[name]
-                    # the next loss misses the last step's update and any
-                    # row no sentence reads
-                    if not np.isfinite(arr).all():
-                        raise NumericError(f"non-finite {name} after the "
-                                           f"update of step {step + 1}")
+                # an overflowing update is reported by the check below, as
+                # a NumericError, not by numpy warnings ahead of it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for name, arr in arrays.items():
+                        grads[name] *= learning_rate
+                        arr -= grads[name]
+                        # the next loss misses the last step's update and
+                        # any row no sentence reads
+                        if not np.isfinite(arr).all():
+                            raise NumericError(
+                                f"non-finite {name} after the update of "
+                                f"step {step + 1}")
             step += 1
             loss_curve.append((step, fb.loss / len(members)))
     return TrainResult(params=cur, loss_curve=loss_curve,

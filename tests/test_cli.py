@@ -185,15 +185,17 @@ class TestCli:
                      "--config", cfg]) == 2
         assert not os.path.exists(os.path.join(out, "params.bin"))
 
-    def test_overflowing_update_is_numeric_error(self, tmp_path):
-        # a finite learning rate whose one, last update overflows float32
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_update_is_numeric_error(self, tmp_path, capsys):
+        # a finite learning rate whose one, last update overflows float32:
+        # reported by its NumericError alone, with no numpy warning
         corpus = os.path.join(tmp_path, "c.jsonl")
         save_corpus(corpus, gen_synthetic("shift(2)", 5, 5, 5, 24, 0))
         out = os.path.join(tmp_path, "run")
         cfg = _write_cfg(tmp_path, "epochs = 1\nlearning_rate = 1e40\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["train", "--dataset", corpus, "--out", out,
-                         "--config", cfg]) == 4
+        assert main(["train", "--dataset", corpus, "--out", out,
+                     "--config", cfg]) == 4
+        assert "numeric error: non-finite" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "params.bin"))
 
     def test_failed_train_leaves_no_checkpoint(self, corpus_path, tmp_path,

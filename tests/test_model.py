@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from simulbench import model
+from simulbench.alibi import alibi_slopes, rank_biases
 from simulbench.errors import (CacheCoherenceError, ConfigError, DataError,
                                NumericError, ShapeError)
 from simulbench.masks import (PromptLayout, Region, WaitKPolicy, causal_mask,
@@ -158,23 +160,30 @@ class TestForwardIncremental:
             forward_incremental(params, cache, [(2, CacheTag(Region.SOURCE, 0))])
 
     @pytest.mark.parametrize("failure",
-                             ["bad tag", "region order", "nan query weights"])
+                             ["bad tag", "region order", "nan query weights",
+                              "nan at a doubling", "no token"])
     def test_rejected_call_leaves_cache_unchanged(self, failure):
         # the rejected call holds 50 source tokens, enough to grow the
-        # cache's buffers and, once mid-prompt and target rows are cached
+        # cache's arena and, once mid-prompt and target rows are cached
         # (later = 1), to move them; it fails validation at its last token,
         # or inside the row engine (NaN queries leave a row with no finite
         # score, only NaN ones); or it is a target, a source and a target
-        # token, which is not one region-ordered run
+        # token, which is not one region-ordered run; or it holds no token.
+        # At a doubling, the cache is full at 16 rows and one source token
+        # doubles the arena and moves the later rows before the engine fails
         params = init_model(CFG)
+        bad = params.with_tensors(dict(params.tensors(), **{
+            "layers.1.wq": np.full_like(params.layers[1].wq, np.nan)}))
         layout = PromptLayout(1, 60, 1, 2)
         tokens = [1] + [int(t) for t in
                         np.random.default_rng(0).integers(1, 12, size=63)]
         items = tagged(tokens, layout)
         for later in (0, 1):
-            prefix = items[:11] + items[61:61 + later] + items[62:62 + later]
-            more = items[11:61]
-            probe = [(7, CacheTag(Region.SOURCE, 10)),
+            n_src = 15 - 2 * later if failure == "nan at a doubling" else 10
+            prefix = (items[:1 + n_src] + items[61:61 + later]
+                      + items[62:62 + later])
+            more = items[1 + n_src:61]
+            probe = [(7, CacheTag(Region.SOURCE, n_src)),
                      (8, CacheTag(Region.TARGET, later))]
             ref = KVCache(CFG.n_layers)
             forward_incremental(params, ref, prefix)
@@ -183,7 +192,7 @@ class TestForwardIncremental:
             cache = KVCache(CFG.n_layers)
             forward_incremental(params, cache, prefix)
             n, arrival = len(cache), cache.arrival.tolist()
-            rows = [buf[:, :n].tobytes() for buf in cache.k + cache.v]
+            rows = cache.kv[:, :, :, :n].tobytes()
             if failure == "bad tag":
                 more[-1] = (more[-1][0], CacheTag(Region.SOURCE, 99))
                 with pytest.raises(CacheCoherenceError):
@@ -193,15 +202,21 @@ class TestForwardIncremental:
                         (9, CacheTag(Region.TARGET, later + 1))]
                 with pytest.raises(CacheCoherenceError, match="region order"):
                     forward_incremental(params, cache, more)
+            elif failure == "nan at a doubling":
+                assert n == cache.kv.shape[3] == 16
+                with pytest.raises(NumericError):
+                    forward_incremental(bad, cache, more[:1])
+                assert cache.kv.shape[3] == 32
+            elif failure == "no token":
+                with pytest.raises(ShapeError):
+                    forward_incremental(params, cache, [])
             else:
-                bad = params.with_tensors(dict(params.tensors(), **{
-                    "layers.1.wq": np.full_like(params.layers[1].wq, np.nan)}))
                 with pytest.raises(NumericError):
                     forward_incremental(bad, cache, more)
-            assert len(cache) == n == 11 + 2 * later
-            assert cache.counts == [1, 10, later, later]
+            assert len(cache) == n == 1 + n_src + 2 * later
+            assert cache.counts == [1, n_src, later, later]
             assert cache.arrival.tolist() == arrival
-            assert [buf[:, :n].tobytes() for buf in cache.k + cache.v] == rows
+            assert cache.kv[:, :, :, :n].tobytes() == rows
             got, _ = forward_incremental(params, cache, probe)
             assert np.array_equal(got, want)
 
@@ -311,6 +326,30 @@ class TestForwardIncremental:
                            CacheTag(Region.SOURCE, 2),
                            CacheTag(Region.MID_PROMPT, 0),
                            CacheTag(Region.TARGET, 0)]
+
+
+def test_rank_ladder_tails_match_rank_biases(monkeypatch):
+    # the kept ladder of each head count grows by doubling; every tail is
+    # byte-equal to a fresh rank_biases ladder, whichever head count grew
+    # in between, and no tail can be written through
+    built = []
+
+    def counted(n, slopes):
+        built.append((len(slopes), n))
+        return rank_biases(n, slopes)
+
+    monkeypatch.setattr(model, "_LADDERS", {})
+    monkeypatch.setattr(model, "rank_biases", counted)
+    for n_heads, n in [(4, 1), (4, 16), (16, 9), (4, 17), (16, 16),
+                       (16, 17), (4, 32), (4, 3), (16, 100), (4, 33)]:
+        slopes = np.asarray(alibi_slopes(n_heads).slopes)[:, None]
+        tail = model._rank_ladder(n_heads, n)
+        assert tail.dtype == np.float32
+        assert tail.tobytes() == rank_biases(n, slopes).tobytes()
+        with pytest.raises(ValueError):
+            tail[0, -1] = 1.0
+    assert built == [(4, 16), (16, 16), (4, 32), (16, 32), (16, 128),
+                     (4, 64)]
 
 
 class TestCheckpoint:

@@ -115,8 +115,7 @@ def test_incremental_blocks_match_per_token_ladders(monkeypatch, scheme):
             super().__init__(n_layers)
             caches.append(self)
 
-    def spy(params, tokens, k_bufs, v_bufs, slots, visible, counts, offsets,
-            bias, flops):
+    def spy(params, tokens, kv, slots, visible, counts, offsets, bias, flops):
         cache, m = caches[-1], len(tokens)
         past = len(cache)  # the call's rows are not committed yet
         rows = np.arange(past + m)
@@ -126,11 +125,11 @@ def test_incremental_blocks_match_per_token_ladders(monkeypatch, scheme):
         arrival[np.setdiff1d(rows, new)] = cache.arrival
         assert list(counts) == (new + 1).tolist()
         assert list(offsets) == [0] * m
-        read = visible(rows[None, :, None])[0, :, 0]
+        read = visible(rows[None, None, :, None])[0, 0, :, 0]
         assert read.tolist() == rows[:max(counts)].tolist()
         calls.append((past, arrival, list(counts), bias.copy()))
-        return engine_rows(params, tokens, k_bufs, v_bufs, slots, visible,
-                           counts, offsets, bias, flops)
+        return engine_rows(params, tokens, kv, slots, visible, counts,
+                           offsets, bias, flops)
 
     monkeypatch.setattr(model, "_forward_rows", spy)
     monkeypatch.setattr(engine, "KVCache", Recorded)

@@ -29,21 +29,24 @@ MUTANTS = (
      "ladder[:, arrival[:size] + (n - 1 - past - i)]",
      "ladder[:, arrival[:size] + (n - 2 - past - i)]"),
     ("moved cache block shifted one row short", "src/simulbench/model.py",
-     "buf[:, lo + by:hi + by] = buf[:, lo:hi]",
-     "buf[:, lo + by - 1:hi + by - 1] = buf[:, lo:hi]"),
+     "kv[:, :, :, lo + by:hi + by] = kv[:, :, :, lo:hi]",
+     "kv[:, :, :, lo + by - 1:hi + by - 1] = kv[:, :, :, lo:hi]"),
+    ("moved cache block shifts keys but not values",
+     "src/simulbench/model.py",
+     "kv[:, :, :, lo + by:hi + by] = kv[:, :, :, lo:hi]",
+     "kv[:, 0, :, lo + by:hi + by] = kv[:, 0, :, lo:hi]"),
     ("new cache row written one slot past its canonical row",
      "src/simulbench/model.py",
-     "rows.extend(range(end - k, end))",
-     "rows.extend(range(end - k + 1, end + 1))"),
+     "np.array(rows, dtype=np.intp),",
+     "np.array(rows, dtype=np.intp) + 1,"),
     ("failed engine call leaves the moved blocks moved",
      "src/simulbench/model.py",
-     """    except BaseException:
-        cache._move_back(moves)
-        raise
-""",
-     """    except BaseException:
-        raise
-"""),
+     "kv[:, :, :, lo:hi] = kv[:, :, :, lo + by:hi + by]",
+     "pass"),
+    ("rank ladder sliced from its head instead of its tail",
+     "src/simulbench/model.py",
+     "return ladder[:, ladder.shape[1] - n:]",
+     "return ladder[:, :n]"),
     ("region-order check removed", "src/simulbench/model.py",
      "if tag.role < region:",
      "if tag.role < Region.PRE_PROMPT:"),
