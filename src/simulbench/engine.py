@@ -179,7 +179,7 @@ def _emit(trace, logits_row, t, forced_target, counter):
     if forced_target is not None:
         tok = forced_target[t - 1]
     else:
-        tok = int(logits_row.argmax())
+        tok = int(np.argmax(logits_row))
     trace.kv_rows += counter.kv_rows
     trace.events.append(WriteEvent(token=tok, flops=counter.total))
     return tok

@@ -42,15 +42,16 @@ def _rows(counts):
 class RowPlan(NamedTuple):
     """A validated ragged layout of the rows of one call.
 
-    Row r owns the entries ``starts[r]:ends[r]`` of the score block;
-    ``spans[r]`` is (start, end, first key), its keys running from the
-    first key on; ``reach`` is the number of keys the rows read.
+    Row r owns the entries ``starts[r]:ends[r]`` of the score block, its
+    keys running from ``offsets[r]`` on; ``reach`` is the number of keys
+    the rows read.  Build one with ``row_plan``, which validates it:
+    ``attend_row`` trusts a plan's rows and checks only its sizes.
     """
 
     counts: np.ndarray
     starts: list[int]
     ends: list[int]
-    spans: list[tuple[int, int, int]]
+    offsets: list[int]
     reach: int
 
 
@@ -64,9 +65,8 @@ def row_plan(counts, offsets) -> RowPlan:
         raise ShapeError(f"{len(starts)} counts and {len(offsets)} offsets")
     if min(offsets) < 0:
         raise ShapeError("a row's keys start before the first key")
-    spans = list(zip(starts, ends, offsets))
-    reach = max(at + hi - lo for lo, hi, at in spans)
-    return RowPlan(counts, starts, ends, spans, reach)
+    reach = max(at + hi - lo for lo, hi, at in zip(starts, ends, offsets))
+    return RowPlan(counts, starts, ends, offsets, reach)
 
 
 def _softmax(x: np.ndarray, counts, starts, ends) -> np.ndarray:
@@ -147,7 +147,7 @@ def attend_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
     engine are), its softmax normalizer one sum over its own slice, and its
     output one GEMV; everything else runs once over the block, in place.
     """
-    counts, starts, ends, spans, reach = plan
+    counts, starts, ends, offsets, reach = plan
     if bias.ndim != 2 or bias.shape[0] != q.shape[1]:
         raise ShapeError(f"bias shape {bias.shape} != ({q.shape[1]}, keys)")
     if ends[-1] != bias.shape[1]:
@@ -160,7 +160,7 @@ def attend_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
         raise ShapeError(f"a row's keys run outside the {keys.shape[0]} given")
     by_head = keys.transpose(1, 0, 2)
     scores = np.empty(bias.shape, dtype=np.result_type(q, keys, bias))
-    for r, (lo, hi, at) in enumerate(spans):
+    for r, (lo, hi, at) in enumerate(zip(starts, ends, offsets)):
         np.matmul(by_head[:, at:at + hi - lo], q[r, :, :, None],
                   out=scores[:, lo:hi, None])
     scores += bias
@@ -169,7 +169,7 @@ def attend_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
     by_head = values.transpose(1, 0, 2)
     out = np.empty((q.shape[0], q.shape[1], values.shape[-1]),
                    dtype=np.result_type(w, values))
-    for r, (lo, hi, at) in enumerate(spans):
+    for r, (lo, hi, at) in enumerate(zip(starts, ends, offsets)):
         np.matmul(w[:, None, lo:hi], by_head[:, at:at + hi - lo],
                   out=out[r, :, None])
     return out

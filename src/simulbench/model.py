@@ -27,7 +27,6 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
-from typing import NamedTuple
 
 import numpy as np
 
@@ -164,7 +163,8 @@ class FlopCounter:
         self.kv_rows = 0  # (token, layer) pairs whose keys/values were built
 
 
-class CacheTag(NamedTuple):
+@dataclass(frozen=True, order=True)
+class CacheTag:
     """Canonical identity of a cached token: region plus index within it.
 
     Ordering is canonical sequence order, independent of arrival order.
@@ -322,6 +322,7 @@ def _kv_arena(params: ModelParams, capacity: int) -> np.ndarray:
 
 
 _LADDERS: dict[int, np.ndarray] = {}  # head count -> read-only ladder
+_MIN_LADDER = 16  # entries of a head count's first kept ladder
 
 
 def _rank_ladder(n_heads: int, n: int) -> np.ndarray:
@@ -335,7 +336,7 @@ def _rank_ladder(n_heads: int, n: int) -> np.ndarray:
     """
     ladder = _LADDERS.get(n_heads)
     if ladder is None or ladder.shape[1] < n:
-        size = MIN_CACHE_CAPACITY if ladder is None else ladder.shape[1]
+        size = _MIN_LADDER if ladder is None else ladder.shape[1]
         while size < n:
             size *= 2
         ladder = rank_biases(
@@ -482,7 +483,7 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
     if flops is not None and len(flops) != m:
         raise ShapeError(f"{len(flops)} FLOP counters for {m} new tokens")
     past, counts = len(cache), cache.counts
-    added = [0] * len(counts)  # per region, without iterating the enum
+    added = [0] * len(counts)
     arrivals = [[] for _ in counts]
     region = Region.PRE_PROMPT
     for i, (tok, tag) in enumerate(new_tokens):

@@ -2,10 +2,11 @@
 
 ``simul_mask`` and ``realized_step_mask`` build visibility from a per-row
 source frontier; here they are compared with the per-row loop they
-replaced.  Every bias block the row engine consumes is read off one
-``rank_biases`` ladder per call; here the blocks are compared byte for
-byte (so rank 0 stays -0.0) with ``head_biases`` and with the per-token
-formulas of the incremental path.
+replaced.  ``forward_full``'s bias blocks are read off one ``rank_biases``
+ladder per call; ``forward_incremental``'s are tails of the ladder
+``model`` keeps per head count, grown only when a call needs a longer one.
+Here the blocks are compared byte for byte (so rank 0 stays -0.0) with
+``head_biases`` and with the per-token formulas of the incremental path.
 """
 
 import numpy as np

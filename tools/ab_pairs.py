@@ -6,7 +6,8 @@ Run from the repository root:
 
 The tool unpacks the base commit with ``git archive`` into a temporary
 directory and runs ``perfbench/run.py`` (end-to-end metrics, ``--trace 0``)
-from each side's root.  Pair i runs both sides with seed ``--seed + i``, and
+from each side's root, each run as long as ``run_seconds`` of
+``BENCHMARK.json``.  Pair i runs both sides with seed ``--seed + i``, and
 the side that runs first alternates from pair to pair.  It prints one line
 per run, then per end-to-end metric of ``BENCHMARK.json``: each side's
 median, the base's quartiles and their distance (IQR), the relative change
@@ -71,12 +72,12 @@ def main(argv=None) -> int:
                         help="commit to compare against (default HEAD)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed", type=int, default=101,
                         help="seed of the first pair; pair i uses seed + i")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
+        bench = json.load(fh)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
 
     runs = {"base": [], "head": []}
     with tempfile.TemporaryDirectory() as scratch:
@@ -86,15 +87,14 @@ def main(argv=None) -> int:
             seed = args.seed + i
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                result = run_once(trees[side], args.workload, seed,
-                                  args.seconds)
+                result = run_once(trees[side], args.workload, seed, seconds)
                 runs[side].append(result)
                 values = " ".join(
                     f"{m['name']}={result['metrics'][m['name']]['value']:.4f}"
                     for m in metrics)
                 print(f"pair {i} seed {seed} {side}: {values}", flush=True)
 
-    print(f"{args.workload}: {args.pairs} pairs, {args.seconds:g} s runs, "
+    print(f"{args.workload}: {args.pairs} pairs, {seconds:g} s runs, "
           f"base {args.base} against the working tree")
     for line in summarize(metrics, runs["base"], runs["head"]):
         print(line)
