@@ -17,15 +17,15 @@ from .masks import (AttentionMaskSpec, DecisionPolicy, PromptLayout,
                     TablePolicy, WaitKPolicy, causal_mask,
                     cross_attention_mask, simul_mask)
 from .metrics import FlopModel, flops_generate, laal, quality_proxy
-from .model import (CacheTag, KVCache, ModelConfig, ModelParams,
-                    forward_full, forward_incremental, init_model)
+from .model import (KVCache, ModelConfig, ModelParams, forward_full,
+                    forward_incremental, init_model)
 from .training import fine_tune
 
 __all__ = [
-    "AttentionMaskSpec", "CacheTag", "DecisionPolicy", "FlopModel",
-    "GenerationMode", "HeadSlopes", "KVCache", "ModelConfig", "ModelParams",
-    "PromptLayout", "SentencePair", "TablePolicy", "TranslationTrace",
-    "WaitKPolicy", "WorkbenchError", "alibi_slopes", "causal_mask",
+    "AttentionMaskSpec", "DecisionPolicy", "FlopModel", "GenerationMode",
+    "HeadSlopes", "KVCache", "ModelConfig", "ModelParams", "PromptLayout",
+    "SentencePair", "TablePolicy", "TranslationTrace", "WaitKPolicy",
+    "WorkbenchError", "alibi_slopes", "causal_mask",
     "cross_attention_mask", "default_layout_builder", "fine_tune",
     "flops_generate", "forward_full", "forward_incremental", "gen_synthetic",
     "head_biases", "init_model", "laal", "prefix_expand", "quality_proxy",

@@ -58,6 +58,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one eval k")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("invalid training settings")
+        if min(self.seed, self.model_seed) < 0:
+            raise ConfigError("seed and model_seed must be >= 0")
         if min(self.max_seq_len, self.max_target_len) < 1:
             raise ConfigError("max_seq_len and max_target_len must be >= 1")
         if not 0 <= self.learning_rate < math.inf:

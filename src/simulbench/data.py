@@ -75,6 +75,8 @@ def gen_synthetic(task: str, n_sentences: int, min_len: int, max_len: int,
     name, shift_n = parse_task(task)
     if n_sentences < 1:
         raise ConfigError("need at least one sentence")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if not 1 <= min_len <= max_len:
         raise ConfigError(f"bad length range [{min_len}, {max_len}]")
     if vocab_size - FIRST_CONTENT_ID < max_len:

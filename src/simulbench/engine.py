@@ -5,11 +5,11 @@ target tokens under a decision policy.  One decision loop serves both
 modes; each mode supplies one step function taking (new source tokens,
 tokens emitted so far) to (last-row logits, read counter, write counter):
 
-* cached: every token is processed once against a growing KV cache, with
-  visibility and biases derived from canonical cache tags.  Each decision
-  step is one ``forward_incremental`` call holding the step's newly read
-  source tokens followed by the last emitted target token (on the first
-  step: the pre-prompt, the first source tokens and the mid-prompt);
+* cached: every token is processed once against a growing KV cache.
+  Each decision step is one ``forward_incremental`` call holding the
+  step's newly read source tokens followed by the last emitted target
+  token (on the first step: the pre-prompt, the first source tokens and
+  the mid-prompt), with their count per region;
 * recompute: every prediction step rebuilds the full canonical sequence
   (all read source mid-sequence) and runs a full forward under
   ``realized_step_mask``, the fine-tuning mask of the steps realized so
@@ -32,9 +32,9 @@ import numpy as np
 from .alibi import head_biases  # noqa: F401  (perfbench's tracer rebinds it here)
 from .errors import (ConfigError, ConsistencyError, DataError, NumericError,
                      PolicyError)
-from .masks import (AttentionMaskSpec, DecisionPolicy, PromptLayout, Region,
+from .masks import (AttentionMaskSpec, DecisionPolicy, PromptLayout,
                     read_count_mask)
-from .model import (CacheTag, FlopCounter, KVCache, ModelParams, forward_full,
+from .model import (FlopCounter, KVCache, ModelParams, forward_full,
                     forward_incremental)
 
 
@@ -191,24 +191,18 @@ def _cached_step(params, pre_prompt, mid_prompt, bias_scheme):
     to the read counter, then the mid-prompt (first step) or the last
     emitted target token, charged to the write counter."""
     cache = KVCache(params.config.n_layers)
-    pre_rows = [(tok, CacheTag(Region.PRE_PROMPT, i))
-                for i, tok in enumerate(pre_prompt)]
-    mid_rows = [(tok, CacheTag(Region.MID_PROMPT, i))
-                for i, tok in enumerate(mid_prompt)]
 
     def step(new, emitted):
-        src = cache.counts[Region.SOURCE]
-        read_rows = [(s, CacheTag(Region.SOURCE, src + j))
-                     for j, s in enumerate(new)]
         if emitted:
-            write_rows = [(emitted[-1],
-                           CacheTag(Region.TARGET, len(emitted) - 1))]
+            reads, writes = new, [emitted[-1]]
+            added = [0, len(new), 0, 1]
         else:
-            read_rows, write_rows = pre_rows + read_rows, mid_rows
+            reads, writes = pre_prompt + new, mid_prompt
+            added = [len(pre_prompt), len(new), len(mid_prompt), 0]
         read, write = FlopCounter(), FlopCounter()
         logits, _ = forward_incremental(
-            params, cache, read_rows + write_rows, bias_scheme=bias_scheme,
-            flops=[read] * len(read_rows) + [write] * len(write_rows))
+            params, cache, reads + writes, added, bias_scheme=bias_scheme,
+            flops=[read] * len(reads) + [write] * len(writes))
         return logits[-1], read, write
     return step
 

@@ -22,7 +22,7 @@ class PolicyError(WorkbenchError):
 
 
 class CacheCoherenceError(WorkbenchError):
-    """KV-cache tag ordering violated by an ingested token."""
+    """A KV cache used with a model it does not fit."""
 
 
 class ConfigError(WorkbenchError):

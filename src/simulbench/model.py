@@ -8,8 +8,9 @@ every exact forward; it is fed two ways:
   from an explicit mask and their biases from the rank rule of a bias
   kind;
 * ``forward_incremental`` extends a KV cache with one region-ordered run
-  of new tokens; the cache stores its rows in canonical order, so each
-  new token attends to a prefix of it, read in place.
+  of new tokens, given with their count per region; the cache numbers the
+  new rows itself and stores its rows in canonical order, so each new
+  token attends to a prefix of it, read in place.
 
 Keys and values live in one arena, (n_layers, 2, n_heads, capacity,
 d_head): a ``KVCache``'s, or one built per ``forward_full`` call.  The
@@ -25,6 +26,7 @@ immutable after creation; a KVCache belongs to a single generation session.
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
 
@@ -49,8 +51,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not int:  # no bool, float or numpy scalar
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if min(self.n_layers, self.n_heads, self.d_model, self.vocab_size) < 1:
             raise ConfigError("all model dimensions must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_heads & (self.n_heads - 1):
             raise ConfigError(f"n_heads must be a power of two, got {self.n_heads}")
         if self.d_model % self.n_heads:
@@ -161,17 +168,6 @@ class FlopCounter:
     def __init__(self):
         self.total = 0
         self.kv_rows = 0  # (token, layer) pairs whose keys/values were built
-
-
-@dataclass(frozen=True, order=True)
-class CacheTag:
-    """Canonical identity of a cached token: region plus index within it.
-
-    Ordering is canonical sequence order, independent of arrival order.
-    """
-
-    role: Region
-    canonical_index: int
 
 
 class KVCache:
@@ -411,17 +407,31 @@ def _forward_rows(params: ModelParams, tokens, kv: np.ndarray, slots,
                      params.w_out)[:, 0]
 
 
+def _ints(values, what: str) -> list[int]:
+    """``values`` as a list of ints; ShapeError if one is not an integer."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError as exc:
+        raise ShapeError(f"{what} must be integers: {exc}") from None
+
+
+def _token_ids(tokens, vocab_size: int) -> list[int]:
+    """``tokens`` as ints, each checked to be an id in the vocabulary."""
+    ids = _ints(tokens, "token ids")
+    if ids and (min(ids) < 0 or max(ids) >= vocab_size):
+        raise ShapeError(f"token id outside vocabulary of size {vocab_size}")
+    return ids
+
+
 def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
                  kind: str, flops: FlopCounter | None = None) -> np.ndarray:
     """Logits (L, vocab) of a full sequence under an explicit mask, with
     ``kind`` ('modified' or 'standard') biases over its visible entries."""
     cfg = params.config
-    tokens = np.asarray(tokens)
-    L = tokens.size
+    tokens = _token_ids(tokens, cfg.vocab_size)
+    L = len(tokens)
     if mask.rows != L or mask.cols != L:
         raise ShapeError(f"mask is {mask.rows}x{mask.cols}, sequence length {L}")
-    if ((tokens < 0) | (tokens >= cfg.vocab_size)).any():
-        raise ShapeError("token id outside vocabulary")
 
     rows, cols = np.nonzero(mask.visible)  # row-major: rows ascending
     counts = np.bincount(rows, minlength=L)
@@ -435,26 +445,28 @@ def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
                          [flops] * L if flops is not None else None)
 
 
-def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
+def forward_incremental(params: ModelParams, cache: KVCache, tokens, added,
                         bias_scheme: str = "rank",
                         flops: list[FlopCounter] | None = None):
-    """Extend ``cache`` with tagged tokens; return (logits for them, cache).
+    """Extend ``cache`` with new tokens; return (logits for them, cache).
 
-    ``new_tokens`` is one region-ordered run of (token_id, CacheTag)
-    pairs, such as a step's new source tokens followed by its target
-    token.  Each new token attends, in canonical tag order, to the rows of
-    every earlier region and its own region's rows up to itself, cached or
-    earlier in the call.  Because mid-prompt and target regions come after
-    the source region, a source token ingested late ignores the mid-prompt
-    and target entries already cached, and a source token and a target
-    token ingested together see exactly what they would see in two calls,
-    source first.  The cache keeps its rows in canonical order, so every
-    new token attends to a prefix of it, which the row engine reads in
-    place, in one call.  Each row's arithmetic is independent of how rows
-    are grouped into calls, so the logits are bit-identical too.
-    ``flops``, when given, holds one FlopCounter per new token, charged
-    with that token's row, so one call can serve several trace events.
-    Per-head biases follow ``bias_scheme``:
+    ``tokens`` is one region-ordered run of new token ids, such as a
+    step's new source tokens followed by its target token, with
+    ``added[r]`` of them in region r; the cache numbers the new rows
+    itself, each region's after the ``counts[r]`` it holds.  Each new
+    token attends to the rows of every earlier region and its own region's
+    rows up to itself, cached or earlier in the call.  Because mid-prompt
+    and target regions come after the source region, a source token
+    ingested late ignores the mid-prompt and target entries already
+    cached, and a source token and a target token ingested together see
+    exactly what they would see in two calls, source first.  The cache
+    keeps its rows in canonical order, so every new token attends to a
+    prefix of it, which the row engine reads in place, in one call.  Each
+    row's arithmetic is independent of how rows are grouped into calls, so
+    the logits are bit-identical too.  ``flops``, when given, holds one
+    FlopCounter per new token, charged with that token's row, so one call
+    can serve several trace events.  Per-head biases follow
+    ``bias_scheme``:
 
     * ``"rank"``: -slope * (canonical-rank distance within the visible
       set), nearest key 0 — the scheme matching visibility-aware training
@@ -462,12 +474,13 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
       ``rank_biases`` ladder (``_rank_ladder``), ranks n_i-1..0;
     * ``"stale"``: -slope * (arrival distance), with each entry's absolute
       position frozen at its arrival — the scheme a naive cache implements,
-      kept as a negative control.
+      kept as a negative control.  A call's tokens arrive in order, the
+      first one numbered ``len(cache)``.
 
-    Every token is validated before the cache changes: its tag must extend
-    its region's canonical order, and its region may not precede the
-    previous token's (a call is one region-ordered run); a call holds at
-    least one token.  If the row engine raises, the blocks the call moved
+    The input is validated before the cache changes: a call holds at least
+    one token, every token id is an integer in the vocabulary, and
+    ``added`` is ``len(Region)`` non-negative integers summing to
+    ``len(tokens)``.  If the row engine raises, the blocks the call moved
     go back, so ``len(cache)``, ``counts`` and every cached row are as
     they were.
     """
@@ -476,33 +489,20 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
         raise CacheCoherenceError("cache layer count differs from model")
     if bias_scheme not in ("rank", "stale"):
         raise ConfigError(f"unknown bias scheme {bias_scheme!r}")
-    new_tokens = list(new_tokens)
-    m = len(new_tokens)
+    tokens = _token_ids(tokens, cfg.vocab_size)
+    m = len(tokens)
     if not m:
         raise ShapeError("a call needs at least one new token")
+    added = _ints(added, "per-region counts")
+    if len(added) != len(Region) or min(added) < 0 or sum(added) != m:
+        raise ShapeError(f"bad per-region counts {added} for {m} tokens")
     if flops is not None and len(flops) != m:
         raise ShapeError(f"{len(flops)} FLOP counters for {m} new tokens")
     past, counts = len(cache), cache.counts
-    added = [0] * len(counts)
-    arrivals = [[] for _ in counts]
-    region = Region.PRE_PROMPT
-    for i, (tok, tag) in enumerate(new_tokens):
-        if not 0 <= tok < cfg.vocab_size:
-            raise ShapeError("token id outside vocabulary")
-        if tag.role < region:
-            raise CacheCoherenceError(
-                f"{tag} follows a {region.name} token: a call must be in "
-                f"region order")
-        region = tag.role
-        expected = counts[region] + added[region]
-        if tag.canonical_index != expected:
-            raise CacheCoherenceError(
-                f"{tag} does not extend canonical order "
-                f"(expected index {expected})")
-        added[region] += 1
-        arrivals[region].append(past + i)
-    tokens = [tok for tok, _ in new_tokens]
     moves, rows = _plan(counts, added)
+    # the call's rows arrive in region order, numbered on from len(cache)
+    arrivals = [range(first, first + k)
+                for first, k in zip(accumulate(added, initial=past), added)]
     n_visible = [row + 1 for row in rows]
     width = n_visible[-1]
     if bias_scheme == "rank":
@@ -514,7 +514,7 @@ def forward_incremental(params: ModelParams, cache: KVCache, new_tokens,
         n = past + m
         ladder = _rank_ladder(cfg.n_heads, n)
         arrival = np.array([a for kept, new in zip(cache._arrivals, arrivals)
-                            for a in kept + new])
+                            for a in (*kept, *new)])
         bias = np.concatenate(
             [ladder[:, arrival[:size] + (n - 1 - past - i)]
              for i, size in enumerate(n_visible)], axis=1)
@@ -562,10 +562,10 @@ def params_to_bytes(params: ModelParams) -> bytes:
 def load_params(path: str) -> ModelParams:
     """Read a checkpoint made by ``params_to_bytes``.
 
-    The header's tensors must be exactly those of its config, with the
-    config's shapes, their offsets must tile the data in header order, and
-    the data must hold exactly their bytes.  The shapes are worked out from
-    the config, so a bad checkpoint is rejected before any tensor is built.
+    The header's config must be a valid ``ModelConfig`` and its tensors
+    exactly that config's, with its shapes, their offsets tiling the data
+    in header order and the data holding exactly their bytes.  The shapes
+    come from the config, so a bad checkpoint fails before any is built.
     """
     try:
         with open(path, "rb") as fh:
@@ -605,6 +605,6 @@ def load_params(path: str) -> ModelParams:
             chunk = flat[spec["offset"]:spec["offset"] + size]
             arrays[spec["name"]] = chunk.reshape(spec["shape"]).astype(np.float32)
         return ModelParams.from_tensors(config, arrays)
-    except (OSError, ValueError, KeyError, TypeError,
-            UnicodeDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, UnicodeDecodeError,
+            ConfigError) as exc:
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc

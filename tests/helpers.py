@@ -23,6 +23,16 @@ def save_params(params, path: str):
         fh.write(params_to_bytes(params))
 
 
+def rewrite_checkpoint(path, edit_header, extra_bytes=b""):
+    """Rewrite a saved checkpoint's JSON header and append ``extra_bytes``."""
+    data = open(path, "rb").read()
+    line, _, body = data.partition(b"\n")
+    header = json.loads(line)
+    edit_header(header)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n" + body + extra_bytes)
+
+
 def region_of(layout: PromptLayout, pos: int) -> tuple[Region, int]:
     """(region, 0-based index within the region) of an absolute position."""
     assert 0 <= pos < layout.total_len

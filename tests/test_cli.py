@@ -11,8 +11,8 @@ from simulbench.data import gen_synthetic
 from simulbench.experiment import run_experiment
 from simulbench.model import ModelConfig, init_model
 
-from helpers import (ascii_to_mask, hidden_beyond_causal, save_corpus,
-                     save_params)
+from helpers import (ascii_to_mask, hidden_beyond_causal,
+                     rewrite_checkpoint, save_corpus, save_params)
 
 
 @pytest.fixture
@@ -122,6 +122,20 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         code = main(["eval", "--config", _write_cfg(tmp_path, "junk_key = 1\n")])
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["seed = -1\n", "model_seed = -1\n"])
+    def test_negative_seed_is_config_error(self, corpus_path, tmp_path, text):
+        out = os.path.join(tmp_path, "run")
+        assert main(["eval", "--dataset", corpus_path, "--out", out,
+                     "--eval-k", "1", "--config",
+                     _write_cfg(tmp_path, "epochs = 0\n" + text)]) == 2
+        assert not os.path.exists(out)
+
+    def test_gen_data_negative_seed_is_config_error(self, tmp_path):
+        out = os.path.join(tmp_path, "c.jsonl")
+        assert main(["gen-data", "--task", "copy", "--n", "2", "--min-len",
+                     "3", "--max-len", "4", "--seed", "-1", "--out", out]) == 2
+        assert not os.path.exists(out)
 
     def test_data_error_exit_code(self, tmp_path):
         code = main(["eval", "--dataset", os.path.join(tmp_path, "nope.jsonl"),
@@ -282,6 +296,17 @@ class TestCheckpointConfig:
             assert filecmp.cmp(os.path.join(outs["default"], name),
                                os.path.join(outs["matching"], name),
                                shallow=False), name
+
+    @pytest.mark.parametrize("edit", [
+        {"d_model": 64.0}, {"n_layers": True}, {"n_heads": 3}])
+    def test_bad_header_config_is_data_error(self, corpus_path, tmp_path,
+                                             edit):
+        ckpt = self._checkpoint(tmp_path)
+        rewrite_checkpoint(ckpt, lambda h: h["config"].update(edit))
+        out = os.path.join(tmp_path, "run")
+        assert main(["eval", "--dataset", corpus_path, "--checkpoint", ckpt,
+                     "--out", out, "--eval-k", "1"]) == 3
+        assert not os.path.exists(os.path.join(out, "metrics.csv"))
 
     @pytest.fixture
     def wide_corpus(self, tmp_path):

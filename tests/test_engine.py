@@ -156,9 +156,9 @@ class TestCachedCalls:
         sizes = []
         real = engine.forward_incremental
 
-        def counted(params, cache, new_tokens, *args, **kwargs):
-            sizes.append(len(new_tokens))
-            return real(params, cache, new_tokens, *args, **kwargs)
+        def counted(params, cache, tokens, *args, **kwargs):
+            sizes.append(len(tokens))
+            return real(params, cache, tokens, *args, **kwargs)
 
         monkeypatch.setattr(engine, "forward_incremental", counted)
         return sizes

@@ -7,35 +7,31 @@ import pytest
 
 from simulbench import model
 from simulbench.alibi import alibi_slopes, rank_biases
-from simulbench.errors import (CacheCoherenceError, ConfigError, DataError,
-                               NumericError, ShapeError)
+from simulbench.errors import ConfigError, DataError, NumericError, ShapeError
 from simulbench.masks import (PromptLayout, Region, WaitKPolicy, causal_mask,
                               simul_mask)
-from simulbench.model import (CacheTag, FlopCounter, KVCache, ModelConfig,
-                              forward_full, forward_incremental, init_model,
-                              load_params)
+from simulbench.model import (FlopCounter, KVCache, ModelConfig, forward_full,
+                              forward_incremental, init_model, load_params)
 
-from helpers import region_of, save_params
+from helpers import region_of, rewrite_checkpoint, save_params
 
 CFG = ModelConfig(n_layers=2, n_heads=4, d_model=32, vocab_size=12, seed=0)
 
 
-def tagged(tokens, layout):
-    out = []
-    for i, tok in enumerate(tokens):
-        region, idx = region_of(layout, i)
-        out.append((tok, CacheTag(region, idx)))
-    return out
+def as_call(tokens, layout):
+    """``tokens`` laid out by ``layout`` as one call: (tokens, per-region
+    counts)."""
+    added = [0] * len(Region)
+    for i in range(len(tokens)):
+        added[region_of(layout, i)[0]] += 1
+    return list(tokens), added
 
 
-def rewrite_checkpoint(path, edit_header, extra_bytes=b""):
-    """Rewrite a saved checkpoint's JSON header and append ``extra_bytes``."""
-    data = open(path, "rb").read()
-    line, _, body = data.partition(b"\n")
-    header = json.loads(line)
-    edit_header(header)
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n" + body + extra_bytes)
+def only(region, n=1):
+    """Per-region counts of a call of ``n`` tokens, all in ``region``."""
+    added = [0] * len(Region)
+    added[region] = n
+    return added
 
 
 class TestInit:
@@ -75,6 +71,13 @@ class TestInit:
         with pytest.raises(ConfigError):
             ModelConfig(n_layers=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("d_model", 32.0), ("n_layers", True), ("vocab_size", "12"),
+        ("n_heads", np.int64(4)), ("seed", 1.5), ("seed", -1)])
+    def test_non_int_or_negative_seed_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: value})
+
 
 class TestForwardFull:
     def test_single_token_ignores_bias_content(self):
@@ -102,14 +105,16 @@ class TestForwardFull:
             forward_full(params, [1, 2, 3], causal_mask(3), "other")
         with pytest.raises(ShapeError):
             forward_full(params, [1, 99], causal_mask(2), "modified")
+        with pytest.raises(ShapeError, match="integers"):
+            forward_full(params, [1, 2.5], causal_mask(2), "modified")
 
 
 class TestForwardIncremental:
     def test_single_token_matches_full(self):
         params = init_model(CFG)
         cache = KVCache(CFG.n_layers)
-        logits, _ = forward_incremental(
-            params, cache, [(5, CacheTag(Region.PRE_PROMPT, 0))])
+        logits, _ = forward_incremental(params, cache, [5],
+                                        only(Region.PRE_PROMPT))
         full = forward_full(params, [5], causal_mask(1), "modified")
         assert np.array_equal(logits, full)
 
@@ -118,7 +123,7 @@ class TestForwardIncremental:
         layout = PromptLayout(2, 4, 1, 3)
         tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
         cache = KVCache(CFG.n_layers)
-        inc, _ = forward_incremental(params, cache, tagged(tokens, layout))
+        inc, _ = forward_incremental(params, cache, *as_call(tokens, layout))
         full = forward_full(params, tokens, causal_mask(10), "modified")
         assert np.array_equal(inc, full)
 
@@ -132,92 +137,89 @@ class TestForwardIncremental:
 
         cache = KVCache(CFG.n_layers)
         step_logits = {}
-        feed = lambda seq: forward_incremental(params, cache, seq)[0]
-        feed([(tokens[0], CacheTag(Region.PRE_PROMPT, 0))])
-        feed([(tokens[1 + j], CacheTag(Region.SOURCE, j)) for j in range(2)])
+        feed = lambda seq, region: forward_incremental(
+            params, cache, seq, only(region, len(seq)))[0]
+        feed(tokens[:1], Region.PRE_PROMPT)
+        feed(tokens[1:3], Region.SOURCE)
         step_logits[layout.predictor_row(1)] = feed(
-            [(tokens[6], CacheTag(Region.MID_PROMPT, 0))])[-1]
+            tokens[6:7], Region.MID_PROMPT)[-1]
         reads = 2
         for t in range(2, 5):
             goal = pol.cumulative_reads(t)
             if goal > reads:
-                feed([(tokens[1 + j], CacheTag(Region.SOURCE, j))
-                      for j in range(reads, goal)])
+                feed(tokens[1 + reads:1 + goal], Region.SOURCE)
                 reads = goal
             step_logits[layout.predictor_row(t)] = feed(
-                [(tokens[layout.target_start + t - 2],
-                  CacheTag(Region.TARGET, t - 2))])[-1]
+                [tokens[layout.target_start + t - 2]], Region.TARGET)[-1]
         for row, logits in step_logits.items():
             assert np.abs(logits - full[row]).max() < 1e-4
 
-    def test_tag_order_violation(self):
-        params = init_model(CFG)
-        cache = KVCache(CFG.n_layers)
-        forward_incremental(params, cache, [(1, CacheTag(Region.SOURCE, 0))])
-        with pytest.raises(CacheCoherenceError):
-            forward_incremental(params, cache, [(2, CacheTag(Region.SOURCE, 2))])
-        with pytest.raises(CacheCoherenceError):
-            forward_incremental(params, cache, [(2, CacheTag(Region.SOURCE, 0))])
-
     @pytest.mark.parametrize("failure",
-                             ["bad tag", "region order", "nan query weights",
+                             ["float token", "counts of three regions",
+                              "negative count", "counts short of the tokens",
+                              "counts past the tokens", "nan query weights",
                               "nan at a doubling", "no token"])
     def test_rejected_call_leaves_cache_unchanged(self, failure):
         # the rejected call holds 50 source tokens, enough to grow the
         # cache's arena and, once mid-prompt and target rows are cached
-        # (later = 1), to move them; it fails validation at its last token,
-        # or inside the row engine (NaN queries leave a row with no finite
-        # score, only NaN ones); or it is a target, a source and a target
-        # token, which is not one region-ordered run; or it holds no token.
-        # At a doubling, the cache is full at 16 rows and one source token
-        # doubles the arena and moves the later rows before the engine fails
+        # (later = 1), to move them; it fails validation at its last token
+        # or at its per-region counts, or inside the row engine (NaN
+        # queries leave a row with no finite score, only NaN ones); or it
+        # holds no token.  At a doubling, the cache is full at 16 rows and
+        # one source token doubles the arena and moves the later rows
+        # before the engine fails
         params = init_model(CFG)
         bad = params.with_tensors(dict(params.tensors(), **{
             "layers.1.wq": np.full_like(params.layers[1].wq, np.nan)}))
-        layout = PromptLayout(1, 60, 1, 2)
         tokens = [1] + [int(t) for t in
                         np.random.default_rng(0).integers(1, 12, size=63)]
-        items = tagged(tokens, layout)
         for later in (0, 1):
             n_src = 15 - 2 * later if failure == "nan at a doubling" else 10
-            prefix = (items[:1 + n_src] + items[61:61 + later]
-                      + items[62:62 + later])
-            more = items[1 + n_src:61]
-            probe = [(7, CacheTag(Region.SOURCE, n_src)),
-                     (8, CacheTag(Region.TARGET, later))]
+            prefix = (tokens[:1 + n_src] + tokens[61:61 + later]
+                      + tokens[62:62 + later])
+            prefix_added = [1, n_src, later, later]
+            more = tokens[1 + n_src:61]
+            more_added = only(Region.SOURCE, len(more))
+            probe, probe_added = [7, 8], [0, 1, 0, 1]
             ref = KVCache(CFG.n_layers)
-            forward_incremental(params, ref, prefix)
-            want, _ = forward_incremental(params, ref, probe)
+            forward_incremental(params, ref, prefix, prefix_added)
+            want, _ = forward_incremental(params, ref, probe, probe_added)
 
             cache = KVCache(CFG.n_layers)
-            forward_incremental(params, cache, prefix)
+            forward_incremental(params, cache, prefix, prefix_added)
             n, arrival = len(cache), cache.arrival.tolist()
             rows = cache.kv[:, :, :, :n].tobytes()
-            if failure == "bad tag":
-                more[-1] = (more[-1][0], CacheTag(Region.SOURCE, 99))
-                with pytest.raises(CacheCoherenceError):
-                    forward_incremental(params, cache, more)
-            elif failure == "region order":
-                more = [(8, CacheTag(Region.TARGET, later)), more[0],
-                        (9, CacheTag(Region.TARGET, later + 1))]
-                with pytest.raises(CacheCoherenceError, match="region order"):
-                    forward_incremental(params, cache, more)
+            bad_counts = {
+                "counts of three regions": more_added[:3],
+                "negative count": [0, len(more) + 1, -1, 0],
+                "counts short of the tokens": only(Region.SOURCE,
+                                                   len(more) - 1),
+                "counts past the tokens": only(Region.SOURCE, len(more) + 1)}
+            if failure == "float token":
+                more[-1] = 2.5
+                with pytest.raises(ShapeError, match="integers"):
+                    forward_incremental(params, cache, more, more_added)
+            elif failure in bad_counts:
+                with pytest.raises(ShapeError, match="per-region counts"):
+                    forward_incremental(params, cache, more,
+                                        bad_counts[failure])
             elif failure == "nan at a doubling":
                 assert n == cache.kv.shape[3] == 16
                 with pytest.raises(NumericError):
-                    forward_incremental(bad, cache, more[:1])
+                    forward_incremental(bad, cache, more[:1],
+                                        only(Region.SOURCE))
                 assert cache.kv.shape[3] == 32
             elif failure == "no token":
                 with pytest.raises(ShapeError):
-                    forward_incremental(params, cache, [])
+                    forward_incremental(params, cache, [], [0] * len(Region))
             else:
                 with pytest.raises(NumericError):
-                    forward_incremental(bad, cache, more)
+                    forward_incremental(bad, cache, more, more_added)
             assert len(cache) == n == 1 + n_src + 2 * later
             assert cache.counts == [1, n_src, later, later]
             assert cache.arrival.tolist() == arrival
             assert cache.kv[:, :, :, :n].tobytes() == rows
-            got, _ = forward_incremental(params, cache, probe)
+            got, _ = forward_incremental(params, cache, probe, probe_added)
             assert np.array_equal(got, want)
 
     def test_source_ingestion_ignores_later_regions(self):
@@ -227,20 +229,18 @@ class TestForwardIncremental:
         layout = PromptLayout(1, 3, 1, 2)
 
         early = KVCache(CFG.n_layers)
-        forward_incremental(params, early, [(1, CacheTag(Region.PRE_PROMPT, 0))])
-        forward_incremental(params, early, [(4, CacheTag(Region.SOURCE, 0)),
-                                            (5, CacheTag(Region.SOURCE, 1))])
-        logits_early, _ = forward_incremental(
-            params, early, [(6, CacheTag(Region.SOURCE, 2))])
+        forward_incremental(params, early, [1], only(Region.PRE_PROMPT))
+        forward_incremental(params, early, [4, 5], only(Region.SOURCE, 2))
+        logits_early, _ = forward_incremental(params, early, [6],
+                                              only(Region.SOURCE))
 
         late = KVCache(CFG.n_layers)
-        forward_incremental(params, late, [(1, CacheTag(Region.PRE_PROMPT, 0))])
-        forward_incremental(params, late, [(4, CacheTag(Region.SOURCE, 0)),
-                                           (5, CacheTag(Region.SOURCE, 1))])
-        forward_incremental(params, late, [(2, CacheTag(Region.MID_PROMPT, 0))])
-        forward_incremental(params, late, [(7, CacheTag(Region.TARGET, 0))])
-        logits_late, _ = forward_incremental(
-            params, late, [(6, CacheTag(Region.SOURCE, 2))])
+        forward_incremental(params, late, [1], only(Region.PRE_PROMPT))
+        forward_incremental(params, late, [4, 5], only(Region.SOURCE, 2))
+        forward_incremental(params, late, [2], only(Region.MID_PROMPT))
+        forward_incremental(params, late, [7], only(Region.TARGET))
+        logits_late, _ = forward_incremental(params, late, [6],
+                                             only(Region.SOURCE))
         assert np.array_equal(logits_early, logits_late)
 
     @pytest.mark.parametrize("scheme", ["rank", "stale"])
@@ -248,23 +248,21 @@ class TestForwardIncremental:
         # one call holding a step's new source tokens and the last target
         # token gives each row the logits and the FLOPs of two calls
         params = init_model(CFG)
-        start = [(1, CacheTag(Region.PRE_PROMPT, 0)),
-                 (4, CacheTag(Region.SOURCE, 0)),
-                 (2, CacheTag(Region.MID_PROMPT, 0))]
-        sources = [(5, CacheTag(Region.SOURCE, 1)),
-                   (6, CacheTag(Region.SOURCE, 2))]
-        target = [(7, CacheTag(Region.TARGET, 0))]
         split, mixed = KVCache(CFG.n_layers), KVCache(CFG.n_layers)
         for cache in (split, mixed):
-            forward_incremental(params, cache, start, bias_scheme=scheme)
+            forward_incremental(params, cache, [1, 4, 2], [1, 1, 1, 0],
+                                bias_scheme=scheme)
         read, write = FlopCounter(), FlopCounter()
-        src_logits, _ = forward_incremental(params, split, sources, scheme,
+        src_logits, _ = forward_incremental(params, split, [5, 6],
+                                            only(Region.SOURCE, 2), scheme,
                                             [read, read])
-        tgt_logits, _ = forward_incremental(params, split, target, scheme,
+        tgt_logits, _ = forward_incremental(params, split, [7],
+                                            only(Region.TARGET), scheme,
                                             [write])
         both = FlopCounter(), FlopCounter()
-        logits, _ = forward_incremental(params, mixed, sources + target,
-                                        scheme, [both[0], both[0], both[1]])
+        logits, _ = forward_incremental(params, mixed, [5, 6, 7],
+                                        [0, 2, 0, 1], scheme,
+                                        [both[0], both[0], both[1]])
         assert np.array_equal(logits, np.concatenate([src_logits, tgt_logits]))
         assert [(c.total, c.kv_rows) for c in both] == [
             (read.total, read.kv_rows), (write.total, write.kv_rows)]
@@ -272,7 +270,8 @@ class TestForwardIncremental:
         assert mixed.arrival.tolist() == [0, 1, 3, 4, 2, 5]
         assert split.arrival.tolist() == [0, 1, 3, 4, 2, 5]
         with pytest.raises(ShapeError):
-            forward_incremental(params, mixed, target, scheme, [])
+            forward_incremental(params, mixed, [7], only(Region.TARGET),
+                                scheme, [])
         assert len(mixed) == 6
 
     def test_causal_prefix_consistency(self):
@@ -288,44 +287,33 @@ class TestForwardIncremental:
         params = init_model(CFG)
         layout = PromptLayout(2, 3, 1, 3)
         tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9]
+        call = as_call(tokens, layout)
         a = KVCache(CFG.n_layers)
-        rank_logits, _ = forward_incremental(params, a, tagged(tokens, layout),
+        rank_logits, _ = forward_incremental(params, a, *call,
                                              bias_scheme="rank")
         b = KVCache(CFG.n_layers)
-        stale_logits, _ = forward_incremental(params, b, tagged(tokens, layout),
+        stale_logits, _ = forward_incremental(params, b, *call,
                                               bias_scheme="stale")
         assert np.array_equal(rank_logits, stale_logits)
 
     def test_stale_scheme_differs_after_interleaving(self):
         params = init_model(CFG)
-        seq = [(1, CacheTag(Region.PRE_PROMPT, 0)),
-               (4, CacheTag(Region.SOURCE, 0)),
-               (2, CacheTag(Region.MID_PROMPT, 0)),
-               (7, CacheTag(Region.TARGET, 0)),
-               (5, CacheTag(Region.SOURCE, 1))]
+        seq = [(1, Region.PRE_PROMPT), (4, Region.SOURCE),
+               (2, Region.MID_PROMPT), (7, Region.TARGET), (5, Region.SOURCE)]
         a = KVCache(CFG.n_layers)
-        for item in seq:
-            rank_logits, _ = forward_incremental(params, a, [item],
+        for tok, region in seq:
+            rank_logits, _ = forward_incremental(params, a, [tok],
+                                                 only(region),
                                                  bias_scheme="rank")
         b = KVCache(CFG.n_layers)
-        for item in seq:
-            stale_logits, _ = forward_incremental(params, b, [item],
+        for tok, region in seq:
+            stale_logits, _ = forward_incremental(params, b, [tok],
+                                                  only(region),
                                                   bias_scheme="stale")
-        probe = [(8, CacheTag(Region.TARGET, 1))]
-        ra, _ = forward_incremental(params, a, probe, bias_scheme="rank")
-        rb, _ = forward_incremental(params, b, probe, bias_scheme="stale")
+        probe = [8], only(Region.TARGET)
+        ra, _ = forward_incremental(params, a, *probe, bias_scheme="rank")
+        rb, _ = forward_incremental(params, b, *probe, bias_scheme="stale")
         assert not np.array_equal(ra, rb)
-
-    def test_cache_tag_canonical_order(self):
-        tags = [CacheTag(Region.TARGET, 0), CacheTag(Region.PRE_PROMPT, 1),
-                CacheTag(Region.SOURCE, 2), CacheTag(Region.SOURCE, 0),
-                CacheTag(Region.MID_PROMPT, 0)]
-        ordered = sorted(tags)
-        assert ordered == [CacheTag(Region.PRE_PROMPT, 1),
-                           CacheTag(Region.SOURCE, 0),
-                           CacheTag(Region.SOURCE, 2),
-                           CacheTag(Region.MID_PROMPT, 0),
-                           CacheTag(Region.TARGET, 0)]
 
 
 def test_rank_ladder_tails_match_rank_biases(monkeypatch):
@@ -463,6 +451,16 @@ class TestCheckpointErrors:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("edit", [
+        {"d_model": 32.0}, {"n_layers": True}, {"n_heads": 3}, {"seed": -1}])
+    def test_header_config_model_config_rejects(self, tmp_path, edit):
+        # a float or bool dimension would load and then break the forward;
+        # every header config ModelConfig rejects is a fault of the file
+        path = self._saved(tmp_path)
+        rewrite_checkpoint(path, lambda h: h["config"].update(edit))
+        with pytest.raises(DataError, match="cannot load checkpoint"):
+            load_params(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = self._saved(tmp_path)

@@ -47,9 +47,13 @@ MUTANTS = (
      "src/simulbench/model.py",
      "return ladder[:, ladder.shape[1] - n:]",
      "return ladder[:, :n]"),
-    ("region-order check removed", "src/simulbench/model.py",
-     "if tag.role < region:",
-     "if tag.role < Region.PRE_PROMPT:"),
+    ("per-region counts not checked against the tokens",
+     "src/simulbench/model.py",
+     "or min(added) < 0 or sum(added) != m:",
+     "or min(added) < 0:"),
+    ("new rows numbered one arrival late", "src/simulbench/model.py",
+     "arrivals = [range(first, first + k)",
+     "arrivals = [range(first + 1, first + k + 1)"),
     ("mid-prompt rows left unrestricted in simul_mask",
      "src/simulbench/masks.py",
      "frontier[:mid_len - 1] = reads[0]",
