@@ -14,8 +14,7 @@ from .engine import (GenerationMode, TranslationTrace, prefix_expand,
                      replay_visibility, schedule_trace, simul_generate)
 from .errors import WorkbenchError
 from .masks import (AttentionMaskSpec, DecisionPolicy, PromptLayout,
-                    TablePolicy, WaitKPolicy, causal_mask,
-                    cross_attention_mask, simul_mask)
+                    TablePolicy, WaitKPolicy, causal_mask, simul_mask)
 from .metrics import FlopModel, flops_generate, laal, quality_proxy
 from .model import (KVCache, ModelConfig, ModelParams, forward_full,
                     forward_incremental, init_model)
@@ -25,9 +24,9 @@ __all__ = [
     "AttentionMaskSpec", "DecisionPolicy", "FlopModel", "GenerationMode",
     "HeadSlopes", "KVCache", "ModelConfig", "ModelParams", "PromptLayout",
     "SentencePair", "TablePolicy", "TranslationTrace", "WaitKPolicy",
-    "WorkbenchError", "alibi_slopes", "causal_mask",
-    "cross_attention_mask", "default_layout_builder", "fine_tune",
-    "flops_generate", "forward_full", "forward_incremental", "gen_synthetic",
-    "head_biases", "init_model", "laal", "prefix_expand", "quality_proxy",
-    "replay_visibility", "schedule_trace", "simul_generate", "simul_mask",
+    "WorkbenchError", "alibi_slopes", "causal_mask", "default_layout_builder",
+    "fine_tune", "flops_generate", "forward_full", "forward_incremental",
+    "gen_synthetic", "head_biases", "init_model", "laal", "prefix_expand",
+    "quality_proxy", "replay_visibility", "schedule_trace", "simul_generate",
+    "simul_mask",
 ]

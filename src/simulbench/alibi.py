@@ -35,9 +35,6 @@ class HeadSlopes:
     def __len__(self) -> int:
         return len(self.slopes)
 
-    def __getitem__(self, h: int) -> float:
-        return self.slopes[h]
-
 
 @functools.lru_cache(maxsize=64)
 def alibi_slopes(n_heads: int) -> HeadSlopes:

@@ -1,13 +1,13 @@
-"""Dense kernels: stable ragged softmax and head-batched biased attention.
+"""Dense kernel: head-batched biased attention with a stable softmax.
 
 All computations are float32 unless the caller passes float64 inputs.
 A bias entry of -inf marks a key as absent: it maps to exactly 0 after the
 softmax, and since a row's maximum is taken over its finite entries, no NaN
 can arise from ``-inf - finite``.
 
-Both kernels work on ragged blocks: the rows of a call are laid end to end
-along the key axis, and ``counts[r]`` says how many entries row ``r`` owns.
-``attend_row`` also takes each row's first key: its keys need not be laid
+``attend_row`` works on ragged blocks: the rows of a call lay their scores
+end to end along the key axis, and ``counts[r]`` says how many entries row
+``r`` owns.  It also takes each row's first key: its keys need not be laid
 end to end, so rows may read overlapping prefixes of one cache in place.
 A call's layout is validated once, by ``row_plan``, into a ``RowPlan``
 that every layer's ``attend_row`` reuses, checking only its sizes.
@@ -24,19 +24,6 @@ import numpy as np
 from .errors import DegenerateRowError, NumericError, ShapeError
 
 NEG_INF = float("-inf")
-
-
-def _rows(counts):
-    """(counts, row starts, row ends) of a ragged block; rejects empty rows,
-    before ``reduceat`` would hand them one entry of the next row."""
-    counts = np.asarray(counts, dtype=np.intp)
-    if counts.ndim != 1 or counts.size == 0:
-        raise ShapeError("counts must be a non-empty 1-D sequence")
-    sizes = counts.tolist()
-    if min(sizes) < 1:
-        raise DegenerateRowError("softmax over a row with no entry")
-    ends = list(accumulate(sizes))
-    return counts, [0] + ends[:-1], ends
 
 
 class RowPlan(NamedTuple):
@@ -59,7 +46,15 @@ def row_plan(counts, offsets) -> RowPlan:
     """The RowPlan of rows owning ``counts[r]`` entries each, row r's keys
     starting at ``offsets[r]``.  Raises DegenerateRowError for an empty row
     and ShapeError for a malformed layout."""
-    counts, starts, ends = _rows(counts)
+    counts = np.asarray(counts, dtype=np.intp)
+    if counts.ndim != 1 or counts.size == 0:
+        raise ShapeError("counts must be a non-empty 1-D sequence")
+    sizes = counts.tolist()
+    # an empty row would take one entry of the next from ``reduceat``
+    if min(sizes) < 1:
+        raise DegenerateRowError("softmax over a row with no entry")
+    ends = list(accumulate(sizes))
+    starts = [0] + ends[:-1]
     offsets = [int(at) for at in offsets]
     if len(offsets) != len(starts):
         raise ShapeError(f"{len(starts)} counts and {len(offsets)} offsets")
@@ -92,29 +87,6 @@ def _softmax(x: np.ndarray, counts, starts, ends) -> np.ndarray:
         np.add.reduce(x[..., lo:hi], axis=-1, out=sums[..., r])
     x /= sums.repeat(counts, axis=-1)
     return x
-
-
-def softmax_row(x: np.ndarray, counts) -> np.ndarray:
-    """Numerically stable softmax over each row of a ragged block.
-
-    ``x`` is (..., total); row ``r`` owns the next ``counts[r]`` entries of
-    the last axis, and every row is normalized on its own.  Entries equal
-    to -inf are treated as absent: they contribute nothing to the
-    normalizer and map to exactly 0 in the output.  Raises
-    DegenerateRowError when some row is empty or has no finite entry, or
-    NumericError when some row's maximum is NaN or +inf (broken numbers,
-    not an empty visible set).  ``x`` itself is left unchanged.
-    """
-    x = np.asarray(x)
-    if x.ndim < 1:
-        raise ShapeError("softmax_row expects at least one axis")
-    counts, starts, ends = _rows(counts)
-    if ends[-1] != x.shape[-1]:
-        raise ShapeError(f"counts cover {ends[-1]} entries, block has "
-                         f"{x.shape[-1]}")
-    # the dtype ``np.exp`` gives x: integers and booleans become floats
-    return _softmax(x.astype(np.result_type(x.dtype, np.float16)),
-                    counts, starts, ends)
 
 
 @functools.lru_cache(maxsize=None)

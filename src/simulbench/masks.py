@@ -194,18 +194,6 @@ def causal_mask(length: int) -> AttentionMaskSpec:
     return AttentionMaskSpec(np.tril(np.ones((length, length), dtype=bool)))
 
 
-def cross_attention_mask(policy: DecisionPolicy, target_len: int) -> AttentionMaskSpec:
-    """T x S grid: target row t sees source col j iff j <= f(t)."""
-    if target_len < 1:
-        raise PolicyError("target_len must be >= 1")
-    if not policy.covers(target_len):
-        raise PolicyError(f"policy does not cover {target_len} target steps")
-    vis = np.zeros((target_len, policy.source_len), dtype=bool)
-    for t in range(1, target_len + 1):
-        vis[t - 1, :policy.cumulative_reads(t)] = True
-    return AttentionMaskSpec(vis)
-
-
 def simul_mask(layout: PromptLayout, policy: DecisionPolicy) -> AttentionMaskSpec:
     """Causal mask restricted to mirror streaming inference under a policy.
 

@@ -408,7 +408,11 @@ def _forward_rows(params: ModelParams, tokens, kv: np.ndarray, slots,
 
 
 def _ints(values, what: str) -> list[int]:
-    """``values`` as a list of ints; ShapeError if one is not an integer."""
+    """``values`` as a list of ints; ShapeError if one is not an integer.
+    A bool is not one here, though Python counts it as one."""
+    values = list(values)
+    if bool in map(type, values):
+        raise ShapeError(f"{what} must be integers, not booleans")
     try:
         return list(map(operator.index, values))
     except TypeError as exc:

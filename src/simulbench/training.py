@@ -1,11 +1,13 @@
 """Cross-entropy fine-tuning of the tiny decoder-only model.
 
-The training forward/backward is vectorized over same-shaped sentences
-(the row-wise exact path in ``model`` stays the reference for inference
-equivalence tests; the two agree to float precision).  The loss covers
-exactly the target-predicting rows: the final mid-prompt row through the
-penultimate target row.  Optimization is plain SGD with global
-gradient-norm clipping at 1.
+The training forward/backward is vectorized over same-shaped sentences.
+It takes what ``model.forward_full`` takes, a mask and a bias kind, and
+builds its biases from the mask under the same rank rule, so the row-wise
+exact path in ``model`` stays the reference for inference equivalence
+tests; the two agree to float precision.  The loss covers exactly the
+target-predicting rows: the final mid-prompt row through the penultimate
+target row.  Optimization is plain SGD with global gradient-norm clipping
+at 1.
 
 Products follow three rules.  Every activation x weight product, forward
 and backward, is one 2-D GEMM over all B*L rows.  Every weight gradient is
@@ -36,7 +38,7 @@ import numpy as np
 
 from .alibi import alibi_slopes, head_biases
 from .errors import ConfigError, DataError, NumericError
-from .masks import AttentionMaskSpec, DecisionPolicy, PromptLayout, causal_mask, simul_mask
+from .masks import AttentionMaskSpec, causal_mask, simul_mask
 from .model import LN_EPS, ModelParams
 
 _GELU_A = 0.044715
@@ -135,20 +137,6 @@ def _ln_bwd(xhat, inv, g, dy, tmp):
     return dg, db
 
 
-def build_training_mask_and_bias(layout: PromptLayout, policy: DecisionPolicy | None,
-                                 mask_mode: str, bias_mode: str, n_heads: int):
-    """(mask, per-head bias stack) for one sentence."""
-    if mask_mode == "simulmask":
-        if policy is None:
-            raise ConfigError("simulmask mode needs a decision policy")
-        mask = simul_mask(layout, policy)
-    elif mask_mode == "causal":
-        mask = causal_mask(layout.total_len)
-    else:
-        raise ConfigError(f"unknown mask mode {mask_mode!r}")
-    return mask, head_biases(mask, alibi_slopes(n_heads), bias_mode)
-
-
 @dataclass
 class ForwardBackward:
     loss: float
@@ -158,17 +146,19 @@ class ForwardBackward:
 
 
 def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
-                           mask: AttentionMaskSpec, bias_stack: np.ndarray,
+                           mask: AttentionMaskSpec, kind: str,
                            loss_rows, labels: np.ndarray,
                            want_grads: bool = True, *,
                            _workspace: _Workspace | None = None) -> ForwardBackward:
     """Summed loss (+ summed gradients) of same-shaped sentences.
 
-    ``tokens`` is (B, L) over a shared mask/bias; ``loss_rows`` gives the
-    predicting rows (shared across the batch) and ``labels`` their (B, R)
-    next tokens.  Per sentence the loss is the mean over its predicting
-    rows; the returned loss and gradients are sums over the batch.  All
-    other rows contribute nothing and get exactly zero logit gradients.
+    ``tokens`` is (B, L) under one shared mask, with ``kind`` ('modified'
+    or 'standard') biases built from it as ``model.forward_full`` builds
+    them; ``loss_rows`` gives the predicting rows (shared across the
+    batch) and ``labels`` their (B, R) next tokens.  Per sentence the loss
+    is the mean over its predicting rows; the returned loss and gradients
+    are sums over the batch.  All other rows contribute nothing and get
+    exactly zero logit gradients.
     Works in whatever float dtype the parameters carry.  Intermediates go
     to ``_workspace`` (``fine_tune`` passes its own; otherwise a fresh one);
     the returned arrays never alias it.
@@ -204,7 +194,8 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     scale = dt(1.0) / np.sqrt(dt(dh))
     # mask entries are exactly 0 or -inf and biases are finite, so adding
     # their sum equals adding the mask, then the biases
-    mask_bias = np.add(mask.to_additive(dt), bias_stack.astype(dt, copy=False),
+    bias = head_biases(mask, alibi_slopes(H), kind)
+    mask_bias = np.add(mask.to_additive(dt), bias.astype(dt, copy=False),
                        out=buf("mask_bias", H, L, L))
     ln_tmp = buf("ln_tmp", B, L, d)
     scores = buf("scores", B, H, L, L)
@@ -328,27 +319,6 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     return ForwardBackward(loss, grads, logits, dlogits)
 
 
-def sentence_forward_backward(params: ModelParams, tokens, mask: AttentionMaskSpec,
-                              bias_stack: np.ndarray, loss_rows, labels,
-                              want_grads: bool = True) -> ForwardBackward:
-    """Single-sentence convenience wrapper around batch_forward_backward."""
-    fb = batch_forward_backward(params, np.asarray(tokens)[None, :], mask,
-                                bias_stack, loss_rows,
-                                np.asarray(labels)[None, :], want_grads)
-    dlogits = None if fb.dlogits is None else fb.dlogits[0]
-    return ForwardBackward(fb.loss, fb.grads, fb.logits[0], dlogits)
-
-
-def sentence_logits(params: ModelParams, tokens, mask: AttentionMaskSpec,
-                    bias_stack: np.ndarray) -> np.ndarray:
-    """Vectorized logits of a sentence (no loss, no gradients)."""
-    L = len(tokens)
-    fb = sentence_forward_backward(params, tokens, mask, bias_stack,
-                                   loss_rows=[L - 1], labels=[0],
-                                   want_grads=False)
-    return fb.logits
-
-
 def clip_global_norm(grads: dict[str, np.ndarray], clip: float) -> float:
     """Scale all gradients so the global L2 norm is at most ``clip``."""
     total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
@@ -376,9 +346,10 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
 
     ``layout_builder(pair) -> (tokens, PromptLayout)`` turns a sentence pair
     into a training sequence; ``policy_builder(source_len)`` yields the
-    decision policy for that sentence.  The per-sentence mask and biases are
-    built fresh per sentence; within an optimizer step, sentences sharing a
-    layout (hence a mask) are processed as one stacked batch for speed.
+    decision policy for that sentence.  Each (layout, policy) pair gets one
+    mask, built once; within an optimizer step, sentences sharing a layout
+    (hence a mask) are processed as one stacked batch for speed, under
+    ``bias_mode`` biases over that mask.
     Sentences longer than ``max_seq_len`` are skipped with a warning.
     Raises ConfigError when ``learning_rate`` or ``clip_norm`` is negative
     or not finite, and NumericError when a step's loss or gradient norm,
@@ -395,10 +366,9 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
                         ("clip_norm", clip_norm)):
         if not 0 <= value < math.inf:
             raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
-    cfg = params.config
 
     prepared = []
-    mask_cache = {}
+    masks = {}
     skipped = 0
     for pair in corpus:
         tokens, layout = layout_builder(pair)
@@ -409,10 +379,15 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
             continue
         policy = policy_builder(layout.source_len) if policy_builder else None
         key = (layout, None if policy is None else policy.describe())
-        if key not in mask_cache:
-            mask_cache[key] = build_training_mask_and_bias(
-                layout, policy, mask_mode, bias_mode, cfg.n_heads)
-        mask, bias_stack = mask_cache[key]
+        if key not in masks:
+            if mask_mode == "causal":
+                masks[key] = causal_mask(layout.total_len)
+            elif mask_mode != "simulmask":
+                raise ConfigError(f"unknown mask mode {mask_mode!r}")
+            elif policy is None:
+                raise ConfigError("simulmask mode needs a decision policy")
+            else:
+                masks[key] = simul_mask(layout, policy)
         rows = tuple(layout.predictor_rows())
         labels = np.asarray([tokens[r + 1] for r in rows])
         prepared.append((np.asarray(tokens), key, rows, labels))
@@ -441,11 +416,10 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
                 batches.append((key, members[start:start + batch_size]))
         batches = [batches[i] for i in rng.permutation(len(batches))]
         for key, members in batches:
-            mask, bias_stack = mask_cache[key]
             rows = prepared[members[0]][2]
             tokens = np.stack([prepared[i][0] for i in members])
             labels = np.stack([prepared[i][3] for i in members])
-            fb = batch_forward_backward(cur, tokens, mask, bias_stack,
+            fb = batch_forward_backward(cur, tokens, masks[key], bias_mode,
                                         np.asarray(rows), labels,
                                         _workspace=workspace)
             if not np.isfinite(fb.loss):

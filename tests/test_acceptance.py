@@ -19,8 +19,7 @@ from simulbench.masks import (AttentionMaskSpec, PromptLayout, TablePolicy,
                               WaitKPolicy, simul_mask)
 from simulbench.metrics import FlopModel, flops_generate, laal, quality_proxy
 from simulbench.model import ModelConfig, forward_full, init_model
-from simulbench.training import (build_training_mask_and_bias, fine_tune,
-                                 sentence_forward_backward)
+from simulbench.training import batch_forward_backward, fine_tune
 
 from helpers import fit_loglog_exponent, hidden_beyond_causal
 
@@ -221,12 +220,11 @@ def test_acceptance_08_gradient_correctness():
     src, tgt = random_sentence(rng, 24, 7, 5)
     layout = PromptLayout(1, 7, 1, 6)
     tokens = [PRE_ID] + src + [SEP_ID] + tgt + [0]
-    mask, bias = build_training_mask_and_bias(
-        layout, WaitKPolicy(2, 7), "simulmask", "modified",
-        ACCEPTANCE_CONFIG.n_heads)
+    mask = simul_mask(layout, WaitKPolicy(2, 7))
     rows = np.asarray(layout.predictor_rows())
-    labels = np.asarray([tokens[r + 1] for r in rows])
-    fb = sentence_forward_backward(params, tokens, mask, bias, rows, labels)
+    labels = np.asarray([[tokens[r + 1] for r in rows]])
+    tokens = np.asarray([tokens])  # a batch of one
+    fb = batch_forward_backward(params, tokens, mask, "modified", rows, labels)
     arrays = dict(params.tensors())
     h = 1e-5
     worst = 0.0
@@ -236,13 +234,13 @@ def test_acceptance_08_gradient_correctness():
                                replace=False):
             orig = arr.flat[flat]
             arr.flat[flat] = orig + h
-            up = sentence_forward_backward(params.with_tensors(arrays), tokens,
-                                           mask, bias, rows, labels,
-                                           want_grads=False).loss
+            up = batch_forward_backward(params.with_tensors(arrays), tokens,
+                                        mask, "modified", rows, labels,
+                                        want_grads=False).loss
             arr.flat[flat] = orig - h
-            down = sentence_forward_backward(params.with_tensors(arrays),
-                                             tokens, mask, bias, rows, labels,
-                                             want_grads=False).loss
+            down = batch_forward_backward(params.with_tensors(arrays), tokens,
+                                          mask, "modified", rows, labels,
+                                          want_grads=False).loss
             arr.flat[flat] = orig
             numeric = (up - down) / (2 * h)
             analytic = fb.grads[name].flat[flat]

@@ -136,7 +136,7 @@ class TestHeadBiases:
         mask = causal_mask(5)
         biases = head_biases(mask, alibi_slopes(4), "modified")
         assert biases.shape == (4, 5, 5)
-        assert biases[0, 4, 0] == np.float32(-4 * alibi_slopes(4)[0])
+        assert biases[0, 4, 0] == np.float32(-4 * alibi_slopes(4).slopes[0])
 
     def test_standard_ignores_gaps(self):
         layout = PromptLayout(1, 4, 1, 4)
@@ -144,7 +144,7 @@ class TestHeadBiases:
         biases = head_biases(mask, alibi_slopes(2), "standard")
         row = layout.predictor_row(1)
         # standard biases keep plain distances even though the row has gaps
-        assert biases[0, row, 0] == np.float32(-row * alibi_slopes(2)[0])
+        assert biases[0, row, 0] == np.float32(-row * alibi_slopes(2).slopes[0])
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

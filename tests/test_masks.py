@@ -3,8 +3,7 @@ import pytest
 
 from simulbench.errors import LayoutError, PolicyError, ShapeError
 from simulbench.masks import (PromptLayout, TablePolicy, WaitKPolicy,
-                              causal_mask, cross_attention_mask, mask_to_ascii,
-                              simul_mask)
+                              causal_mask, mask_to_ascii, simul_mask)
 
 from helpers import ascii_to_mask, hidden_beyond_causal
 
@@ -36,31 +35,26 @@ class TestCausalMask:
             causal_mask(0)
 
 
+def source_block(layout, mask):
+    """The T x S block of ``mask``: predictor rows by source columns."""
+    return mask.visible[np.ix_(layout.predictor_rows(),
+                               range(layout.source_start, layout.mid_start))]
+
+
 class TestCrossAttentionMask:
+    """The predictor rows' source block of ``simul_mask``: the row
+    predicting target t sees source j iff j <= f(t)."""
+
     def test_wait1_three_by_three(self):
-        m = cross_attention_mask(WaitKPolicy(k=1, source_len=3), 3)
+        layout = PromptLayout(1, 3, 1, 3)
+        m = simul_mask(layout, WaitKPolicy(k=1, source_len=3))
         want = [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
-        assert m.visible.astype(int).tolist() == want
+        assert source_block(layout, m).astype(int).tolist() == want
 
     def test_k_at_least_source_fully_visible(self):
-        m = cross_attention_mask(WaitKPolicy(k=7, source_len=5), 4)
-        assert m.visible.all()
-
-    def test_predicate_oracle(self):
-        rng = np.random.default_rng(1)
-        for _ in range(25):
-            s = int(rng.integers(2, 10))
-            t = int(rng.integers(1, 9))
-            pol = random_policy(rng, s, t)
-            m = cross_attention_mask(pol, t)
-            for ti in range(1, t + 1):
-                for j in range(1, s + 1):
-                    assert m.visible[ti - 1, j - 1] == (j <= pol.cumulative_reads(ti))
-
-    def test_policy_domain_too_short(self):
-        pol = TablePolicy(reads=(1, 2), source_len=4)
-        with pytest.raises(PolicyError):
-            cross_attention_mask(pol, 3)
+        layout = PromptLayout(1, 5, 1, 4)
+        m = simul_mask(layout, WaitKPolicy(k=7, source_len=5))
+        assert source_block(layout, m).all()
 
 
 class TestSimulMask:
@@ -146,12 +140,10 @@ class TestSimulMaskProperties:
         rng = np.random.default_rng(5)
         for _ in range(50):
             layout, pol = self._random_case(rng)
-            m = simul_mask(layout, pol)
-            cross = cross_attention_mask(pol, layout.target_len)
-            rows = layout.predictor_rows()
-            sub = m.visible[np.ix_(rows, range(layout.source_start,
-                                               layout.mid_start))]
-            assert np.array_equal(sub, cross.visible)
+            sub = source_block(layout, simul_mask(layout, pol))
+            j = np.arange(layout.source_len)
+            for t in range(1, layout.target_len + 1):
+                assert np.array_equal(sub[t - 1], j < pol.cumulative_reads(t))
 
     def test_unique_per_layout_and_policy(self):
         layout = PromptLayout(1, 6, 1, 6)

@@ -105,8 +105,9 @@ class TestForwardFull:
             forward_full(params, [1, 2, 3], causal_mask(3), "other")
         with pytest.raises(ShapeError):
             forward_full(params, [1, 99], causal_mask(2), "modified")
-        with pytest.raises(ShapeError, match="integers"):
-            forward_full(params, [1, 2.5], causal_mask(2), "modified")
+        for bad in ([1, 2.5], [True], [1, np.bool_(True)]):
+            with pytest.raises(ShapeError, match="integers"):
+                forward_full(params, bad, causal_mask(len(bad)), "modified")
 
 
 class TestForwardIncremental:
@@ -155,10 +156,12 @@ class TestForwardIncremental:
             assert np.abs(logits - full[row]).max() < 1e-4
 
     @pytest.mark.parametrize("failure",
-                             ["float token", "counts of three regions",
-                              "negative count", "counts short of the tokens",
-                              "counts past the tokens", "nan query weights",
-                              "nan at a doubling", "no token"])
+                             ["float token", "bool token",
+                              "counts of three regions", "negative count",
+                              "counts short of the tokens",
+                              "counts past the tokens", "bool counts",
+                              "nan query weights", "nan at a doubling",
+                              "no token"])
     def test_rejected_call_leaves_cache_unchanged(self, failure):
         # the rejected call holds 50 source tokens, enough to grow the
         # cache's arena and, once mid-prompt and target rows are cached
@@ -194,9 +197,10 @@ class TestForwardIncremental:
                 "negative count": [0, len(more) + 1, -1, 0],
                 "counts short of the tokens": only(Region.SOURCE,
                                                    len(more) - 1),
-                "counts past the tokens": only(Region.SOURCE, len(more) + 1)}
-            if failure == "float token":
-                more[-1] = 2.5
+                "counts past the tokens": only(Region.SOURCE, len(more) + 1),
+                "bool counts": [False, len(more), False, False]}
+            if failure in ("float token", "bool token"):
+                more[-1] = 2.5 if failure == "float token" else True
                 with pytest.raises(ShapeError, match="integers"):
                     forward_incremental(params, cache, more, more_added)
             elif failure in bad_counts:

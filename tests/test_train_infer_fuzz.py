@@ -3,8 +3,8 @@ the streaming mask with visibility-aware biases computes what cached
 wait-k inference computes.
 
 For every predicting row of a training sequence, the vectorized training
-forward (``training.sentence_logits``) under ``simul_mask`` and modified
-ALiBi must give the logits that cached ``simul_generate`` records for the
+forward (``training.batch_forward_backward`` over a batch of one) under
+``simul_mask`` and modified ALiBi must give the logits that cached ``simul_generate`` records for the
 same prediction step, up to rounding: the two sides group their reductions
 differently (training runs GEMMs over the whole sequence, inference one
 GEMV per row over the cache), so they agree to a relative bound, not to the
@@ -21,9 +21,10 @@ logits by far more than the bound, which shows the comparison can fail.
 import numpy as np
 
 from simulbench.engine import GenerationMode, simul_generate
-from simulbench.masks import PromptLayout, TablePolicy, WaitKPolicy
+from simulbench.masks import (PromptLayout, TablePolicy, WaitKPolicy,
+                              causal_mask, simul_mask)
 from simulbench.model import ModelConfig, init_model
-from simulbench.training import build_training_mask_and_bias, sentence_logits
+from simulbench.training import batch_forward_backward
 
 CASES = 120
 LAYER_COUNTS = (1, 2, 3)
@@ -40,6 +41,12 @@ BOUND = {np.float64: 1e-12, np.float32: 2e-5}
 CONTROL_FLOOR = 1e-9
 CONTROL_WORST = 0.1
 CONTROLS = (("simulmask", "standard"), ("causal", "standard"))
+
+
+def training_mask(layout, policy, mask_mode):
+    if mask_mode == "causal":
+        return causal_mask(layout.total_len)
+    return simul_mask(layout, policy)
 
 
 def random_policy(rng, source_len, target_len):
@@ -80,10 +87,10 @@ def relative_miss(params, pre, src, mid, tgt, policy, inference,
     """Largest |training - inference| over the predicting rows, relative to
     the largest |inference| logit."""
     layout = PromptLayout(len(pre), len(src), len(mid), len(tgt))
-    mask, bias_stack = build_training_mask_and_bias(
-        layout, policy, mask_mode, bias_mode, params.config.n_heads)
-    training = sentence_logits(params, pre + src + mid + tgt, mask,
-                               bias_stack)[list(layout.predictor_rows())]
+    rows = list(layout.predictor_rows())
+    training = batch_forward_backward(
+        params, [pre + src + mid + tgt], training_mask(layout, policy, mask_mode),
+        bias_mode, rows, [[0] * len(rows)], want_grads=False).logits[0, rows]
     return float(np.abs(training - inference).max() / np.abs(inference).max())
 
 

@@ -9,12 +9,10 @@ import pytest
 import simulbench
 from simulbench.data import default_layout_builder, gen_synthetic
 from simulbench.errors import ConfigError, DataError, NumericError
-from simulbench.masks import PromptLayout, WaitKPolicy
+from simulbench.masks import PromptLayout, WaitKPolicy, causal_mask, simul_mask
 from simulbench.model import ModelConfig, forward_full, init_model
 from simulbench.training import (_Workspace, batch_forward_backward,
-                                 build_training_mask_and_bias, clip_global_norm,
-                                 fine_tune, sentence_forward_backward,
-                                 sentence_logits)
+                                 clip_global_norm, fine_tune)
 
 CFG = ModelConfig(n_layers=2, n_heads=4, d_model=32, vocab_size=12, seed=0)
 
@@ -24,40 +22,51 @@ def wait_k(k):
 
 
 def small_case(seed=0, s=5, t=4):
+    """A batch of one sentence: (1, L) tokens, its layout, its wait-2
+    streaming mask, its predicting rows and their (1, R) labels."""
     rng = np.random.default_rng(seed)
     layout = PromptLayout(1, s, 1, t)
     tokens = ([1] + [int(x) for x in rng.integers(3, CFG.vocab_size, size=s)]
               + [2] + [int(x) for x in rng.integers(3, CFG.vocab_size, size=t - 1)]
               + [0])
-    mask, bias = build_training_mask_and_bias(
-        layout, WaitKPolicy(2, s), "simulmask", "modified", CFG.n_heads)
     rows = np.asarray(layout.predictor_rows())
-    labels = np.asarray([tokens[r + 1] for r in rows])
-    return tokens, layout, mask, bias, rows, labels
+    labels = np.asarray([[tokens[r + 1] for r in rows]])
+    return (np.asarray([tokens]), layout, simul_mask(layout, WaitKPolicy(2, s)),
+            rows, labels)
 
 
 class TestForwardBackward:
     def test_vectorized_matches_rowwise_forward(self):
+        # both forwards take the same (mask, kind), for every pair that
+        # fine_tune can pass
         params = init_model(CFG)
-        tokens, layout, mask, bias, rows, labels = small_case()
-        fast = sentence_logits(params, tokens, mask, bias)
-        exact = forward_full(params, tokens, mask, "modified")
-        assert np.abs(fast - exact).max() < 1e-4
+        tokens, layout, streaming, rows, labels = small_case()
+        for name, mask in (("simulmask", streaming),
+                           ("causal", causal_mask(layout.total_len))):
+            for kind in ("modified", "standard"):
+                fast = batch_forward_backward(params, tokens, mask, kind, rows,
+                                              labels, want_grads=False).logits
+                exact = forward_full(params, tokens[0], mask, kind)
+                assert np.abs(fast[0] - exact).max() < 1e-4, f"{name}/{kind}"
 
     def test_loss_masking_zero_gradients(self):
         params = init_model(CFG)
-        tokens, layout, mask, bias, rows, labels = small_case()
-        fb = sentence_forward_backward(params, tokens, mask, bias, rows, labels)
-        non_predictors = [r for r in range(len(tokens)) if r not in set(rows)]
-        assert np.array_equal(fb.dlogits[non_predictors],
+        tokens, layout, mask, rows, labels = small_case()
+        fb = batch_forward_backward(params, tokens, mask, "modified", rows,
+                                    labels)
+        dlogits = fb.dlogits[0]
+        non_predictors = [r for r in range(layout.total_len)
+                          if r not in set(rows)]
+        assert np.array_equal(dlogits[non_predictors],
                               np.zeros((len(non_predictors), CFG.vocab_size)))
-        assert any((fb.dlogits[r] != 0).any() for r in rows)
+        assert any((dlogits[r] != 0).any() for r in rows)
 
     def test_finite_difference_oracle(self):
         # central differences over ~1% of parameters, float64 for headroom
         params = init_model(CFG).astype(np.float64)
-        tokens, layout, mask, bias, rows, labels = small_case(seed=3)
-        fb = sentence_forward_backward(params, tokens, mask, bias, rows, labels)
+        tokens, layout, mask, rows, labels = small_case(seed=3)
+        fb = batch_forward_backward(params, tokens, mask, "modified", rows,
+                                    labels)
         rng = np.random.default_rng(0)
         h = 1e-5
         arrays = dict(params.tensors())
@@ -67,13 +76,13 @@ class TestForwardBackward:
             for flat_idx in rng.choice(arr.size, size=n_samples, replace=False):
                 orig = arr.flat[flat_idx]
                 arr.flat[flat_idx] = orig + h
-                up = sentence_forward_backward(params.with_tensors(arrays),
-                                               tokens, mask, bias, rows, labels,
-                                               want_grads=False).loss
+                up = batch_forward_backward(params.with_tensors(arrays),
+                                            tokens, mask, "modified", rows,
+                                            labels, want_grads=False).loss
                 arr.flat[flat_idx] = orig - h
-                down = sentence_forward_backward(params.with_tensors(arrays),
-                                                 tokens, mask, bias, rows, labels,
-                                                 want_grads=False).loss
+                down = batch_forward_backward(params.with_tensors(arrays),
+                                              tokens, mask, "modified", rows,
+                                              labels, want_grads=False).loss
                 arr.flat[flat_idx] = orig
                 numeric = (up - down) / (2 * h)
                 analytic = fb.grads[name].flat[flat_idx]
@@ -121,10 +130,10 @@ class TestWorkspace:
         rng = np.random.default_rng(0)
         calls = []
         for (s, t), batch in (((9, 8), 5), ((3, 2), 3), ((9, 8), 4)):
-            _, layout, mask, bias, rows, _ = small_case(s=s, t=t)
+            _, layout, mask, rows, _ = small_case(s=s, t=t)
             tokens = rng.integers(3, CFG.vocab_size, size=(batch, layout.total_len))
             labels = rng.integers(3, CFG.vocab_size, size=(batch, rows.size))
-            calls.append((tokens, mask, bias, rows, labels))
+            calls.append((tokens, mask, "modified", rows, labels))
         workspace = _Workspace()
         results = []
         for args in calls:
@@ -141,12 +150,11 @@ class TestWorkspace:
 THREAD_PROBE = '''
 import hashlib
 import numpy as np
-from simulbench.masks import PromptLayout, WaitKPolicy
+from simulbench.masks import PromptLayout, WaitKPolicy, simul_mask
 from simulbench.model import ModelConfig, init_model
-from simulbench.training import batch_forward_backward, build_training_mask_and_bias
+from simulbench.training import batch_forward_backward
 layout = PromptLayout(1, 13, 1, 11)
-mask, bias = build_training_mask_and_bias(layout, WaitKPolicy(5, 13),
-                                          "simulmask", "modified", 16)
+mask = simul_mask(layout, WaitKPolicy(5, 13))
 rows = np.asarray(layout.predictor_rows())
 rng = np.random.default_rng(0)
 tokens = rng.integers(0, 48, size=(25, layout.total_len))
@@ -154,7 +162,7 @@ labels = rng.integers(0, 48, size=(25, rows.size))
 for dtype in (np.float32, np.float64):
     params = init_model(ModelConfig(n_layers=2, n_heads=16, d_model=64,
                                     vocab_size=48, seed=0)).astype(dtype)
-    fb = batch_forward_backward(params, tokens, mask, bias, rows, labels)
+    fb = batch_forward_backward(params, tokens, mask, "modified", rows, labels)
     arrays = [("loss", np.float64(fb.loss)), ("logits", fb.logits)]
     for name, arr in arrays + sorted(fb.grads.items()):
         print(dtype.__name__, name, hashlib.sha256(arr.tobytes()).hexdigest())
@@ -271,10 +279,16 @@ class TestFineTune:
             fine_tune(params, [], default_layout_builder, wait_k(1))
 
     def test_bad_settings_rejected(self):
+        # an unknown mask or bias mode, or the streaming mask without a
+        # policy, fails before any update as a bad batch size does
         params = init_model(CFG)
-        with pytest.raises(ConfigError):
-            fine_tune(params, self._corpus(), default_layout_builder, wait_k(1),
-                      batch_size=0)
+        for builder, settings in ((wait_k(1), {"batch_size": 0}),
+                                  (wait_k(1), {"mask_mode": "banded"}),
+                                  (None, {"mask_mode": "simulmask"}),
+                                  (wait_k(1), {"bias_mode": "banded"})):
+            with pytest.raises(ConfigError):
+                fine_tune(params, self._corpus(), default_layout_builder,
+                          builder, **settings)
 
     @pytest.mark.parametrize("setting", [
         {"learning_rate": float("nan")}, {"learning_rate": float("inf")},

@@ -72,6 +72,9 @@ MUTANTS = (
      "src/simulbench/metrics.py",
      "pairs += sum(pre + d_hist[0] + i + 1 for i in range(mid - 1))",
      "pairs += sum(pre + d_hist[-1] + i + 1 for i in range(mid - 1))"),
+    ("training biases ignore the kind", "src/simulbench/training.py",
+     "head_biases(mask, alibi_slopes(H), kind)",
+     "head_biases(mask, alibi_slopes(H), \"modified\")"),
     ("one extra source pull at step 1", "src/simulbench/engine.py",
      "new = stream.pull(policy.cumulative_reads(t) - reads)",
      "new = stream.pull(policy.cumulative_reads(t) - reads + (t == 1))"),
