@@ -56,6 +56,23 @@ class TestCrossAttentionMask:
         m = simul_mask(layout, WaitKPolicy(k=7, source_len=5))
         assert source_block(layout, m).all()
 
+    def test_predicate_oracle(self):
+        rng = np.random.default_rng(1)
+        for _ in range(25):
+            s = int(rng.integers(2, 10))
+            t = int(rng.integers(1, 9))
+            layout = PromptLayout(1, s, 1, t)
+            pol = random_policy(rng, s, t)
+            sub = source_block(layout, simul_mask(layout, pol))
+            for ti in range(1, t + 1):
+                for j in range(1, s + 1):
+                    assert sub[ti - 1, j - 1] == (j <= pol.cumulative_reads(ti))
+
+    def test_policy_domain_too_short(self):
+        pol = TablePolicy(reads=(1, 2), source_len=4)
+        with pytest.raises(PolicyError):
+            simul_mask(PromptLayout(1, 4, 1, 3), pol)
+
 
 class TestSimulMask:
     def test_wait1_reference_grid(self):
