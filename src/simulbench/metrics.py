@@ -6,7 +6,10 @@ feed-forward pair, and the vocabulary projection; per (query, visible key,
 head) pair the score and weighted-sum products.  Softmax, normalization,
 activations, and embedding lookups are excluded.  The analytic accounting
 here reconstructs per-event costs purely from a trace's event structure;
-the model's shadow counters provide the independent check.
+the model's shadow counters provide the independent check.  Only the
+one-pass costs are worked out row by row: a recompute-mode write redoes
+the one-pass work of every event up to it, so its cost is their running
+sum.
 """
 
 from dataclasses import dataclass
@@ -47,22 +50,15 @@ class FlopModel:
 
     config: ModelConfig
 
-    def linear(self, tokens: int, d_in: int, d_out: int) -> int:
-        return 2 * tokens * d_in * d_out
-
-    def attention(self, visible_pairs: int) -> int:
-        # scores + weighted sum over all heads: 4 * d_head * pairs * n_heads
-        return 4 * self.config.d_model * visible_pairs
-
     def forward_cost(self, tokens: int, visible_pairs: int) -> int:
         """Cost of processing ``tokens`` rows whose visible-key counts sum
-        to ``visible_pairs``."""
+        to ``visible_pairs``; linear in both.  Per layer a row costs
+        2*d*d*4 (QKV and output projections) plus 2*d*4d twice (the
+        feed-forward pair), and a visible pair 4*d_head*n_heads (scores and
+        weighted sum); the vocabulary projection adds 2*d*V per row."""
         d, v = self.config.d_model, self.config.vocab_size
-        per_layer = (self.linear(tokens, d, d) * 4        # QKV + output proj
-                     + self.linear(tokens, d, 4 * d)
-                     + self.linear(tokens, 4 * d, d)
-                     + self.attention(visible_pairs))
-        return self.config.n_layers * per_layer + self.linear(tokens, d, v)
+        per_layer = 24 * d * d * tokens + 4 * d * visible_pairs
+        return self.config.n_layers * per_layer + 2 * d * v * tokens
 
 
 @dataclass(frozen=True)
@@ -76,55 +72,45 @@ class FlopsReport:
 
 
 def _cached_event_costs(trace: TranslationTrace, model: FlopModel):
-    """Per-event one-pass costs: every token's K/V work counted once."""
+    """Per-event one-pass costs: every row processed once, seeing the rows
+    present when it arrives (``seen`` lists the new rows' visible counts)."""
     pre, mid = trace.pre_len, trace.mid_len
     costs = []
     reads = 0
     writes = 0
     for ev in trace.events:
         if isinstance(ev, ReadEvent):
-            tokens = ev.n
-            pairs = sum(pre + j for j in range(reads + 1, reads + ev.n + 1))
-            if reads == 0:
-                tokens += pre
-                pairs += sum(i + 1 for i in range(pre))
-            costs.append(model.forward_cost(tokens, pairs))
+            # the first read also brings the pre-prompt
+            seen = list(range(1, pre + 1)) if reads == 0 else []
+            seen += range(pre + reads + 1, pre + reads + ev.n + 1)
             reads += ev.n
+        elif reads == 0:
+            raise DataError("trace writes before its first read")
         else:
+            # the first write brings the mid-prompt, a later one the
+            # previous target
             writes += 1
-            if writes == 1:
-                tokens = mid
-                pairs = sum(pre + reads + i + 1 for i in range(mid))
-            else:
-                tokens = 1
-                pairs = pre + reads + mid + writes - 1
-            costs.append(model.forward_cost(tokens, pairs))
+            seen = (range(pre + reads + 1, pre + reads + mid + 1)
+                    if writes == 1 else [pre + reads + mid + writes - 1])
+        costs.append(model.forward_cost(len(seen), sum(seen)))
     if writes == 0:
         raise DataError("trace has no write events")
     return costs
 
 
 def _recompute_event_costs(trace: TranslationTrace, model: FlopModel):
-    """Per-event full-rebuild costs of recompute-mode generation."""
-    pre, mid = trace.pre_len, trace.mid_len
-    costs = []
-    reads = 0
-    d_hist = []
-    for ev in trace.events:
-        if isinstance(ev, ReadEvent):
-            costs.append(0)
-            reads += ev.n
-        else:
-            d_hist.append(reads)
-            tokens = pre + reads + mid + len(d_hist) - 1
-            pairs = sum(i + 1 for i in range(pre))
-            pairs += sum(pre + j for j in range(1, reads + 1))
-            pairs += sum(pre + d_hist[0] + i + 1 for i in range(mid - 1))
-            for step, d_t in enumerate(d_hist, start=1):
-                pairs += pre + d_t + mid + step - 1
-            costs.append(model.forward_cost(tokens, pairs))
-    if not d_hist:
-        raise DataError("trace has no write events")
+    """Per-event full-rebuild costs of recompute-mode generation.
+
+    A write rebuilds every row read or written so far, its own rows
+    included, and the realized step mask gives each row the visibility it
+    had when the cached path processed it.  ``forward_cost`` is linear, so
+    a write's rebuild costs the running sum of the one-pass event costs up
+    to and including it; reads cost nothing.
+    """
+    costs, done = [], 0
+    for ev, cost in zip(trace.events, _cached_event_costs(trace, model)):
+        done += cost
+        costs.append(0 if isinstance(ev, ReadEvent) else done)
     return costs
 
 
@@ -133,8 +119,9 @@ def flops_generate(trace: TranslationTrace, model: FlopModel,
     """Total cost split into {initial, recompute} categories.
 
     Cached mode: everything is initial work, recompute is zero.  Recompute
-    mode: each step's full rebuild minus the one-pass cost of its new
-    tokens is charged to the recompute category.
+    mode: each write's full rebuild costs the running sum of the one-pass
+    event costs up to it, so the recompute category is the sum of those
+    running sums minus the one-pass total.
     """
     initial = sum(_cached_event_costs(trace, model))
     if mode.kind == "cached":

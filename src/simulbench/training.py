@@ -6,8 +6,9 @@ builds its biases from the mask under the same rank rule, so the row-wise
 exact path in ``model`` stays the reference for inference equivalence
 tests; the two agree to float precision.  The loss covers exactly the
 target-predicting rows: the final mid-prompt row through the penultimate
-target row.  Optimization is plain SGD with global gradient-norm clipping
-at 1.
+target row, each labelled with the token after it, which the step reads
+from its own tokens.  Optimization is plain SGD with global gradient-norm
+clipping at 1.
 
 Products follow three rules.  Every activation x weight product, forward
 and backward, is one 2-D GEMM over all B*L rows.  Every weight gradient is
@@ -22,7 +23,9 @@ per (sentence, head).
 A step allocates almost nothing: every large intermediate of the forward
 and backward is written with ``out=`` (or updated in place) into a
 ``_Workspace`` that one ``fine_tune`` call owns and hands to each step, and
-the SGD update runs in place on the call's parameter copies.  Every
+the SGD update runs in place on the call's parameter copies.  The
+additive mask+bias block of each (mask, bias kind) is built once per call,
+when ``fine_tune`` prepares the mask, and every step reuses it.  Every
 product keeps its shape and every reduction its grouping, and each
 elementwise op is the same binary op in the same order as the plain
 expression, so training is bit-identical (float32 and float64) to
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alibi import alibi_slopes, head_biases
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .masks import AttentionMaskSpec, causal_mask, simul_mask
 from .model import LN_EPS, ModelParams
 
@@ -55,6 +58,7 @@ class _Workspace:
 
     def __init__(self):
         self._buffers = {}
+        self._blocks = {}
 
     def take(self, name, shape, dtype) -> np.ndarray:
         size = math.prod(shape)
@@ -62,6 +66,19 @@ class _Workspace:
         if buf is None or buf.dtype != dtype or buf.size < size:
             buf = self._buffers[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
+
+    def mask_bias(self, mask, kind, n_heads, dtype) -> np.ndarray:
+        """The (H, L, L) additive mask plus ``kind`` biases over ``mask``,
+        built once per (mask object, kind, H, dtype) and kept for the
+        workspace's lifetime, with the mask, so its id is never reused."""
+        key = (id(mask), kind, n_heads, np.dtype(dtype))
+        if key not in self._blocks:
+            # mask entries are exactly 0 or -inf and biases are finite, so
+            # adding their sum equals adding the mask, then the biases
+            bias = head_biases(mask, alibi_slopes(n_heads), kind)
+            self._blocks[key] = (mask, np.add(mask.to_additive(dtype),
+                                              bias.astype(dtype, copy=False)))
+        return self._blocks[key][1]
 
 
 def _mean_last(x):
@@ -146,8 +163,7 @@ class ForwardBackward:
 
 
 def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
-                           mask: AttentionMaskSpec, kind: str,
-                           loss_rows, labels: np.ndarray,
+                           mask: AttentionMaskSpec, kind: str, loss_rows,
                            want_grads: bool = True, *,
                            _workspace: _Workspace | None = None) -> ForwardBackward:
     """Summed loss (+ summed gradients) of same-shaped sentences.
@@ -155,10 +171,13 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     ``tokens`` is (B, L) under one shared mask, with ``kind`` ('modified'
     or 'standard') biases built from it as ``model.forward_full`` builds
     them; ``loss_rows`` gives the predicting rows (shared across the
-    batch) and ``labels`` their (B, R) next tokens.  Per sentence the loss
-    is the mean over its predicting rows; the returned loss and gradients
+    batch), and each row's label is the token after it, so the labels are
+    ``tokens[:, loss_rows + 1]``.  Per sentence the loss is the mean
+    cross-entropy over its predicting rows; the returned loss and gradients
     are sums over the batch.  All other rows contribute nothing and get
-    exactly zero logit gradients.
+    exactly zero logit gradients.  Raises, before any work, DataError when
+    ``loss_rows`` is empty or holds a row outside 0..L-2, and ShapeError
+    for a token id outside the vocabulary.
     Works in whatever float dtype the parameters carry.  Intermediates go
     to ``_workspace`` (``fine_tune`` passes its own; otherwise a fresh one);
     the returned arrays never alias it.
@@ -168,9 +187,12 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     tokens = np.atleast_2d(np.asarray(tokens))
     B, L = tokens.shape
     loss_rows = np.asarray(loss_rows)
-    labels = np.atleast_2d(np.asarray(labels))
-    if loss_rows.size == 0:
-        raise DataError("no predicting rows to train on")
+    if not loss_rows.size or loss_rows.min() < 0 or loss_rows.max() >= L - 1:
+        raise DataError(f"need predicting rows in 0..{L - 2}, each labelled "
+                        f"by the next token; got {loss_rows.tolist()}")
+    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
+        raise ShapeError(f"token id outside vocabulary of size {cfg.vocab_size}")
+    labels = tokens[:, loss_rows + 1]
     H, dh = cfg.n_heads, cfg.d_head
     d = cfg.d_model
     ws = _Workspace() if _workspace is None else _workspace
@@ -192,11 +214,7 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
         np.add.reduce(per, axis=0, out=out)
 
     scale = dt(1.0) / np.sqrt(dt(dh))
-    # mask entries are exactly 0 or -inf and biases are finite, so adding
-    # their sum equals adding the mask, then the biases
-    bias = head_biases(mask, alibi_slopes(H), kind)
-    mask_bias = np.add(mask.to_additive(dt), bias.astype(dt, copy=False),
-                       out=buf("mask_bias", H, L, L))
+    mask_bias = ws.mask_bias(mask, kind, H, dt)
     ln_tmp = buf("ln_tmp", B, L, d)
     scores = buf("scores", B, H, L, L)
     row_max = buf("row_max", B, H, L, 1)
@@ -245,18 +263,16 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
 
     R = loss_rows.size
     sel = logits[:, loss_rows, :]  # (B, R, V)
+    at_label = (np.arange(B)[:, None], np.arange(R), labels)
     smx = sel.max(axis=-1, keepdims=True)
     lse = smx[..., 0] + np.log(np.exp(sel - smx).sum(axis=-1))
-    picked = np.take_along_axis(sel, labels[..., None], axis=-1)[..., 0]
-    loss = float(((lse - picked).mean(axis=-1)).sum())
+    loss = float(((lse - sel[at_label]).mean(axis=-1)).sum())
     if not want_grads:
         return ForwardBackward(loss, None, logits, None)
 
     dlogits = np.zeros_like(logits)
     probs = np.exp(sel - lse[..., None])
-    np.put_along_axis(probs, labels[..., None],
-                      np.take_along_axis(probs, labels[..., None], axis=-1) - 1.0,
-                      axis=-1)
+    probs[at_label] -= 1.0
     dlogits[:, loss_rows, :] = probs / R
 
     grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
@@ -346,13 +362,14 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
 
     ``layout_builder(pair) -> (tokens, PromptLayout)`` turns a sentence pair
     into a training sequence; ``policy_builder(source_len)`` yields the
-    decision policy for that sentence.  Each (layout, policy) pair gets one
-    mask, built once; within an optimizer step, sentences sharing a layout
-    (hence a mask) are processed as one stacked batch for speed, under
-    ``bias_mode`` biases over that mask.
+    decision policy for that sentence.  Each (layout, policy) pair gets its
+    mask, loss rows and ``bias_mode`` mask+bias block, built once before
+    any step; within an optimizer step, sentences sharing a layout (hence
+    a mask) are processed as one stacked batch for speed.
     Sentences longer than ``max_seq_len`` are skipped with a warning.
-    Raises ConfigError when ``learning_rate`` or ``clip_norm`` is negative
-    or not finite, and NumericError when a step's loss or gradient norm,
+    Raises ConfigError, before any step, for an unknown mask or bias mode
+    and when ``learning_rate`` or ``clip_norm`` is negative or not
+    finite, and NumericError when a step's loss or gradient norm,
     or a parameter after its update, is not finite.
     Deterministic for fixed seed and corpus order.
     """
@@ -367,8 +384,8 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
         if not 0 <= value < math.inf:
             raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
 
-    prepared = []
-    masks = {}
+    workspace = _Workspace()
+    groups = {}  # key -> (mask, loss rows, token arrays of its sentences)
     skipped = 0
     for pair in corpus:
         tokens, layout = layout_builder(pair)
@@ -379,29 +396,26 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
             continue
         policy = policy_builder(layout.source_len) if policy_builder else None
         key = (layout, None if policy is None else policy.describe())
-        if key not in masks:
+        if key not in groups:
             if mask_mode == "causal":
-                masks[key] = causal_mask(layout.total_len)
+                mask = causal_mask(layout.total_len)
             elif mask_mode != "simulmask":
                 raise ConfigError(f"unknown mask mode {mask_mode!r}")
             elif policy is None:
                 raise ConfigError("simulmask mode needs a decision policy")
             else:
-                masks[key] = simul_mask(layout, policy)
-        rows = tuple(layout.predictor_rows())
-        labels = np.asarray([tokens[r + 1] for r in rows])
-        prepared.append((np.asarray(tokens), key, rows, labels))
-    if not prepared:
+                mask = simul_mask(layout, policy)
+            groups[key] = (mask, np.asarray(layout.predictor_rows()), [])
+            # every step under this key reuses the block
+            workspace.mask_bias(mask, bias_mode, params.config.n_heads,
+                                params.embed.dtype)
+        groups[key][2].append(np.asarray(tokens))
+    if not groups:
         raise DataError("all sentences skipped")
-
-    by_key = {}
-    for idx, item in enumerate(prepared):
-        by_key.setdefault(item[1], []).append(idx)
 
     # the SGD update runs in place on these copies, which ``cur`` holds
     arrays = {k: v.copy() for k, v in params.tensors()}
     cur = params.with_tensors(arrays)
-    workspace = _Workspace()
     rng = np.random.default_rng(shuffle_seed)
     loss_curve = []
     step = 0
@@ -409,19 +423,15 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
         # length-bucketed batches: each step stacks sentences sharing a
         # layout (hence a mask); step order is shuffled across buckets
         batches = []
-        for key in by_key:
-            members = [by_key[key][i]
-                       for i in rng.permutation(len(by_key[key]))]
+        for key, (_, _, sentences) in groups.items():
+            members = [sentences[i] for i in rng.permutation(len(sentences))]
             for start in range(0, len(members), batch_size):
                 batches.append((key, members[start:start + batch_size]))
         batches = [batches[i] for i in rng.permutation(len(batches))]
         for key, members in batches:
-            rows = prepared[members[0]][2]
-            tokens = np.stack([prepared[i][0] for i in members])
-            labels = np.stack([prepared[i][3] for i in members])
-            fb = batch_forward_backward(cur, tokens, masks[key], bias_mode,
-                                        np.asarray(rows), labels,
-                                        _workspace=workspace)
+            mask, rows, _ = groups[key]
+            fb = batch_forward_backward(cur, np.stack(members), mask,
+                                        bias_mode, rows, _workspace=workspace)
             if not np.isfinite(fb.loss):
                 raise NumericError(f"non-finite loss at step {step + 1}")
             grads = fb.grads
@@ -447,7 +457,8 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
             step += 1
             loss_curve.append((step, fb.loss / len(members)))
     return TrainResult(params=cur, loss_curve=loss_curve,
-                       samples_per_epoch=len(prepared), skipped=skipped)
+                       samples_per_epoch=len(corpus) - skipped,
+                       skipped=skipped)
 
 
 def loss_curve_to_csv(curve) -> str:

@@ -3,11 +3,13 @@ import pytest
 
 from simulbench.data import PRE_ID, SEP_ID
 from simulbench.engine import (GenerationMode, ReadEvent, TranslationTrace,
-                               WriteEvent, schedule_trace, simul_generate)
+                               WriteEvent, replay_visibility, schedule_trace,
+                               simul_generate)
 from simulbench.errors import DataError
-from simulbench.masks import PromptLayout, WaitKPolicy
-from simulbench.metrics import (FlopModel, flops_generate, laal,
-                                metrics_rows_to_csv, quality_proxy)
+from simulbench.masks import PromptLayout, TablePolicy, WaitKPolicy
+from simulbench.metrics import (FlopModel, _recompute_event_costs,
+                                flops_generate, laal, metrics_rows_to_csv,
+                                quality_proxy)
 from simulbench.model import ModelConfig, init_model
 
 from helpers import fit_loglog_exponent
@@ -125,6 +127,36 @@ class TestFlops:
             init.append(rep.initial)
         assert fit_loglog_exponent(lengths, rec) > 1.5
         assert fit_loglog_exponent(lengths, init) < 1.2
+
+    def test_recompute_write_costs_every_row_present(self):
+        # oracle: at each write, the rows present so far and their
+        # visible-set sizes, replayed from the trace up to that write; no
+        # model runs
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            fm = FlopModel(ModelConfig(n_layers=int(rng.integers(1, 4)),
+                                       n_heads=4, d_model=32, vocab_size=12))
+            pre, mid = (int(x) for x in rng.integers(1, 4, size=2))
+            s, t = (int(x) for x in rng.integers(1, 25, size=2))
+            reads = tuple(int(r) for r in np.sort(rng.integers(1, s + 1, size=t)))
+            layout = PromptLayout(pre, s, mid, t)
+            trace = schedule_trace(TablePolicy(reads, s), layout)
+            costs = _recompute_event_costs(trace, fm)
+            for i, ev in enumerate(trace.events):
+                if isinstance(ev, ReadEvent):
+                    assert costs[i] == 0
+                    continue
+                seen = replay_visibility(
+                    TranslationTrace(events=trace.events[:i + 1],
+                                     pre_len=pre, mid_len=mid), layout)
+                assert costs[i] == fm.forward_cost(
+                    len(seen), sum(len(cols) for cols in seen.values()))
+
+    def test_write_before_any_read_rejected(self):
+        # no engine run writes first; its pre-prompt would go uncharged
+        trace = TranslationTrace(events=[WriteEvent(token=0), ReadEvent(n=2)])
+        with pytest.raises(DataError):
+            flops_generate(trace, FlopModel(CFG), GenerationMode("recompute"))
 
     def test_schedule_trace_flops_are_zero(self):
         trace = wait_k_trace(2, 5, 4)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import simulbench
+import simulbench.training
+from simulbench.alibi import head_biases
 from simulbench.data import default_layout_builder, gen_synthetic
-from simulbench.errors import ConfigError, DataError, NumericError
+from simulbench.errors import ConfigError, DataError, NumericError, ShapeError
 from simulbench.masks import PromptLayout, WaitKPolicy, causal_mask, simul_mask
 from simulbench.model import ModelConfig, forward_full, init_model
 from simulbench.training import (_Workspace, batch_forward_backward,
@@ -23,16 +25,14 @@ def wait_k(k):
 
 def small_case(seed=0, s=5, t=4):
     """A batch of one sentence: (1, L) tokens, its layout, its wait-2
-    streaming mask, its predicting rows and their (1, R) labels."""
+    streaming mask and its predicting rows."""
     rng = np.random.default_rng(seed)
     layout = PromptLayout(1, s, 1, t)
     tokens = ([1] + [int(x) for x in rng.integers(3, CFG.vocab_size, size=s)]
               + [2] + [int(x) for x in rng.integers(3, CFG.vocab_size, size=t - 1)]
               + [0])
-    rows = np.asarray(layout.predictor_rows())
-    labels = np.asarray([[tokens[r + 1] for r in rows]])
     return (np.asarray([tokens]), layout, simul_mask(layout, WaitKPolicy(2, s)),
-            rows, labels)
+            np.asarray(layout.predictor_rows()))
 
 
 class TestForwardBackward:
@@ -40,20 +40,19 @@ class TestForwardBackward:
         # both forwards take the same (mask, kind), for every pair that
         # fine_tune can pass
         params = init_model(CFG)
-        tokens, layout, streaming, rows, labels = small_case()
+        tokens, layout, streaming, rows = small_case()
         for name, mask in (("simulmask", streaming),
                            ("causal", causal_mask(layout.total_len))):
             for kind in ("modified", "standard"):
                 fast = batch_forward_backward(params, tokens, mask, kind, rows,
-                                              labels, want_grads=False).logits
+                                              want_grads=False).logits
                 exact = forward_full(params, tokens[0], mask, kind)
                 assert np.abs(fast[0] - exact).max() < 1e-4, f"{name}/{kind}"
 
     def test_loss_masking_zero_gradients(self):
         params = init_model(CFG)
-        tokens, layout, mask, rows, labels = small_case()
-        fb = batch_forward_backward(params, tokens, mask, "modified", rows,
-                                    labels)
+        tokens, layout, mask, rows = small_case()
+        fb = batch_forward_backward(params, tokens, mask, "modified", rows)
         dlogits = fb.dlogits[0]
         non_predictors = [r for r in range(layout.total_len)
                           if r not in set(rows)]
@@ -64,9 +63,8 @@ class TestForwardBackward:
     def test_finite_difference_oracle(self):
         # central differences over ~1% of parameters, float64 for headroom
         params = init_model(CFG).astype(np.float64)
-        tokens, layout, mask, rows, labels = small_case(seed=3)
-        fb = batch_forward_backward(params, tokens, mask, "modified", rows,
-                                    labels)
+        tokens, layout, mask, rows = small_case(seed=3)
+        fb = batch_forward_backward(params, tokens, mask, "modified", rows)
         rng = np.random.default_rng(0)
         h = 1e-5
         arrays = dict(params.tensors())
@@ -78,11 +76,11 @@ class TestForwardBackward:
                 arr.flat[flat_idx] = orig + h
                 up = batch_forward_backward(params.with_tensors(arrays),
                                             tokens, mask, "modified", rows,
-                                            labels, want_grads=False).loss
+                                            want_grads=False).loss
                 arr.flat[flat_idx] = orig - h
                 down = batch_forward_backward(params.with_tensors(arrays),
                                               tokens, mask, "modified", rows,
-                                              labels, want_grads=False).loss
+                                              want_grads=False).loss
                 arr.flat[flat_idx] = orig
                 numeric = (up - down) / (2 * h)
                 analytic = fb.grads[name].flat[flat_idx]
@@ -93,6 +91,40 @@ class TestForwardBackward:
                     f"{name}[{flat_idx}]: analytic {analytic} vs numeric {numeric}")
                 checked += 1
         assert checked > 50
+
+    def test_loss_is_mean_cross_entropy_of_the_next_tokens(self):
+        # the oracle: forward_full's logits sentence by sentence, labelled
+        # with the token after each loss row, log-softmax written out
+        params = init_model(CFG).astype(np.float64)
+        _, layout, mask, rows = small_case(s=6, t=5)
+        rng = np.random.default_rng(4)
+        tokens = rng.integers(0, CFG.vocab_size, size=(3, layout.total_len))
+        want = 0.0
+        for sentence in tokens:
+            logits = forward_full(params, sentence, mask, "modified")[rows]
+            peak = logits.max(axis=-1)
+            log_z = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=-1))
+            picked = logits[np.arange(rows.size), sentence[rows + 1]]
+            want += float(np.mean(log_z - picked))
+        got = batch_forward_backward(params, tokens, mask, "modified", rows,
+                                     want_grads=False).loss
+        assert abs(got - want) <= 1e-12
+
+    def test_bad_loss_rows_and_token_ids_rejected(self):
+        # every loss row needs a label, the token after it, and every token
+        # id a row of the embedding (a negative one would wrap around)
+        params = init_model(CFG)
+        tokens, layout, mask, rows = small_case()
+        last = layout.total_len - 1
+        for bad in ([], [-1], [last], [0, last]):
+            with pytest.raises(DataError):
+                batch_forward_backward(params, tokens, mask, "modified",
+                                       np.asarray(bad, dtype=int))
+        for bad in (-1, CFG.vocab_size):
+            edited = tokens.copy()
+            edited[0, 2] = bad
+            with pytest.raises(ShapeError):
+                batch_forward_backward(params, edited, mask, "modified", rows)
 
     def test_clip_global_norm(self):
         grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}
@@ -123,17 +155,23 @@ def assert_same(fb, ref):
 class TestWorkspace:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_reuse_matches_fresh_and_never_aliases(self, dtype):
-        # one workspace serves a long layout, a short one, then the long one
-        # with another batch size: every call equals a fresh-workspace call,
-        # and later calls leave earlier results untouched
+        # one workspace serves a long layout, a short one, then the long
+        # one's mask object again with another batch size under the other
+        # bias kind, then under the first kind: every call equals a
+        # fresh-workspace call, and later calls leave earlier results
+        # untouched
         params = init_model(CFG).astype(dtype)
         rng = np.random.default_rng(0)
+        cases = {shape: small_case(s=shape[0], t=shape[1])[1:]
+                 for shape in ((9, 8), (3, 2))}
         calls = []
-        for (s, t), batch in (((9, 8), 5), ((3, 2), 3), ((9, 8), 4)):
-            _, layout, mask, rows, _ = small_case(s=s, t=t)
+        for shape, batch, kind in (((9, 8), 5, "modified"),
+                                   ((3, 2), 3, "standard"),
+                                   ((9, 8), 4, "standard"),
+                                   ((9, 8), 2, "modified")):
+            layout, mask, rows = cases[shape]
             tokens = rng.integers(3, CFG.vocab_size, size=(batch, layout.total_len))
-            labels = rng.integers(3, CFG.vocab_size, size=(batch, rows.size))
-            calls.append((tokens, mask, "modified", rows, labels))
+            calls.append((tokens, mask, kind, rows))
         workspace = _Workspace()
         results = []
         for args in calls:
@@ -158,11 +196,10 @@ mask = simul_mask(layout, WaitKPolicy(5, 13))
 rows = np.asarray(layout.predictor_rows())
 rng = np.random.default_rng(0)
 tokens = rng.integers(0, 48, size=(25, layout.total_len))
-labels = rng.integers(0, 48, size=(25, rows.size))
 for dtype in (np.float32, np.float64):
     params = init_model(ModelConfig(n_layers=2, n_heads=16, d_model=64,
                                     vocab_size=48, seed=0)).astype(dtype)
-    fb = batch_forward_backward(params, tokens, mask, "modified", rows, labels)
+    fb = batch_forward_backward(params, tokens, mask, "modified", rows)
     arrays = [("loss", np.float64(fb.loss)), ("logits", fb.logits)]
     for name, arr in arrays + sorted(fb.grads.items()):
         print(dtype.__name__, name, hashlib.sha256(arr.tobytes()).hexdigest())
@@ -280,15 +317,37 @@ class TestFineTune:
 
     def test_bad_settings_rejected(self):
         # an unknown mask or bias mode, or the streaming mask without a
-        # policy, fails before any update as a bad batch size does
+        # policy, fails before any update as a bad batch size does, even
+        # when no step would run
         params = init_model(CFG)
         for builder, settings in ((wait_k(1), {"batch_size": 0}),
                                   (wait_k(1), {"mask_mode": "banded"}),
+                                  (wait_k(1), {"mask_mode": "banded",
+                                               "epochs": 0}),
                                   (None, {"mask_mode": "simulmask"}),
-                                  (wait_k(1), {"bias_mode": "banded"})):
+                                  (wait_k(1), {"bias_mode": "banded"}),
+                                  (wait_k(1), {"bias_mode": "bogus",
+                                               "epochs": 0})):
             with pytest.raises(ConfigError):
                 fine_tune(params, self._corpus(), default_layout_builder,
                           builder, **settings)
+
+    def test_biases_built_once_per_key(self, monkeypatch):
+        # one layout and one policy: two epochs of two steps each share
+        # one mask+bias block
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return head_biases(*args, **kwargs)
+
+        monkeypatch.setattr(simulbench.training, "head_biases", spy)
+        corpus = gen_synthetic("copy", 6, 4, 4, CFG.vocab_size, 0)
+        result = fine_tune(init_model(CFG), corpus, default_layout_builder,
+                           wait_k(2), epochs=2, learning_rate=0.1,
+                           batch_size=3)
+        assert len(result.loss_curve) == 4
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("setting", [
         {"learning_rate": float("nan")}, {"learning_rate": float("inf")},

@@ -68,13 +68,24 @@ MUTANTS = (
 """,
      """    sums = np.add.reduceat(x, starts, axis=-1)
 """),
-    ("recompute mid-prompt pairs charged with d_hist[-1]",
+    ("recompute write charged without its own rows",
      "src/simulbench/metrics.py",
-     "pairs += sum(pre + d_hist[0] + i + 1 for i in range(mid - 1))",
-     "pairs += sum(pre + d_hist[-1] + i + 1 for i in range(mid - 1))"),
+     """        done += cost
+        costs.append(0 if isinstance(ev, ReadEvent) else done)
+""",
+     """        costs.append(0 if isinstance(ev, ReadEvent) else done)
+        done += cost
+"""),
     ("training biases ignore the kind", "src/simulbench/training.py",
-     "head_biases(mask, alibi_slopes(H), kind)",
-     "head_biases(mask, alibi_slopes(H), \"modified\")"),
+     "head_biases(mask, alibi_slopes(n_heads), kind)",
+     "head_biases(mask, alibi_slopes(n_heads), \"modified\")"),
+    ("labels read from the loss rows themselves",
+     "src/simulbench/training.py",
+     "labels = tokens[:, loss_rows + 1]",
+     "labels = tokens[:, loss_rows]"),
+    ("bias block reused across kinds", "src/simulbench/training.py",
+     "key = (id(mask), kind, n_heads, np.dtype(dtype))",
+     "key = (id(mask), n_heads, np.dtype(dtype))"),
     ("one extra source pull at step 1", "src/simulbench/engine.py",
      "new = stream.pull(policy.cumulative_reads(t) - reads)",
      "new = stream.pull(policy.cumulative_reads(t) - reads + (t == 1))"),
