@@ -12,16 +12,14 @@ from . import __version__
 from .alibi import HeadSlopes, bias_to_csv, head_biases
 from .config import build_config, load_config
 from .data import corpus_to_jsonl, gen_synthetic, load_corpus
-from .engine import GenerationMode
 from .errors import (CacheCoherenceError, ConfigError, ConsistencyError,
                      DataError, DegenerateRowError, LayoutError, NumericError,
                      PolicyError, ShapeError, WorkbenchError)
-from .experiment import (_RunWriter, _write_out, compare_modes,
-                         evaluate_sentence, run_experiment, train_model)
+from .experiment import (_RunWriter, _write_out, compare_modes, flops_report,
+                         run_experiment, train_model)
 from .masks import (PromptLayout, TablePolicy, WaitKPolicy, causal_mask,
                     mask_to_ascii, simul_mask)
-from .metrics import FlopModel, flops_generate
-from .model import init_model, load_params, params_to_bytes
+from .model import load_params, params_to_bytes
 from .training import loss_curve_to_csv
 
 _CONFIG_ERRORS = (ConfigError, LayoutError, PolicyError)
@@ -194,30 +192,7 @@ def _cmd_bias_dump(args) -> int:
 
 
 def _cmd_flops_report(args) -> int:
-    config = _load_experiment_config(args)
-    if not config.dataset:
-        raise ConfigError("a dataset is required (--dataset or config)")
-    corpus = load_corpus(config.dataset, config.vocab_size)
-    params = init_model(config.model_config())
-    flop_model = FlopModel(params.config)
-    k = config.eval_k[0]
-    lines = ["sentence_id,k_or_chunk,seq_len,cached_total,recompute_initial,"
-             "recompute_recompute"]
-    for sid, pair in enumerate(corpus):
-        row = [sid, k]
-        _, trace_c = evaluate_sentence(params, pair, k, GenerationMode("cached"),
-                                       config.max_target_len)
-        _, trace_r = evaluate_sentence(params, pair, k,
-                                       GenerationMode("recompute"),
-                                       config.max_target_len)
-        rep_c = flops_generate(trace_c, flop_model, GenerationMode("cached"))
-        rep_r = flops_generate(trace_r, flop_model, GenerationMode("recompute"))
-        seq_len = trace_c.total_reads() + len(trace_c.writes())
-        lines.append(f"{sid},{k},{seq_len},{rep_c.total},{rep_r.initial},"
-                     f"{rep_r.recompute}")
-    with _RunWriter(config.out) as writer:
-        path = writer.write("flops_report.csv", "\n".join(lines) + "\n")
-    print(path)
+    print(flops_report(_load_experiment_config(args)))
     return 0
 
 

@@ -26,6 +26,7 @@ sessions sharing read-only parameters may run concurrently.
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -90,28 +91,6 @@ class TranslationTrace:
         return [e.token for e in self.events if isinstance(e, WriteEvent)]
 
 
-class _Stream:
-    """Pull-based wrapper over the source iterable.
-
-    Once the source ends it is never pulled again, which clips every later
-    goal to the realized source length.
-    """
-
-    def __init__(self, source):
-        self._it = iter(source)
-        self.finished = False
-
-    def pull(self, n: int) -> list[int]:
-        """Up to ``n`` more tokens, fewer once the source has ended."""
-        new = []
-        while len(new) < n and not self.finished:
-            try:
-                new.append(next(self._it))
-            except StopIteration:
-                self.finished = True
-        return new
-
-
 def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
                    source_stream, mid_prompt, mode: GenerationMode,
                    max_target_len: int, *, eos_id: int | None = 0,
@@ -152,10 +131,12 @@ def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
         step = _cached_step(params, pre_prompt, mid_prompt, bias_scheme)
     else:
         step = _recompute_step(params, pre_prompt, mid_prompt)
-    stream = _Stream(source_stream)
+    stream = iter(source_stream)
     emitted, reads = [], 0
     for t in range(1, max_target_len + 1):
-        new = stream.pull(policy.cumulative_reads(t) - reads)
+        # an exhausted iterator yields nothing more, which clips every later
+        # goal to the realized source length
+        new = list(islice(stream, max(policy.cumulative_reads(t) - reads, 0)))
         if t == 1 and not new:
             raise DataError("source stream yielded no tokens")
         logits, read, write = step(new, emitted)

@@ -64,11 +64,11 @@ def _sweep(params, corpus, k, mode, config, flop_model, bias_scheme="rank"):
                                        config.max_target_len, bias_scheme)
         report = flops_generate(trace, flop_model, mode)
         ref = list(pair.target)
-        matched = sum(1 for a, b in zip(hyp, ref) if a == b)
         delay = (laal(trace, len(pair.source) + 1, len(hyp), len(ref))
                  if trace.d else 0.0)
+        quality = quality_proxy([hyp], [ref])
         rows.append((sid, k, delay, report.initial, report.recompute,
-                     matched / len(ref), float(hyp == ref)))
+                     quality.token_accuracy, quality.exact_match))
         traces.append(trace)
         hyps.append(hyp)
         refs.append(ref)
@@ -207,3 +207,32 @@ def compare_modes(config: ExperimentConfig, checkpoint: str | None = None):
                     f"{repr(summary[3])},{repr(summary[4])},{repr(mean_total)}")
         path = writer.write("compare.csv", "\n".join(lines) + "\n")
     return lines, path
+
+
+def flops_report(config: ExperimentConfig):
+    """Per-sentence FLOPs of cached and recompute generation under an
+    untrained model at the first eval k; returns the written path.
+
+    Each sentence is generated once, cached.  ``flops_generate`` reads
+    only a trace's prompt lengths and events, and recompute generation
+    emits the same tokens, so the same events, as cached generation: the
+    cached trace prices both modes exactly.
+    """
+    if not config.dataset:
+        raise ConfigError("a dataset is required (--dataset or config)")
+    corpus = load_corpus(config.dataset, config.vocab_size)
+    params = init_model(config.model_config())
+    flop_model = FlopModel(params.config)
+    k = config.eval_k[0]
+    _, traces, _ = _sweep(params, corpus, k, GenerationMode("cached"), config,
+                          flop_model)
+    lines = ["sentence_id,k_or_chunk,seq_len,cached_total,recompute_initial,"
+             "recompute_recompute"]
+    for sid, trace in enumerate(traces):
+        cached = flops_generate(trace, flop_model, GenerationMode("cached"))
+        rebuilt = flops_generate(trace, flop_model, GenerationMode("recompute"))
+        seq_len = trace.total_reads() + len(trace.writes())
+        lines.append(f"{sid},{k},{seq_len},{cached.total},{rebuilt.initial},"
+                     f"{rebuilt.recompute}")
+    with _RunWriter(config.out) as writer:
+        return writer.write("flops_report.csv", "\n".join(lines) + "\n")

@@ -198,23 +198,21 @@ class KVCache:
             raise ConfigError("n_layers must be >= 1")
         self.n_layers = n_layers
         self.kv = np.empty((n_layers, 2, 0, 0, 0), dtype=np.float32)
-        self._counts = [0] * len(Region)
         self._arrivals = [[] for _ in Region]  # per region, by index
-        self._size = 0
 
     def __len__(self) -> int:
-        return self._size
+        return sum(map(len, self._arrivals))
 
     @property
     def counts(self) -> list[int]:
         """Cached tokens per region, in region order."""
-        return list(self._counts)
+        return [len(kept) for kept in self._arrivals]
 
     @property
     def arrival(self) -> np.ndarray:
         """Arrival number of every cached row, in canonical order."""
         return np.fromiter(chain.from_iterable(self._arrivals), dtype=np.intp,
-                           count=self._size)
+                           count=len(self))
 
     def _reserve(self, params: ModelParams, size: int):
         """Grow the arena, by doubling, to hold at least ``size`` rows."""
@@ -225,8 +223,9 @@ class KVCache:
         while capacity < size:
             capacity *= 2
         kv = _kv_arena(params, capacity)
-        if self._size:
-            kv[:, :, :, :self._size] = self.kv[:, :, :, :self._size]
+        n = len(self)
+        if n:
+            kv[:, :, :, :n] = self.kv[:, :, :, :n]
         self.kv = kv
 
     def _move(self, moves):
@@ -535,8 +534,6 @@ def forward_incremental(params: ModelParams, cache: KVCache, tokens, added,
         raise
     for kept, new in zip(cache._arrivals, arrivals):
         kept += new
-    cache._counts = [c + k for c, k in zip(counts, added)]
-    cache._size = past + m
     return logits, cache
 
 

@@ -5,10 +5,13 @@ import shlex
 import numpy as np
 import pytest
 
+from simulbench import engine
 from simulbench.cli import _write_out, main
 from simulbench.config import build_config
 from simulbench.data import gen_synthetic
-from simulbench.experiment import run_experiment
+from simulbench.engine import GenerationMode
+from simulbench.experiment import evaluate_sentence, run_experiment
+from simulbench.metrics import FlopModel, flops_generate
 from simulbench.model import ModelConfig, init_model
 
 from helpers import (ascii_to_mask, hidden_beyond_causal,
@@ -230,17 +233,43 @@ class TestCli:
             assert os.listdir(out) == [blocked]
             assert os.path.isdir(os.path.join(out, blocked))
 
-    def test_flops_report(self, tmp_path):
+    def test_flops_report(self, tmp_path, monkeypatch):
+        # every row equals the report of one cached and one recompute
+        # generation of its sentence, though the command generates each
+        # sentence once, cached: it runs no full forward
+        pairs = gen_synthetic("shift(2)", 5, 3, 7, 24, 0)
+        assert len({len(p.source) for p in pairs}) > 1
         corpus = os.path.join(tmp_path, "c.jsonl")
-        save_corpus(corpus, gen_synthetic("copy", 2, 3, 4, 24, 0))
+        save_corpus(corpus, pairs)
+        config = build_config({}, {})
+        params = init_model(config.model_config())
+        flop_model = FlopModel(params.config)
+        expected = ["sentence_id,k_or_chunk,seq_len,cached_total,"
+                    "recompute_initial,recompute_recompute"]
+
+        def generate(pair, kind):
+            mode = GenerationMode(kind)
+            _, trace = evaluate_sentence(params, pair, 2, mode,
+                                         config.max_target_len)
+            return trace, flops_generate(trace, flop_model, mode)
+
+        for sid, pair in enumerate(pairs):
+            trace, cached = generate(pair, "cached")
+            _, rebuilt = generate(pair, "recompute")
+            assert rebuilt.recompute > 0
+            seq_len = trace.total_reads() + len(trace.writes())
+            expected.append(f"{sid},2,{seq_len},{cached.total},"
+                            f"{rebuilt.initial},{rebuilt.recompute}")
+        full_calls = []
+        real = engine.forward_full
+        monkeypatch.setattr(engine, "forward_full", lambda *args, **kw: (
+            full_calls.append(args) or real(*args, **kw)))
         out = os.path.join(tmp_path, "run")
         assert main(["flops-report", "--dataset", corpus, "--out", out,
                      "--eval-k", "2"]) == 0
+        assert full_calls == []
         lines = open(os.path.join(out, "flops_report.csv")).read().splitlines()
-        assert len(lines) == 3
-        for line in lines[1:]:
-            parts = line.split(",")
-            assert int(parts[3]) <= int(parts[4]) + int(parts[5])
+        assert lines == expected
 
     def test_compare(self, tmp_path):
         corpus = os.path.join(tmp_path, "c.jsonl")

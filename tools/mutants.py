@@ -83,12 +83,16 @@ MUTANTS = (
      "src/simulbench/training.py",
      "labels = tokens[:, loss_rows + 1]",
      "labels = tokens[:, loss_rows]"),
+    ("flops-report recompute columns charged as cached",
+     "src/simulbench/experiment.py",
+     "flops_generate(trace, flop_model, GenerationMode(\"recompute\"))",
+     "flops_generate(trace, flop_model, GenerationMode(\"cached\"))"),
     ("bias block reused across kinds", "src/simulbench/training.py",
      "key = (id(mask), kind, n_heads, np.dtype(dtype))",
      "key = (id(mask), n_heads, np.dtype(dtype))"),
     ("one extra source pull at step 1", "src/simulbench/engine.py",
-     "new = stream.pull(policy.cumulative_reads(t) - reads)",
-     "new = stream.pull(policy.cumulative_reads(t) - reads + (t == 1))"),
+     "max(policy.cumulative_reads(t) - reads, 0)",
+     "max(policy.cumulative_reads(t) - reads + (t == 1), 0)"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "out")
