@@ -47,16 +47,16 @@ def alibi_slopes(n_heads: int) -> HeadSlopes:
     return HeadSlopes(tuple(2.0 ** (-8.0 * h / n_heads) for h in range(1, n_heads + 1)))
 
 
-def rank_biases(n_visible: int, slope: float, dtype=np.float32) -> np.ndarray:
-    """Bias ladder over n visible keys in ascending order: most recent gets 0.
+def rank_biases(n_visible: int, slope: float) -> np.ndarray:
+    """float32 bias ladder over n visible keys, ascending: most recent 0.
 
     Entry n-1-r holds -float32(slope) * r, the bias of rank r.  An (H, 1)
     column of slopes gives one ladder per head, shape (H, n).  Every bias
     of the package is an entry of such a ladder, so all paths produce
     bit-identical values for equal ranks.
     """
-    ranks = np.arange(n_visible - 1, -1, -1, dtype=dtype)
-    return -dtype(slope) * ranks
+    ranks = np.arange(n_visible - 1, -1, -1, dtype=np.float32)
+    return -np.float32(slope) * ranks
 
 
 def visible_biases(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray,

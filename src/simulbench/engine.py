@@ -75,7 +75,6 @@ class TranslationTrace:
     d: list[int] = field(default_factory=list)
     pre_len: int = 1
     mid_len: int = 1
-    mode: str = "cached"
     kv_rows: int = 0
     step_logits: list | None = None
 
@@ -116,7 +115,7 @@ def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
     if max_target_len < 1:
         raise ConfigError("max_target_len must be >= 1")
     if mode.kind == "recompute" and bias_scheme != "rank":
-        raise ConfigError("stale biases are a cached-mode control only")
+        raise ConfigError(f"recompute takes rank biases, not {bias_scheme!r}")
     if forced_target is not None:
         forced_target = list(forced_target)
         if not forced_target or len(forced_target) > max_target_len:
@@ -125,7 +124,6 @@ def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
         eos_id, max_target_len = None, len(forced_target)
 
     trace = TranslationTrace(pre_len=len(pre_prompt), mid_len=len(mid_prompt),
-                             mode=mode.kind,
                              step_logits=[] if record_logits else None)
     if mode.kind == "cached":
         step = _cached_step(params, pre_prompt, mid_prompt, bias_scheme)
@@ -171,7 +169,7 @@ def _cached_step(params, pre_prompt, mid_prompt, bias_scheme):
     its new source rows (after the pre-prompt on the first step), charged
     to the read counter, then the mid-prompt (first step) or the last
     emitted target token, charged to the write counter."""
-    cache = KVCache(params.config.n_layers)
+    cache = KVCache()
 
     def step(new, emitted):
         if emitted:
@@ -181,7 +179,7 @@ def _cached_step(params, pre_prompt, mid_prompt, bias_scheme):
             reads, writes = pre_prompt + new, mid_prompt
             added = [len(pre_prompt), len(new), len(mid_prompt), 0]
         read, write = FlopCounter(), FlopCounter()
-        logits, _ = forward_incremental(
+        logits = forward_incremental(
             params, cache, reads + writes, added, bias_scheme=bias_scheme,
             flops=[read] * len(reads) + [write] * len(writes))
         return logits[-1], read, write
@@ -226,13 +224,13 @@ def schedule_trace(policy: DecisionPolicy, layout: PromptLayout) -> TranslationT
 
     Emits exactly ``layout.target_len`` writes (token ids 0, no model in
     the loop); this is the lightweight driver behind mask-replay checks.
+    A policy too short for the layout raises PolicyError from its own
+    ``cumulative_reads``.
     """
-    if not policy.covers(layout.target_len):
-        raise PolicyError("policy does not cover the layout's target length")
     if policy.source_len != layout.source_len:
         raise ConsistencyError("policy/layout source lengths differ")
     trace = TranslationTrace(pre_len=layout.pre_prompt_len,
-                             mid_len=layout.mid_prompt_len, mode="schedule")
+                             mid_len=layout.mid_prompt_len)
     reads = 0
     for t in range(1, layout.target_len + 1):
         goal = min(policy.cumulative_reads(t), layout.source_len)

@@ -89,9 +89,7 @@ class DecisionPolicy:
     source_len: int
 
     def cumulative_reads(self, t: int) -> int:
-        raise NotImplementedError
-
-    def covers(self, target_len: int) -> bool:
+        """f(t); PolicyError for a step outside the policy's domain."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -115,9 +113,6 @@ class WaitKPolicy(DecisionPolicy):
         if t < 1:
             raise PolicyError(f"target step must be >= 1, got {t}")
         return min(self.k + t - 1, self.source_len)
-
-    def covers(self, target_len: int) -> bool:
-        return True
 
     def describe(self) -> str:
         return f"wait-{self.k}"
@@ -149,9 +144,6 @@ class TablePolicy(DecisionPolicy):
         if not 1 <= t <= len(self.reads):
             raise PolicyError(f"policy covers 1..{len(self.reads)}, got step {t}")
         return self.reads[t - 1]
-
-    def covers(self, target_len: int) -> bool:
-        return target_len <= len(self.reads)
 
     def describe(self) -> str:
         return "table-" + ",".join(str(r) for r in self.reads)
@@ -206,13 +198,12 @@ def simul_mask(layout: PromptLayout, policy: DecisionPolicy) -> AttentionMaskSpe
 
     The final target row predicts nothing; it keeps full source visibility
     so that the loss can be computed over a complete sequence.  The visible
-    source count of each predicting row is then exactly f(t).
+    source count of each predicting row is then exactly f(t).  A policy
+    too short for the layout raises PolicyError from ``cumulative_reads``.
     """
     if policy.source_len != layout.source_len:
         raise LayoutError(
             f"policy source_len {policy.source_len} != layout {layout.source_len}")
-    if not policy.covers(layout.target_len):
-        raise PolicyError(f"policy does not cover {layout.target_len} target steps")
     reads = [policy.cumulative_reads(t) for t in range(1, layout.target_len + 1)]
     return read_count_mask(layout.pre_prompt_len, layout.mid_prompt_len,
                            reads + [layout.source_len])

@@ -13,7 +13,8 @@ every exact forward; it is fed two ways:
   token attends to a prefix of it, read in place.
 
 Keys and values live in one arena, (n_layers, 2, n_heads, capacity,
-d_head): a ``KVCache``'s, or one built per ``forward_full`` call.  The
+d_head), whose shape and dtype come from the model: a ``KVCache``'s,
+shaped by its first call, or one built per ``forward_full`` call.  The
 engine validates a call's ragged layout once (``kernel.row_plan``) and
 every layer's attention reuses the plan.
 
@@ -190,14 +191,14 @@ class KVCache:
     cache per growth), so growth costs amortized O(1) per token.
     Entries past ``len(cache)`` are scratch.  ``arrival`` gives the arrival
     number of each cached row, in canonical order; only the ``stale`` bias
-    control reads it.  One logical owner per cache; no concurrent mutation.
+    control reads it.  The first call shapes the arena (``kv``, None
+    before) from its model; a later call's model must match it in layer
+    count, head count, head width and dtype.  One logical owner per
+    cache; no concurrent mutation.
     """
 
-    def __init__(self, n_layers: int):
-        if n_layers < 1:
-            raise ConfigError("n_layers must be >= 1")
-        self.n_layers = n_layers
-        self.kv = np.empty((n_layers, 2, 0, 0, 0), dtype=np.float32)
+    def __init__(self):
+        self.kv = None
         self._arrivals = [[] for _ in Region]  # per region, by index
 
     def __len__(self) -> int:
@@ -215,8 +216,8 @@ class KVCache:
                            count=len(self))
 
     def _reserve(self, params: ModelParams, size: int):
-        """Grow the arena, by doubling, to hold at least ``size`` rows."""
-        capacity = self.kv.shape[3]
+        """Build or grow the arena, doubling, to hold at least ``size`` rows."""
+        capacity = 0 if self.kv is None else self.kv.shape[3]
         if size <= capacity:
             return
         capacity = max(capacity, MIN_CACHE_CAPACITY)
@@ -451,7 +452,7 @@ def forward_full(params: ModelParams, tokens, mask: AttentionMaskSpec,
 def forward_incremental(params: ModelParams, cache: KVCache, tokens, added,
                         bias_scheme: str = "rank",
                         flops: list[FlopCounter] | None = None):
-    """Extend ``cache`` with new tokens; return (logits for them, cache).
+    """Extend ``cache`` with new tokens; return their logits.
 
     ``tokens`` is one region-ordered run of new token ids, such as a
     step's new source tokens followed by its target token, with
@@ -480,7 +481,9 @@ def forward_incremental(params: ModelParams, cache: KVCache, tokens, added,
       kept as a negative control.  A call's tokens arrive in order, the
       first one numbered ``len(cache)``.
 
-    The input is validated before the cache changes: a call holds at least
+    The input is validated before the cache changes: the model has the
+    layer count, head count, head width and dtype of the cache's arena,
+    if it has one (CacheCoherenceError otherwise), a call holds at least
     one token, every token id is an integer in the vocabulary, and
     ``added`` is ``len(Region)`` non-negative integers summing to
     ``len(tokens)``.  If the row engine raises, the blocks the call moved
@@ -488,8 +491,12 @@ def forward_incremental(params: ModelParams, cache: KVCache, tokens, added,
     they were.
     """
     cfg = params.config
-    if cache.n_layers != cfg.n_layers:
-        raise CacheCoherenceError("cache layer count differs from model")
+    kv = cache.kv
+    # the arena's even axes are (n_layers, n_heads, d_head)
+    if kv is not None and (*kv.shape[::2], kv.dtype) != (
+            cfg.n_layers, cfg.n_heads, cfg.d_head, params.embed.dtype):
+        raise CacheCoherenceError(f"{kv.dtype} cache arena {kv.shape} "
+                                  f"does not fit the model")
     if bias_scheme not in ("rank", "stale"):
         raise ConfigError(f"unknown bias scheme {bias_scheme!r}")
     tokens = _token_ids(tokens, cfg.vocab_size)
@@ -534,7 +541,7 @@ def forward_incremental(params: ModelParams, cache: KVCache, tokens, added,
         raise
     for kept, new in zip(cache._arrivals, arrivals):
         kept += new
-    return logits, cache
+    return logits
 
 
 def params_to_bytes(params: ModelParams) -> bytes:

@@ -45,6 +45,7 @@ from .masks import AttentionMaskSpec, causal_mask, simul_mask
 from .model import LN_EPS, ModelParams
 
 _GELU_A = 0.044715
+_CLIP_NORM = 1.0  # every step clips its global gradient norm to this
 
 
 class _Workspace:
@@ -356,8 +357,7 @@ class TrainResult:
 def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
               mask_mode: str = "simulmask", bias_mode: str = "modified",
               epochs: int = 1, learning_rate: float = 0.5, batch_size: int = 10,
-              max_seq_len: int = 128, clip_norm: float = 1.0,
-              shuffle_seed: int = 0) -> TrainResult:
+              max_seq_len: int = 128, shuffle_seed: int = 0) -> TrainResult:
     """SGD fine-tuning: one training sample per sentence per epoch.
 
     ``layout_builder(pair) -> (tokens, PromptLayout)`` turns a sentence pair
@@ -368,9 +368,9 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
     a mask) are processed as one stacked batch for speed.
     Sentences longer than ``max_seq_len`` are skipped with a warning.
     Raises ConfigError, before any step, for an unknown mask or bias mode
-    and when ``learning_rate`` or ``clip_norm`` is negative or not
-    finite, and NumericError when a step's loss or gradient norm,
-    or a parameter after its update, is not finite.
+    and when ``learning_rate`` is negative or not finite, and NumericError
+    when a step's loss or gradient norm, or a parameter after its update,
+    is not finite.
     Deterministic for fixed seed and corpus order.
     """
     if not corpus:
@@ -379,10 +379,9 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
         raise ConfigError("invalid training settings")
     # fails for NaN as well as for negative and infinite values: one such
     # step would poison every weight
-    for name, value in (("learning_rate", learning_rate),
-                        ("clip_norm", clip_norm)):
-        if not 0 <= value < math.inf:
-            raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
+    if not 0 <= learning_rate < math.inf:
+        raise ConfigError(
+            f"learning_rate must be finite and >= 0, got {learning_rate!r}")
 
     workspace = _Workspace()
     groups = {}  # key -> (mask, loss rows, token arrays of its sentences)
@@ -437,7 +436,7 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
             grads = fb.grads
             for name in grads:
                 grads[name] /= len(members)
-            norm = clip_global_norm(grads, clip_norm)
+            norm = clip_global_norm(grads, _CLIP_NORM)
             if not np.isfinite(norm):
                 raise NumericError(
                     f"non-finite gradient norm at step {step + 1}")

@@ -88,6 +88,17 @@ class TestCli:
         assert desc == "wait-1"
         assert hidden_beyond_causal(mask) == {
             (5, 2), (5, 3), (5, 4), (6, 3), (6, 4), (7, 4)}
+        # a read table: two sources for the first two targets, then all
+        assert main(["mask-dump", "--layout", "1,4,1,4", "--policy",
+                     "2,2,4,4", "--out", out]) == 0
+        mask, desc = ascii_to_mask(open(out).read())
+        assert desc == "table-2,2,4,4"
+        assert hidden_beyond_causal(mask) == {(5, 3), (5, 4), (6, 3), (6, 4)}
+        # a table shorter than the targets is a config error
+        short = os.path.join(tmp_path, "short.txt")
+        assert main(["mask-dump", "--layout", "1,4,1,4", "--policy", "1,2,3",
+                     "--out", short]) == 2
+        assert not os.path.exists(short)
 
     def test_causal_mask_dump(self, tmp_path):
         out = os.path.join(tmp_path, "mask.txt")

@@ -118,11 +118,13 @@ class TestSimulGenerate:
         assert len(trace.d) == 30
 
     def test_stale_bias_rejected_in_recompute(self):
+        # the error names the scheme given, an unknown one included
         params = init_model(CFG)
-        with pytest.raises(ConfigError):
-            simul_generate(params, WaitKPolicy(1, 3), [PRE_ID], [3, 4, 5],
-                           [SEP_ID], GenerationMode("recompute"),
-                           max_target_len=2, bias_scheme="stale")
+        for scheme in ("stale", "bogus"):
+            with pytest.raises(ConfigError, match=f"'{scheme}'"):
+                simul_generate(params, WaitKPolicy(1, 3), [PRE_ID], [3, 4, 5],
+                               [SEP_ID], GenerationMode("recompute"),
+                               max_target_len=2, bias_scheme=scheme)
 
     def test_kv_computation_counts(self):
         # cached mode computes each position's keys/values exactly once;

@@ -39,9 +39,9 @@ def tokens(rng, n):
     return [int(x) for x in rng.integers(1, VOCAB, size=n)]
 
 
-def expected_kv_rows(trace, n_layers):
-    """Rows whose keys/values a run builds: each token once when cached,
-    the whole canonical prefix at every step when recomputing."""
+def expected_kv_rows(trace, kind, n_layers):
+    """Rows whose keys/values a ``kind`` run builds: each token once when
+    cached, the whole canonical prefix at every step when recomputing."""
     reads, step_reads = 0, []  # source tokens read before each write
     for ev in trace.events:
         if isinstance(ev, ReadEvent):
@@ -49,7 +49,7 @@ def expected_kv_rows(trace, n_layers):
         else:
             step_reads.append(reads)
     prompts = trace.pre_len + trace.mid_len
-    if trace.mode == "cached":
+    if kind == "cached":
         rows = prompts + reads + len(step_reads) - 1
     else:
         rows = sum(prompts + d_t + t for t, d_t in enumerate(step_reads))
@@ -82,7 +82,8 @@ def test_cached_and_recompute_step_logits_bit_identical():
                      else _recompute_event_costs)(trace, flop_model)
             assert trace.flop_log == costs, (
                 f"case {case} {kind}/{scheme}: per-event FLOPs differ")
-            assert trace.kv_rows == expected_kv_rows(trace, cfg.n_layers), (
+            assert trace.kv_rows == expected_kv_rows(trace, kind,
+                                                     cfg.n_layers), (
                 f"case {case} {kind}/{scheme}: kv_rows differ")
             traces[kind, scheme] = trace
         cached, recompute = traces["cached", "rank"], traces["recompute", "rank"]

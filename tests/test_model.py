@@ -7,7 +7,8 @@ import pytest
 
 from simulbench import model
 from simulbench.alibi import alibi_slopes, rank_biases
-from simulbench.errors import ConfigError, DataError, NumericError, ShapeError
+from simulbench.errors import (CacheCoherenceError, ConfigError, DataError,
+                               NumericError, ShapeError)
 from simulbench.masks import (PromptLayout, Region, WaitKPolicy, causal_mask,
                               simul_mask)
 from simulbench.model import (FlopCounter, KVCache, ModelConfig, forward_full,
@@ -113,18 +114,21 @@ class TestForwardFull:
 class TestForwardIncremental:
     def test_single_token_matches_full(self):
         params = init_model(CFG)
-        cache = KVCache(CFG.n_layers)
-        logits, _ = forward_incremental(params, cache, [5],
-                                        only(Region.PRE_PROMPT))
+        cache = KVCache()
+        assert cache.kv is None  # the first call shapes the arena
+        logits = forward_incremental(params, cache, [5],
+                                     only(Region.PRE_PROMPT))
         full = forward_full(params, [5], causal_mask(1), "modified")
         assert np.array_equal(logits, full)
+        assert cache.kv.shape == (2, 2, 4, model.MIN_CACHE_CAPACITY, 8)
+        assert cache.kv.dtype == np.float32
 
     def test_full_ingestion_matches_full_forward_exactly(self):
         params = init_model(CFG)
         layout = PromptLayout(2, 4, 1, 3)
         tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-        cache = KVCache(CFG.n_layers)
-        inc, _ = forward_incremental(params, cache, *as_call(tokens, layout))
+        cache = KVCache()
+        inc = forward_incremental(params, cache, *as_call(tokens, layout))
         full = forward_full(params, tokens, causal_mask(10), "modified")
         assert np.array_equal(inc, full)
 
@@ -136,10 +140,10 @@ class TestForwardIncremental:
         mask = simul_mask(layout, pol)
         full = forward_full(params, tokens, mask, "modified")
 
-        cache = KVCache(CFG.n_layers)
+        cache = KVCache()
         step_logits = {}
         feed = lambda seq, region: forward_incremental(
-            params, cache, seq, only(region, len(seq)))[0]
+            params, cache, seq, only(region, len(seq)))
         feed(tokens[:1], Region.PRE_PROMPT)
         feed(tokens[1:3], Region.SOURCE)
         step_logits[layout.predictor_row(1)] = feed(
@@ -161,19 +165,30 @@ class TestForwardIncremental:
                               "counts short of the tokens",
                               "counts past the tokens", "bool counts",
                               "nan query weights", "nan at a doubling",
-                              "no token"])
+                              "no token", "other layer count",
+                              "other head count", "other head width",
+                              "float64 model"])
     def test_rejected_call_leaves_cache_unchanged(self, failure):
         # the rejected call holds 50 source tokens, enough to grow the
         # cache's arena and, once mid-prompt and target rows are cached
         # (later = 1), to move them; it fails validation at its last token
         # or at its per-region counts, or inside the row engine (NaN
         # queries leave a row with no finite score, only NaN ones); or it
-        # holds no token.  At a doubling, the cache is full at 16 rows and
-        # one source token doubles the arena and moves the later rows
-        # before the engine fails
+        # holds no token; or it comes from a model whose arena differs
+        # from the cache's in one of its four facts.  At a doubling, the
+        # cache is full at 16 rows and one source token doubles the arena
+        # and moves the later rows before the engine fails
         params = init_model(CFG)
         bad = params.with_tensors(dict(params.tensors(), **{
             "layers.1.wq": np.full_like(params.layers[1].wq, np.nan)}))
+        other = {  # CFG's head width is 8
+            "other layer count": init_model(ModelConfig(
+                n_layers=3, n_heads=4, d_model=32, vocab_size=12)),
+            "other head count": init_model(ModelConfig(
+                n_layers=2, n_heads=2, d_model=16, vocab_size=12)),
+            "other head width": init_model(ModelConfig(
+                n_layers=2, n_heads=4, d_model=64, vocab_size=12)),
+            "float64 model": params.astype(np.float64)}
         tokens = [1] + [int(t) for t in
                         np.random.default_rng(0).integers(1, 12, size=63)]
         for later in (0, 1):
@@ -184,11 +199,11 @@ class TestForwardIncremental:
             more = tokens[1 + n_src:61]
             more_added = only(Region.SOURCE, len(more))
             probe, probe_added = [7, 8], [0, 1, 0, 1]
-            ref = KVCache(CFG.n_layers)
+            ref = KVCache()
             forward_incremental(params, ref, prefix, prefix_added)
-            want, _ = forward_incremental(params, ref, probe, probe_added)
+            want = forward_incremental(params, ref, probe, probe_added)
 
-            cache = KVCache(CFG.n_layers)
+            cache = KVCache()
             forward_incremental(params, cache, prefix, prefix_added)
             n, arrival = len(cache), cache.arrival.tolist()
             rows = cache.kv[:, :, :, :n].tobytes()
@@ -216,6 +231,10 @@ class TestForwardIncremental:
             elif failure == "no token":
                 with pytest.raises(ShapeError):
                     forward_incremental(params, cache, [], [0] * len(Region))
+            elif failure in other:
+                with pytest.raises(CacheCoherenceError):
+                    forward_incremental(other[failure], cache, more,
+                                        more_added)
             else:
                 with pytest.raises(NumericError):
                     forward_incremental(bad, cache, more, more_added)
@@ -223,7 +242,7 @@ class TestForwardIncremental:
             assert cache.counts == [1, n_src, later, later]
             assert cache.arrival.tolist() == arrival
             assert cache.kv[:, :, :, :n].tobytes() == rows
-            got, _ = forward_incremental(params, cache, probe, probe_added)
+            got = forward_incremental(params, cache, probe, probe_added)
             assert np.array_equal(got, want)
 
     def test_source_ingestion_ignores_later_regions(self):
@@ -232,19 +251,19 @@ class TestForwardIncremental:
         params = init_model(CFG)
         layout = PromptLayout(1, 3, 1, 2)
 
-        early = KVCache(CFG.n_layers)
+        early = KVCache()
         forward_incremental(params, early, [1], only(Region.PRE_PROMPT))
         forward_incremental(params, early, [4, 5], only(Region.SOURCE, 2))
-        logits_early, _ = forward_incremental(params, early, [6],
-                                              only(Region.SOURCE))
+        logits_early = forward_incremental(params, early, [6],
+                                           only(Region.SOURCE))
 
-        late = KVCache(CFG.n_layers)
+        late = KVCache()
         forward_incremental(params, late, [1], only(Region.PRE_PROMPT))
         forward_incremental(params, late, [4, 5], only(Region.SOURCE, 2))
         forward_incremental(params, late, [2], only(Region.MID_PROMPT))
         forward_incremental(params, late, [7], only(Region.TARGET))
-        logits_late, _ = forward_incremental(params, late, [6],
-                                             only(Region.SOURCE))
+        logits_late = forward_incremental(params, late, [6],
+                                          only(Region.SOURCE))
         assert np.array_equal(logits_early, logits_late)
 
     @pytest.mark.parametrize("scheme", ["rank", "stale"])
@@ -252,21 +271,21 @@ class TestForwardIncremental:
         # one call holding a step's new source tokens and the last target
         # token gives each row the logits and the FLOPs of two calls
         params = init_model(CFG)
-        split, mixed = KVCache(CFG.n_layers), KVCache(CFG.n_layers)
+        split, mixed = KVCache(), KVCache()
         for cache in (split, mixed):
             forward_incremental(params, cache, [1, 4, 2], [1, 1, 1, 0],
                                 bias_scheme=scheme)
         read, write = FlopCounter(), FlopCounter()
-        src_logits, _ = forward_incremental(params, split, [5, 6],
-                                            only(Region.SOURCE, 2), scheme,
-                                            [read, read])
-        tgt_logits, _ = forward_incremental(params, split, [7],
-                                            only(Region.TARGET), scheme,
-                                            [write])
+        src_logits = forward_incremental(params, split, [5, 6],
+                                         only(Region.SOURCE, 2), scheme,
+                                         [read, read])
+        tgt_logits = forward_incremental(params, split, [7],
+                                         only(Region.TARGET), scheme,
+                                         [write])
         both = FlopCounter(), FlopCounter()
-        logits, _ = forward_incremental(params, mixed, [5, 6, 7],
-                                        [0, 2, 0, 1], scheme,
-                                        [both[0], both[0], both[1]])
+        logits = forward_incremental(params, mixed, [5, 6, 7],
+                                     [0, 2, 0, 1], scheme,
+                                     [both[0], both[0], both[1]])
         assert np.array_equal(logits, np.concatenate([src_logits, tgt_logits]))
         assert [(c.total, c.kv_rows) for c in both] == [
             (read.total, read.kv_rows), (write.total, write.kv_rows)]
@@ -292,31 +311,31 @@ class TestForwardIncremental:
         layout = PromptLayout(2, 3, 1, 3)
         tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9]
         call = as_call(tokens, layout)
-        a = KVCache(CFG.n_layers)
-        rank_logits, _ = forward_incremental(params, a, *call,
-                                             bias_scheme="rank")
-        b = KVCache(CFG.n_layers)
-        stale_logits, _ = forward_incremental(params, b, *call,
-                                              bias_scheme="stale")
+        a = KVCache()
+        rank_logits = forward_incremental(params, a, *call,
+                                          bias_scheme="rank")
+        b = KVCache()
+        stale_logits = forward_incremental(params, b, *call,
+                                           bias_scheme="stale")
         assert np.array_equal(rank_logits, stale_logits)
 
     def test_stale_scheme_differs_after_interleaving(self):
         params = init_model(CFG)
         seq = [(1, Region.PRE_PROMPT), (4, Region.SOURCE),
                (2, Region.MID_PROMPT), (7, Region.TARGET), (5, Region.SOURCE)]
-        a = KVCache(CFG.n_layers)
+        a = KVCache()
         for tok, region in seq:
-            rank_logits, _ = forward_incremental(params, a, [tok],
-                                                 only(region),
-                                                 bias_scheme="rank")
-        b = KVCache(CFG.n_layers)
+            rank_logits = forward_incremental(params, a, [tok],
+                                              only(region),
+                                              bias_scheme="rank")
+        b = KVCache()
         for tok, region in seq:
-            stale_logits, _ = forward_incremental(params, b, [tok],
-                                                  only(region),
-                                                  bias_scheme="stale")
+            stale_logits = forward_incremental(params, b, [tok],
+                                               only(region),
+                                               bias_scheme="stale")
         probe = [8], only(Region.TARGET)
-        ra, _ = forward_incremental(params, a, *probe, bias_scheme="rank")
-        rb, _ = forward_incremental(params, b, *probe, bias_scheme="stale")
+        ra = forward_incremental(params, a, *probe, bias_scheme="rank")
+        rb = forward_incremental(params, b, *probe, bias_scheme="stale")
         assert not np.array_equal(ra, rb)
 
 

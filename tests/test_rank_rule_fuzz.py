@@ -112,8 +112,8 @@ def test_incremental_blocks_match_per_token_ladders(monkeypatch, scheme):
     engine_rows = model._forward_rows
 
     class Recorded(model.KVCache):
-        def __init__(self, n_layers):
-            super().__init__(n_layers)
+        def __init__(self):
+            super().__init__()
             caches.append(self)
 
     def spy(params, tokens, kv, slots, visible, counts, offsets, bias, flops):

@@ -4,22 +4,25 @@ Run from the repository root:
 
     python tools/ab_pairs.py --base HEAD --workload stream_long --pairs 10
 
-The tool unpacks the base commit with ``git archive`` into a temporary
-directory and runs ``perfbench/run.py`` (end-to-end metrics, ``--trace 0``)
-from each side's root, each run as long as ``run_seconds`` of
-``BENCHMARK.json``.  Pair i runs both sides with seed ``--seed + i``, and
-the side that runs first alternates from pair to pair.  It prints one line
-per run, then per end-to-end metric of ``BENCHMARK.json``: each side's
-median, the base's quartiles and their distance (IQR), the relative change
-of the medians, and the number of pairs the working tree won (by the
-metric's ``better`` direction; ties count for neither side).  Last come the
-failed and attempted ops of each side.  A run that exits non-zero stops the
-tool with its exit code.
+The tool unpacks the base commit with ``git archive`` into one temporary
+directory and copies the working tree into another: its tracked files and
+its untracked files that git does not ignore, so neither side runs from the
+repository itself or carries its build leftovers.  It runs
+``perfbench/run.py`` (end-to-end metrics, ``--trace 0``) from each side's
+root, each run as long as ``run_seconds`` of ``BENCHMARK.json``.  Pair i runs
+both sides with seed ``--seed + i``, and the side that runs first alternates
+from pair to pair.  It prints one line per run, then per end-to-end metric
+of ``BENCHMARK.json``: each side's median, the base's quartiles and their
+distance (IQR), the relative change of the medians, and the number of pairs
+the working tree won (by the metric's ``better`` direction; ties count for
+neither side).  Last come the failed and attempted ops of each side.  A run
+that exits non-zero stops the tool with its exit code.
 """
 
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -34,6 +37,21 @@ def unpack(commit: str, into: str):
     archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
+
+
+def copy_worktree(into: str):
+    """Copy the working tree's tracked files, and its untracked files that
+    git does not ignore, under ``into``."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True).stdout.decode()
+    for path in filter(None, listed.split("\0")):
+        source = os.path.join(ROOT, path)
+        if not os.path.lexists(source):  # tracked, but deleted in the tree
+            continue
+        target = os.path.join(into, path)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(source, target, follow_symlinks=False)
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -81,8 +99,11 @@ def main(argv=None) -> int:
 
     runs = {"base": [], "head": []}
     with tempfile.TemporaryDirectory() as scratch:
-        unpack(args.base, scratch)
-        trees = {"base": scratch, "head": ROOT}
+        trees = {side: os.path.join(scratch, side) for side in ("base", "head")}
+        for tree in trees.values():
+            os.mkdir(tree)
+        unpack(args.base, trees["base"])
+        copy_worktree(trees["head"])
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("base", "head") if i % 2 == 0 else ("head", "base")

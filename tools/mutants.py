@@ -51,6 +51,13 @@ MUTANTS = (
      "src/simulbench/model.py",
      "or min(added) < 0 or sum(added) != m:",
      "or min(added) < 0:"),
+    ("cache coherence checks the layer count only",
+     "src/simulbench/model.py",
+     """    if kv is not None and (*kv.shape[::2], kv.dtype) != (
+            cfg.n_layers, cfg.n_heads, cfg.d_head, params.embed.dtype):
+""",
+     """    if kv is not None and kv.shape[0] != cfg.n_layers:
+"""),
     ("new rows numbered one arrival late", "src/simulbench/model.py",
      "arrivals = [range(first, first + k)",
      "arrivals = [range(first + 1, first + k + 1)"),
@@ -85,8 +92,8 @@ MUTANTS = (
      "labels = tokens[:, loss_rows]"),
     ("flops-report recompute columns charged as cached",
      "src/simulbench/experiment.py",
-     "flops_generate(trace, flop_model, GenerationMode(\"recompute\"))",
-     "flops_generate(trace, flop_model, GenerationMode(\"cached\"))"),
+     "GenerationMode(\"recompute\")).recompute",
+     "GenerationMode(\"cached\")).recompute"),
     ("bias block reused across kinds", "src/simulbench/training.py",
      "key = (id(mask), kind, n_heads, np.dtype(dtype))",
      "key = (id(mask), n_heads, np.dtype(dtype))"),
