@@ -128,7 +128,14 @@ def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
     if mode.kind == "cached":
         step = _cached_step(params, pre_prompt, mid_prompt, bias_scheme)
     else:
-        step = _recompute_step(params, pre_prompt, mid_prompt)
+        step = _recompute_step(params, pre_prompt, mid_prompt, trace)
+    return _decide(trace, policy, source_stream, step, max_target_len, eos_id,
+                   forced_target), trace
+
+
+def _decide(trace, policy, source_stream, step, max_target_len, eos_id,
+            forced_target):
+    """The decision loop; logs on ``trace``, returns the emitted tokens."""
     stream = iter(source_stream)
     emitted, reads = [], 0
     for t in range(1, max_target_len + 1):
@@ -147,7 +154,7 @@ def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
             break
         emitted.append(tok)
         trace.d.append(reads)
-    return emitted, trace
+    return emitted
 
 
 def _emit(trace, logits_row, t, forced_target, counter):
@@ -186,15 +193,15 @@ def _cached_step(params, pre_prompt, mid_prompt, bias_scheme):
     return step
 
 
-def _recompute_step(params, pre_prompt, mid_prompt):
-    """Step function rebuilding the whole canonical sequence: one full
-    forward under the realized step mask, charged to the write counter."""
-    sources, d_history = [], []
+def _recompute_step(params, pre_prompt, mid_prompt, trace):
+    """Step function: a full forward of the whole canonical sequence under
+    the step mask of ``trace.d`` + [read so far], charged to writes."""
+    sources = []
 
     def step(new, emitted):
         sources.extend(new)
-        d_history.append(len(sources))
-        mask = realized_step_mask(len(pre_prompt), len(mid_prompt), d_history)
+        mask = realized_step_mask(len(pre_prompt), len(mid_prompt),
+                                  trace.d + [len(sources)])
         counter = FlopCounter()
         logits = forward_full(params, pre_prompt + sources + mid_prompt + emitted,
                               mask, "modified", flops=counter)
@@ -222,23 +229,17 @@ def realized_step_mask(pre_len: int, mid_len: int, d_history) -> AttentionMaskSp
 def schedule_trace(policy: DecisionPolicy, layout: PromptLayout) -> TranslationTrace:
     """Compute-free trace of the read/write alternation a policy induces.
 
-    Emits exactly ``layout.target_len`` writes (token ids 0, no model in
-    the loop); this is the lightweight driver behind mask-replay checks.
-    A policy too short for the layout raises PolicyError from its own
-    ``cumulative_reads``.
+    What the mask-replay oracle replays: the decision loop with a model-free
+    step (a fixed finite row, zero FLOPs) and ``layout.target_len`` forced
+    writes of token id 0.  A too-short policy raises its own PolicyError.
     """
     if policy.source_len != layout.source_len:
         raise ConsistencyError("policy/layout source lengths differ")
     trace = TranslationTrace(pre_len=layout.pre_prompt_len,
                              mid_len=layout.mid_prompt_len)
-    reads = 0
-    for t in range(1, layout.target_len + 1):
-        goal = min(policy.cumulative_reads(t), layout.source_len)
-        if goal > reads:
-            trace.events.append(ReadEvent(n=goal - reads))
-            reads = goal
-        trace.events.append(WriteEvent(token=0))
-        trace.d.append(reads)
+    _decide(trace, policy, range(layout.source_len),
+            lambda new, emitted: (np.zeros(1), FlopCounter(), FlopCounter()),
+            layout.target_len, None, [0] * layout.target_len)
     return trace
 
 

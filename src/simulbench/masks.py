@@ -12,6 +12,7 @@ fine-tuning/inference mismatch for cached streaming decoding.
 """
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,15 +30,26 @@ class Region(enum.IntEnum):
     TARGET = 3
 
 
+def _whole(n, what: str, error) -> int:
+    """``n`` as an int; ``error`` if it is not an integer.  A bool is not
+    one here, though Python counts it as one."""
+    if isinstance(n, bool):
+        raise error(f"{what} must be a whole count, not a boolean")
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise error(f"{what} must be a whole count, got {n!r}") from None
+
+
 def _check_lengths(**lengths):
     for name, n in lengths.items():
-        if n < 1:
+        if _whole(n, name, LayoutError) < 1:
             raise LayoutError(f"{name} must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
 class PromptLayout:
-    """Region lengths of one training sequence (all >= 1)."""
+    """Region lengths of one training sequence (whole counts, all >= 1)."""
 
     pre_prompt_len: int
     source_len: int
@@ -104,9 +116,9 @@ class WaitKPolicy(DecisionPolicy):
     source_len: int
 
     def __post_init__(self):
-        if self.k < 1:
+        if _whole(self.k, "wait-k lag", PolicyError) < 1:
             raise PolicyError(f"wait-k lag must be >= 1, got {self.k}")
-        if self.source_len < 1:
+        if _whole(self.source_len, "source_len", PolicyError) < 1:
             raise PolicyError("source_len must be >= 1")
 
     def cumulative_reads(self, t: int) -> int:
@@ -126,10 +138,10 @@ class TablePolicy(DecisionPolicy):
     source_len: int = field(default=0)
 
     def __post_init__(self):
-        reads = tuple(self.reads)
+        reads = tuple(_whole(r, "read count", PolicyError) for r in self.reads)
         if not reads:
             raise PolicyError("reads table must be non-empty")
-        src = self.source_len or max(reads)
+        src = _whole(self.source_len, "source_len", PolicyError) or max(reads)
         object.__setattr__(self, "reads", reads)
         object.__setattr__(self, "source_len", src)
         prev = 1
@@ -219,9 +231,11 @@ def read_count_mask(pre_len: int, mid_len: int, reads) -> AttentionMaskSpec:
     frontier: the row predicting token t the first ``reads[t-1]``, the
     mid-prompt rows before it the first ``reads[0]``.  Raises LayoutError
     for an empty region and PolicyError for read counts outside
-    1..reads[-1] or decreasing.
+    1..reads[-1], decreasing or not whole.
     """
-    reads = np.asarray(reads, dtype=np.intp)
+    reads = np.asarray(reads)
+    if reads.dtype.kind not in "iu":
+        raise PolicyError(f"read counts must be whole counts, not {reads.dtype}")
     src = int(reads[-1])
     _check_lengths(pre_prompt_len=pre_len, source_len=src,
                    mid_prompt_len=mid_len)

@@ -280,6 +280,26 @@ class TestTraceInvariants:
             assert len(trace.flop_log) == len(trace.events)
             assert [e.flops for e in trace.events] == trace.flop_log
 
+    def test_schedule_trace_has_the_structure_of_generation(self):
+        # acceptance 05's domain; FLOPs differ by design (no model runs)
+        def structure(trace):
+            return trace.d, [(type(e), getattr(e, "n", None),
+                              getattr(e, "token", None)) for e in trace.events]
+
+        params = init_model(ModelConfig(n_layers=1, n_heads=1, d_model=4,
+                                        vocab_size=4, seed=0))
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            layout = PromptLayout(*(int(x) for x in rng.integers(1, (4, 16, 4, 14))))
+            pol = random_policy(rng, layout.source_len, layout.target_len)
+            _, gen = simul_generate(
+                params, pol, [1] * layout.pre_prompt_len,
+                [int(x) for x in rng.integers(0, 4, size=layout.source_len)],
+                [2] * layout.mid_prompt_len, GenerationMode("cached"),
+                max_target_len=layout.target_len,
+                forced_target=[0] * layout.target_len)
+            assert structure(schedule_trace(pol, layout)) == structure(gen)
+
 
 class TestPrefixExpand:
     def enumerate_oracle(self, source, target, k):

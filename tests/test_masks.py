@@ -3,7 +3,8 @@ import pytest
 
 from simulbench.errors import LayoutError, PolicyError, ShapeError
 from simulbench.masks import (PromptLayout, TablePolicy, WaitKPolicy,
-                              causal_mask, mask_to_ascii, simul_mask)
+                              causal_mask, mask_to_ascii, read_count_mask,
+                              simul_mask)
 
 from helpers import ascii_to_mask, hidden_beyond_causal
 
@@ -206,10 +207,31 @@ class TestPolicies:
             TablePolicy(reads=(2, 1), source_len=3)
         with pytest.raises(PolicyError):
             TablePolicy(reads=(0, 1), source_len=3)
+        # whole counts only: a float or a bool is not one, whatever its value
+        for bad in (lambda: WaitKPolicy(k=2.5, source_len=4),
+                    lambda: WaitKPolicy(k=2.0, source_len=4),
+                    lambda: WaitKPolicy(k=True, source_len=4),
+                    lambda: WaitKPolicy(k=np.float64(2), source_len=4),
+                    lambda: WaitKPolicy(k=2, source_len=4.0),
+                    lambda: TablePolicy(reads=(1.5, 2, 4)),
+                    lambda: TablePolicy(reads=(1, True), source_len=2),
+                    lambda: TablePolicy(reads=(1, 2), source_len=2.0),
+                    lambda: read_count_mask(1, 1, [1.5, 2]),
+                    lambda: read_count_mask(1, 1, [True, True])):
+            with pytest.raises(PolicyError):
+                bad()
+        # numpy integers are whole counts
+        assert WaitKPolicy(k=np.int64(2), source_len=np.int32(4)).describe() == "wait-2"
+        assert TablePolicy(reads=np.array([1, 2, 2])).reads == (1, 2, 2)
 
     def test_layout_validation(self):
         with pytest.raises(LayoutError):
             PromptLayout(0, 3, 1, 1)
+        for bad in ((1, 3.0, 1, 1), (1, 3, 1, 2.5), (True, 3, 1, 1),
+                    (1, 3, np.float32(1), 1)):
+            with pytest.raises(LayoutError):
+                PromptLayout(*bad)
+        assert PromptLayout(*np.array([1, 3, 1, 1])).total_len == 6
         layout = PromptLayout(2, 3, 2, 2)
         assert layout.total_len == 9
         assert layout.predictor_row(1) == 6

@@ -100,6 +100,9 @@ MUTANTS = (
     ("one extra source pull at step 1", "src/simulbench/engine.py",
      "max(policy.cumulative_reads(t) - reads, 0)",
      "max(policy.cumulative_reads(t) - reads + (t == 1), 0)"),
+    ("reads lag one step after step 1", "src/simulbench/engine.py",
+     "max(policy.cumulative_reads(t) - reads, 0)",
+     "max(policy.cumulative_reads(max(t - 1, 1)) - reads, 0)"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "out")
