@@ -11,15 +11,15 @@ import sys
 from . import __version__
 from .alibi import HeadSlopes, bias_to_csv, head_biases
 from .config import build_config, load_config
-from .data import corpus_to_jsonl, gen_synthetic, load_corpus
+from .data import corpus_to_jsonl, gen_synthetic
 from .errors import (CacheCoherenceError, ConfigError, ConsistencyError,
                      DataError, DegenerateRowError, LayoutError, NumericError,
                      PolicyError, ShapeError, WorkbenchError)
-from .experiment import (_RunWriter, _write_out, compare_modes, flops_report,
-                         run_experiment, train_model)
+from .experiment import (_load_inputs, _RunWriter, _write_out, compare_modes,
+                         flops_report, run_experiment, train_model)
 from .masks import (PromptLayout, TablePolicy, WaitKPolicy, causal_mask,
                     mask_to_ascii, simul_mask)
-from .model import load_params, params_to_bytes
+from .model import params_to_bytes
 from .training import loss_curve_to_csv
 
 _CONFIG_ERRORS = (ConfigError, LayoutError, PolicyError)
@@ -28,8 +28,8 @@ _NUMERIC_ERRORS = (DegenerateRowError, ShapeError, CacheCoherenceError,
                    NumericError)
 
 
-def _config_overrides(args) -> dict:
-    return {
+def _load_experiment_config(args):
+    overrides = {
         "seed": args.seed,
         "out": args.out,
         "train_k": args.train_k,
@@ -37,12 +37,8 @@ def _config_overrides(args) -> dict:
         "mode": args.mode,
         "mask": args.mask,
         "bias": args.bias,
-        "dataset": getattr(args, "dataset", None),
+        "dataset": args.dataset,
     }
-
-
-def _load_experiment_config(args):
-    overrides = _config_overrides(args)
     if args.config:
         return load_config(args.config, overrides)
     return build_config({}, overrides)
@@ -80,6 +76,7 @@ def _add_common(p):
     p.add_argument("--mode", choices=("cached", "recompute"), default=None)
     p.add_argument("--mask", choices=("simulmask", "causal"), default=None)
     p.add_argument("--bias", choices=("modified", "standard"), default=None)
+    p.add_argument("--dataset", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,13 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fine-tune and save a checkpoint")
     _add_common(p)
-    p.add_argument("--dataset", default=None)
     p.add_argument("--init-checkpoint", default=None,
                    help="start from this checkpoint instead of a fresh model")
 
     p = sub.add_parser("eval", help="train (or load) then sweep eval policies")
     _add_common(p)
-    p.add_argument("--dataset", default=None)
     p.add_argument("--checkpoint", default=None)
 
     p = sub.add_parser("mask-dump", help="ASCII dump of a mask")
@@ -125,12 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flops-report", help="per-sentence FLOPs in both modes")
     _add_common(p)
-    p.add_argument("--dataset", default=None)
 
     p = sub.add_parser("compare",
                        help="cached vs recompute vs stale-bias evaluation")
     _add_common(p)
-    p.add_argument("--dataset", default=None)
     p.add_argument("--checkpoint", default=None)
 
     return parser
@@ -146,11 +139,8 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _load_experiment_config(args)
-    if not config.dataset:
-        raise ConfigError("a dataset is required (--dataset or config)")
-    base = load_params(args.init_checkpoint) if args.init_checkpoint else None
-    model_config = base.config if base else config.model_config()
-    corpus = load_corpus(config.dataset, model_config.vocab_size)
+    base, corpus, _ = _load_inputs(config, args.init_checkpoint,
+                                   evaluate=False)
     with _RunWriter(config.out) as writer:
         params, loss_curve = train_model(config, corpus, base_params=base)
         ckpt = writer.write("params.bin", params_to_bytes(params))
@@ -197,9 +187,7 @@ def _cmd_flops_report(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _load_experiment_config(args)
-    _, path = compare_modes(config, checkpoint=args.checkpoint)
-    print(path)
+    print(compare_modes(_load_experiment_config(args), args.checkpoint))
     return 0
 
 

@@ -6,15 +6,17 @@ by the partial run are removed before the error propagates.
 """
 
 import os
+from dataclasses import dataclass
 
 from .alibi import alibi_slopes, bias_to_csv, head_biases
 from .config import ExperimentConfig
 from .data import (EOS_ID, PRE_ID, SEP_ID, default_layout_builder, load_corpus,
                    streamed_source)
-from .engine import GenerationMode, simul_generate, trace_to_jsonl
+from .engine import (GenerationMode, TranslationTrace, simul_generate,
+                     trace_to_jsonl)
 from .errors import ConfigError
 from .masks import WaitKPolicy, mask_to_ascii, simul_mask
-from .metrics import (FlopModel, flops_generate, laal, metrics_rows_to_csv,
+from .metrics import (FlopModel, FlopsReport, flops_generate, laal,
                       quality_proxy)
 from .model import init_model, load_params, params_to_bytes
 from .training import fine_tune, loss_curve_to_csv
@@ -48,35 +50,53 @@ def evaluate_sentence(params, pair, k: int, mode: GenerationMode,
     """
     stream = streamed_source(pair)
     policy = WaitKPolicy(k=k, source_len=len(stream))
-    hyp, trace = simul_generate(
+    return simul_generate(
         params, policy, [PRE_ID], stream, [SEP_ID], mode,
         max_target_len=max_target_len, eos_id=EOS_ID, bias_scheme=bias_scheme)
-    return hyp, trace
+
+
+@dataclass(frozen=True)
+class SentenceRecord:
+    """One sentence of a sweep; its LAAL is derived on demand."""
+
+    sid: int
+    hyp: list
+    ref: list
+    source_len: int  # counts the end-of-source marker
+    trace: TranslationTrace
+    flops: FlopsReport  # priced in the sweep's mode
+
+    def laal(self) -> float:
+        return (laal(self.trace, self.source_len, len(self.hyp), len(self.ref))
+                if self.trace.d else 0.0)
 
 
 def _sweep(params, corpus, k, mode, config, bias_scheme="rank"):
+    """One record per sentence of ``corpus``, generated at wait-``k``."""
     flop_model = FlopModel(params.config)
-    rows = []
-    traces = []
-    hyps = []
-    refs = []
+    records = []
     for sid, pair in enumerate(corpus):
         hyp, trace = evaluate_sentence(params, pair, k, mode,
                                        config.max_target_len, bias_scheme)
-        report = flops_generate(trace, flop_model, mode)
-        ref = list(pair.target)
-        delay = (laal(trace, len(pair.source) + 1, len(hyp), len(ref))
-                 if trace.d else 0.0)
-        quality = quality_proxy([hyp], [ref])
-        rows.append((sid, k, delay, report.initial, report.recompute,
-                     quality.token_accuracy, quality.exact_match))
-        traces.append(trace)
-        hyps.append(hyp)
-        refs.append(ref)
-    agg = quality_proxy(hyps, refs)
-    mean_laal = sum(r[2] for r in rows) / len(rows)
-    summary = (k, mode.kind, mean_laal, agg.token_accuracy, agg.exact_match)
-    return rows, traces, summary
+        records.append(SentenceRecord(
+            sid, hyp, list(pair.target), len(pair.source) + 1, trace,
+            flops_generate(trace, flop_model, mode)))
+    return records
+
+
+def _summary(records):
+    """(mean LAAL, corpus token accuracy, exact match) of a sweep."""
+    agg = quality_proxy([r.hyp for r in records], [r.ref for r in records])
+    mean_laal = sum(r.laal() for r in records) / len(records)
+    return mean_laal, agg.token_accuracy, agg.exact_match
+
+
+def _csv(header: str, rows) -> str:
+    """A header, then one line per row: floats by ``repr``, everything
+    else by ``str``."""
+    lines = [header] + [",".join(repr(v) if isinstance(v, float) else str(v)
+                                 for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _write_out(path: str, data: str | bytes):
@@ -127,19 +147,21 @@ class _RunWriter:
                     os.remove(path)
 
 
-def _load_inputs(config: ExperimentConfig, checkpoint: str | None):
+def _load_inputs(config: ExperimentConfig, checkpoint: str | None = None,
+                 evaluate: bool = True):
     """(checkpoint params or None, corpus, eval corpus).
 
-    Token ids are checked against the vocabulary of the model that will
-    run: the checkpoint's when one is given, else the config's.
+    The eval corpus is read only when ``evaluate`` is set.  Token ids are
+    checked against the vocabulary of the model that will run: the
+    checkpoint's when one is given, else the config's.
     """
     if not config.dataset:
-        raise ConfigError("config.dataset is required")
+        raise ConfigError("a dataset is required (--dataset or config)")
     params = load_params(checkpoint) if checkpoint else None
     vocab = (params.config if params else config.model_config()).vocab_size
     corpus = load_corpus(config.dataset, vocab)
     eval_corpus = (load_corpus(config.eval_dataset, vocab)
-                   if config.eval_dataset else corpus)
+                   if evaluate and config.eval_dataset else corpus)
     return params, corpus, eval_corpus
 
 
@@ -159,15 +181,17 @@ def run_experiment(config: ExperimentConfig, checkpoint: str | None = None):
         writer.write("loss_curve.csv", loss_curve_to_csv(loss_curve))
 
         mode = GenerationMode(config.mode)
-        all_rows = []
-        summaries = []
+        metrics, summary = [], []
         for k in config.eval_k:
-            rows, traces, summary = _sweep(params, eval_corpus, k, mode,
-                                           config)
-            all_rows.extend(rows)
-            summaries.append(summary)
+            records = _sweep(params, eval_corpus, k, mode, config)
+            for r in records:
+                quality = quality_proxy([r.hyp], [r.ref])
+                metrics.append((r.sid, k, r.laal(), r.flops.initial,
+                                r.flops.recompute, quality.token_accuracy,
+                                quality.exact_match))
+            summary.append((k, mode.kind, *_summary(records)))
             writer.write(f"traces_k{k}_{mode.kind}.jsonl",
-                         "".join(trace_to_jsonl(t) for t in traces))
+                         "".join(trace_to_jsonl(r.trace) for r in records))
             first = eval_corpus[0]
             _, layout = default_layout_builder(first)
             policy = WaitKPolicy(k=k, source_len=layout.source_len)
@@ -177,35 +201,32 @@ def run_experiment(config: ExperimentConfig, checkpoint: str | None = None):
                                "modified")[0]
             writer.write(f"bias_k{k}.csv", bias_to_csv(bias, mask.visible))
 
-        writer.write("metrics.csv", metrics_rows_to_csv(all_rows))
-        lines = ["k_or_chunk,mode,mean_laal,token_acc,exact_match"]
-        for k, kind, mean_laal, acc, exact in summaries:
-            lines.append(f"{k},{kind},{repr(mean_laal)},{repr(acc)},{repr(exact)}")
-        writer.write("summary.csv", "\n".join(lines) + "\n")
+        writer.write("metrics.csv", _csv(
+            "sentence_id,k_or_chunk,laal,flops_initial,flops_recompute,"
+            "token_acc,exact_match", metrics))
+        writer.write("summary.csv", _csv(
+            "k_or_chunk,mode,mean_laal,token_acc,exact_match", summary))
     return writer.created
 
 
 def compare_modes(config: ExperimentConfig, checkpoint: str | None = None):
     """Evaluate one model under cached, recompute, and stale-bias cached
-    generation; returns (summary rows, written path)."""
+    generation; returns the written path."""
     params, corpus, eval_corpus = _load_inputs(config, checkpoint)
     with _RunWriter(config.out) as writer:
         if params is None:
             params, _ = train_model(config, corpus)
-        combos = (("cached", "rank"), ("recompute", "rank"), ("cached", "stale"))
-        lines = ["k_or_chunk,mode,bias_scheme,mean_laal,token_acc,exact_match,"
-                 "mean_flops_total"]
+        rows = []
         for k in config.eval_k:
-            for kind, scheme in combos:
-                mode = GenerationMode(kind)
-                rows, _, summary = _sweep(params, eval_corpus, k, mode, config,
-                                          bias_scheme=scheme)
-                mean_total = sum(r[3] + r[4] for r in rows) / len(rows)
-                lines.append(
-                    f"{k},{kind},{scheme},{repr(summary[2])},"
-                    f"{repr(summary[3])},{repr(summary[4])},{repr(mean_total)}")
-        path = writer.write("compare.csv", "\n".join(lines) + "\n")
-    return lines, path
+            for kind, scheme in (("cached", "rank"), ("recompute", "rank"),
+                                 ("cached", "stale")):
+                records = _sweep(params, eval_corpus, k, GenerationMode(kind),
+                                 config, bias_scheme=scheme)
+                mean_total = sum(r.flops.total for r in records) / len(records)
+                rows.append((k, kind, scheme, *_summary(records), mean_total))
+        return writer.write("compare.csv", _csv(
+            "k_or_chunk,mode,bias_scheme,mean_laal,token_acc,exact_match,"
+            "mean_flops_total", rows))
 
 
 def flops_report(config: ExperimentConfig):
@@ -216,23 +237,19 @@ def flops_report(config: ExperimentConfig):
     only a trace's prompt lengths and events, and recompute generation
     emits the same tokens, so the same events, as cached generation: the
     cached trace prices both modes exactly.  Both modes do the one-pass
-    work, which is the sweep row's cached cost; only the recompute extra
-    is priced here.
+    work, the sweep's cached cost; only the recompute extra is priced here.
     """
-    if not config.dataset:
-        raise ConfigError("a dataset is required (--dataset or config)")
-    corpus = load_corpus(config.dataset, config.vocab_size)
+    _, corpus, _ = _load_inputs(config, evaluate=False)
     params = init_model(config.model_config())
     flop_model = FlopModel(params.config)
     k = config.eval_k[0]
-    rows, traces, _ = _sweep(params, corpus, k, GenerationMode("cached"),
-                             config)
-    lines = ["sentence_id,k_or_chunk,seq_len,cached_total,recompute_initial,"
-             "recompute_recompute"]
-    for (sid, _, _, one_pass, _, _, _), trace in zip(rows, traces):
-        extra = flops_generate(trace, flop_model,
+    rows = []
+    for r in _sweep(params, corpus, k, GenerationMode("cached"), config):
+        extra = flops_generate(r.trace, flop_model,
                                GenerationMode("recompute")).recompute
-        seq_len = trace.total_reads() + len(trace.writes())
-        lines.append(f"{sid},{k},{seq_len},{one_pass},{one_pass},{extra}")
+        seq_len = r.trace.total_reads() + len(r.trace.writes())
+        rows.append((r.sid, k, seq_len, r.flops.total, extra))
     with _RunWriter(config.out) as writer:
-        return writer.write("flops_report.csv", "\n".join(lines) + "\n")
+        return writer.write("flops_report.csv", _csv(
+            "sentence_id,k_or_chunk,seq_len,cached_total,recompute_recompute",
+            rows))

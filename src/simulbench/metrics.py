@@ -160,17 +160,3 @@ def quality_proxy(hypotheses, references) -> QualityReport:
     return QualityReport(token_accuracy=matched / ref_tokens,
                          exact_match=exact / len(references))
 
-
-METRICS_COLUMNS = ("sentence_id", "k_or_chunk", "laal", "flops_initial",
-                   "flops_recompute", "token_acc", "exact_match")
-
-
-def metrics_rows_to_csv(rows) -> str:
-    """CSV with the fixed per-sentence metric columns."""
-    lines = [",".join(METRICS_COLUMNS)]
-    for row in rows:
-        if len(row) != len(METRICS_COLUMNS):
-            raise DataError("metrics row has wrong arity")
-        lines.append(",".join(
-            repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"

@@ -5,13 +5,13 @@ import shlex
 import numpy as np
 import pytest
 
-from simulbench import engine
+from simulbench import engine, experiment
 from simulbench.cli import _write_out, main
 from simulbench.config import build_config
 from simulbench.data import gen_synthetic
 from simulbench.engine import GenerationMode
 from simulbench.experiment import evaluate_sentence, run_experiment
-from simulbench.metrics import FlopModel, flops_generate
+from simulbench.metrics import FlopModel, flops_generate, laal, quality_proxy
 from simulbench.model import ModelConfig, init_model
 
 from helpers import (ascii_to_mask, hidden_beyond_causal,
@@ -42,6 +42,11 @@ class TestRunExperiment:
         summary = open(os.path.join(out, "summary.csv")).read().splitlines()
         assert summary[0] == "k_or_chunk,mode,mean_laal,token_acc,exact_match"
         assert len(summary) == 2  # one row per requested (k, mode)
+        metrics = open(os.path.join(out, "metrics.csv")).read().splitlines()
+        assert metrics[0] == ("sentence_id,k_or_chunk,laal,flops_initial,"
+                              "flops_recompute,token_acc,exact_match")
+        assert [ln.split(",")[:2] for ln in metrics[1:]] == [
+            ["0", "1"], ["1", "1"], ["2", "1"]]  # one row per sentence
 
     def test_one_row_per_eval_k(self, corpus_path, tmp_path):
         out = os.path.join(tmp_path, "run")
@@ -198,8 +203,14 @@ class TestCli:
             _write_out(path, "row\ud800")  # a lone surrogate fails to encode
         assert not os.path.exists(path)
 
-    def test_missing_dataset_is_config_error(self, tmp_path):
-        assert main(["train", "--out", os.path.join(tmp_path, "o")]) == 2
+    @pytest.mark.parametrize("command",
+                             ["train", "eval", "compare", "flops-report"])
+    def test_missing_dataset_is_config_error(self, tmp_path, capsys, command):
+        out = os.path.join(tmp_path, "o")
+        assert main([command, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "config error: a dataset is required (--dataset or config)\n")
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_learning_rate_is_config_error(self, tmp_path, rate):
@@ -247,7 +258,8 @@ class TestCli:
     def test_flops_report(self, tmp_path, monkeypatch):
         # every row equals the report of one cached and one recompute
         # generation of its sentence, though the command generates each
-        # sentence once, cached: it runs no full forward
+        # sentence once, cached: it runs no full forward, and it works out
+        # no latency or quality, which the report does not hold
         pairs = gen_synthetic("shift(2)", 5, 3, 7, 24, 0)
         assert len({len(p.source) for p in pairs}) > 1
         corpus = os.path.join(tmp_path, "c.jsonl")
@@ -256,7 +268,7 @@ class TestCli:
         params = init_model(config.model_config())
         flop_model = FlopModel(params.config)
         expected = ["sentence_id,k_or_chunk,seq_len,cached_total,"
-                    "recompute_initial,recompute_recompute"]
+                    "recompute_recompute"]
 
         def generate(pair, kind):
             mode = GenerationMode(kind)
@@ -267,14 +279,20 @@ class TestCli:
         for sid, pair in enumerate(pairs):
             trace, cached = generate(pair, "cached")
             _, rebuilt = generate(pair, "recompute")
+            assert rebuilt.initial == cached.total
             assert rebuilt.recompute > 0
             seq_len = trace.total_reads() + len(trace.writes())
             expected.append(f"{sid},2,{seq_len},{cached.total},"
-                            f"{rebuilt.initial},{rebuilt.recompute}")
+                            f"{rebuilt.recompute}")
         full_calls = []
         real = engine.forward_full
         monkeypatch.setattr(engine, "forward_full", lambda *args, **kw: (
             full_calls.append(args) or real(*args, **kw)))
+
+        def unused(*args):
+            raise AssertionError("flops-report computed what it discards")
+        monkeypatch.setattr(experiment, "laal", unused)
+        monkeypatch.setattr(experiment, "quality_proxy", unused)
         out = os.path.join(tmp_path, "run")
         assert main(["flops-report", "--dataset", corpus, "--out", out,
                      "--eval-k", "2"]) == 0
@@ -283,17 +301,44 @@ class TestCli:
         assert lines == expected
 
     def test_compare(self, tmp_path):
+        # each row holds the means over its own mode's and scheme's
+        # generations; cached and recompute emit the same tokens, so they
+        # agree on everything but the cost, which recompute exceeds
+        pairs = gen_synthetic("copy", 3, 3, 6, 24, 0)
         corpus = os.path.join(tmp_path, "c.jsonl")
-        save_corpus(corpus, gen_synthetic("copy", 2, 3, 4, 24, 0))
+        save_corpus(corpus, pairs)
         out = os.path.join(tmp_path, "run")
-        cfg = _write_cfg(tmp_path, "epochs = 0\n")
+        cfg = _write_cfg(tmp_path, "epochs = 0\nmax_target_len = 8\n")
         assert main(["compare", "--dataset", corpus, "--out", out,
-                     "--eval-k", "1", "--config", cfg]) == 0
+                     "--eval-k", "1", "--eval-k", "3", "--config", cfg]) == 0
         lines = open(os.path.join(out, "compare.csv")).read().splitlines()
-        assert len(lines) == 4  # cached/rank, recompute/rank, cached/stale
-        schemes = {tuple(ln.split(",")[1:3]) for ln in lines[1:]}
-        assert schemes == {("cached", "rank"), ("recompute", "rank"),
-                           ("cached", "stale")}
+        assert lines[0] == ("k_or_chunk,mode,bias_scheme,mean_laal,token_acc,"
+                            "exact_match,mean_flops_total")
+        rows = {tuple(ln.split(",")[:3]): [float(v) for v in ln.split(",")[3:]]
+                for ln in lines[1:]}
+        assert list(rows) == [(k, kind, scheme) for k in ("1", "3")
+                              for kind, scheme in (("cached", "rank"),
+                                                   ("recompute", "rank"),
+                                                   ("cached", "stale"))]
+        params = init_model(build_config({}, {}).model_config())
+        flop_model = FlopModel(params.config)
+        refs = [list(p.target) for p in pairs]
+        for (k, kind, scheme), row in rows.items():
+            mode = GenerationMode(kind)
+            runs = [evaluate_sentence(params, p, int(k), mode, 8, scheme)
+                    for p in pairs]
+            laals = [laal(trace, len(p.source) + 1, len(hyp), len(p.target))
+                     for p, (hyp, trace) in zip(pairs, runs)]
+            quality = quality_proxy([hyp for hyp, _ in runs], refs)
+            totals = [flops_generate(trace, flop_model, mode).total
+                      for _, trace in runs]
+            assert row == [sum(laals) / len(laals), quality.token_accuracy,
+                           quality.exact_match, sum(totals) / len(totals)]
+        for k in ("1", "3"):
+            cached = rows[k, "cached", "rank"]
+            rebuilt = rows[k, "recompute", "rank"]
+            assert cached[:3] == rebuilt[:3]
+            assert rebuilt[3] > cached[3]
 
 
 def _write_cfg(tmp_path, text):

@@ -1,18 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 
-from simulbench.data import PRE_ID, SEP_ID
+from simulbench.config import build_config
+from simulbench.data import PRE_ID, SEP_ID, gen_synthetic
 from simulbench.engine import (GenerationMode, ReadEvent, TranslationTrace,
                                WriteEvent, replay_visibility, schedule_trace,
                                simul_generate)
 from simulbench.errors import DataError
+from simulbench.experiment import _csv, run_experiment
 from simulbench.masks import PromptLayout, TablePolicy, WaitKPolicy
 from simulbench.metrics import (FlopModel, _recompute_event_costs,
-                                flops_generate, laal, metrics_rows_to_csv,
-                                quality_proxy)
+                                flops_generate, laal, quality_proxy)
 from simulbench.model import ModelConfig, init_model
 
-from helpers import fit_loglog_exponent
+from helpers import fit_loglog_exponent, save_corpus
 
 CFG = ModelConfig(n_layers=2, n_heads=4, d_model=32, vocab_size=12, seed=0)
 
@@ -201,14 +204,28 @@ class TestQualityProxy:
             quality_proxy([[1]], [[1], [2]])
 
 
+
 class TestMetricsCsv:
-    def test_columns_and_rows(self):
-        text = metrics_rows_to_csv([(0, 3, 3.0, 100, 0, 0.5, 0.0)])
-        lines = text.strip().splitlines()
+    def test_columns_and_rows(self, tmp_path):
+        corpus = os.path.join(tmp_path, "corpus.jsonl")
+        save_corpus(corpus, gen_synthetic("copy", 2, 3, 5, 24, 0))
+        out = os.path.join(tmp_path, "run")
+        run_experiment(build_config(
+            {"dataset": corpus, "out": out, "epochs": "0", "eval_k": "3",
+             "max_target_len": "8"}, {}))
+        with open(os.path.join(out, "metrics.csv")) as f:
+            lines = f.read().splitlines()
         assert lines[0] == ("sentence_id,k_or_chunk,laal,flops_initial,"
                             "flops_recompute,token_acc,exact_match")
-        assert lines[1].startswith("0,3,3.0,100,0,")
-
-    def test_bad_arity_rejected(self):
-        with pytest.raises(DataError):
-            metrics_rows_to_csv([(1, 2, 3)])
+        assert len(lines) == 3  # one row per sentence
+        for sid, line in enumerate(lines[1:]):
+            fields = line.split(",")
+            assert len(fields) == 7
+            assert fields[:2] == [str(sid), "3"]
+            float(fields[2])  # LAAL renders as a float
+            assert int(fields[3]) > 0 and int(fields[4]) == 0  # cached mode
+            assert 0.0 <= float(fields[5]) <= 1.0
+            assert fields[6] in ("0.0", "1.0")
+        # Floats render by repr, integers by str.
+        assert _csv("h", [(0, 3, 3.0, 100, 0, 0.5, 0.0)]).splitlines()[1] \
+            == "0,3,3.0,100,0,0.5,0.0"

@@ -90,10 +90,14 @@ MUTANTS = (
      "src/simulbench/training.py",
      "labels = tokens[:, loss_rows + 1]",
      "labels = tokens[:, loss_rows]"),
-    ("flops-report recompute columns charged as cached",
+    ("flops-report recompute column charged as cached",
      "src/simulbench/experiment.py",
      "GenerationMode(\"recompute\")).recompute",
      "GenerationMode(\"cached\")).recompute"),
+    ("sweep summary's mean LAAL over one sentence fewer",
+     "src/simulbench/experiment.py",
+     "sum(r.laal() for r in records) / len(records)",
+     "sum(r.laal() for r in records[1:]) / len(records)"),
     ("bias block reused across kinds", "src/simulbench/training.py",
      "key = (id(mask), kind, n_heads, np.dtype(dtype))",
      "key = (id(mask), n_heads, np.dtype(dtype))"),
