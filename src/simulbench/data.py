@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .masks import PromptLayout
+from .masks import PromptLayout, whole
 
 EOS_ID = 0
 PRE_ID = 1
@@ -31,13 +31,8 @@ class SentencePair:
     target: tuple[int, ...]
 
     def __post_init__(self):
-        src, tgt = tuple(self.source), tuple(self.target)
-        for t in src + tgt:
-            # bools are ints to Python, but no token id
-            if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-                raise DataError(f"token id {t!r} is not an integer")
-        src = tuple(int(t) for t in src)
-        tgt = tuple(int(t) for t in tgt)
+        src, tgt = (tuple(whole(list(ids), "token ids", DataError, 1))
+                    for ids in (self.source, self.target))
         if not src or not tgt:
             raise DataError("source and target must be non-empty")
         if min(src + tgt) < 0:
@@ -73,6 +68,10 @@ def gen_synthetic(task: str, n_sentences: int, min_len: int, max_len: int,
     layout appends the end-of-sequence marker after the shortened target.
     """
     name, shift_n = parse_task(task)
+    n_sentences, min_len, max_len, vocab_size, seed = (
+        whole(n, what, ConfigError) for n, what in (
+            (n_sentences, "n_sentences"), (min_len, "min_len"),
+            (max_len, "max_len"), (vocab_size, "vocab_size"), (seed, "seed")))
     if n_sentences < 1:
         raise ConfigError("need at least one sentence")
     if seed < 0:

@@ -34,7 +34,7 @@ from .alibi import head_biases  # noqa: F401  (perfbench's tracer rebinds it her
 from .errors import (ConfigError, ConsistencyError, DataError, NumericError,
                      PolicyError)
 from .masks import (AttentionMaskSpec, DecisionPolicy, PromptLayout,
-                    read_count_mask)
+                    read_count_mask, whole)
 from .model import (FlopCounter, KVCache, ModelParams, forward_full,
                     forward_incremental)
 
@@ -112,7 +112,7 @@ def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
     mid_prompt = list(mid_prompt)
     if not pre_prompt or not mid_prompt:
         raise DataError("pre- and mid-prompts must be non-empty")
-    if max_target_len < 1:
+    if whole(max_target_len, "max_target_len", ConfigError) < 1:
         raise ConfigError("max_target_len must be >= 1")
     if mode.kind == "recompute" and bias_scheme != "rank":
         raise ConfigError(f"recompute takes rank biases, not {bias_scheme!r}")
@@ -303,7 +303,7 @@ def prefix_expand(source, target, k: int):
     target = list(target)
     if not source or not target:
         raise DataError("source and target must be non-empty")
-    if k < 1:
+    if whole(k, "k", PolicyError) < 1:
         raise PolicyError("k must be >= 1")
     count = max(len(source) - (k - 1), len(target))
     return [(source[:min(k - 1 + i, len(source))], target[:min(i, len(target))])

@@ -30,20 +30,33 @@ class Region(enum.IntEnum):
     TARGET = 3
 
 
-def _whole(n, what: str, error) -> int:
-    """``n`` as an int; ``error`` if it is not an integer.  A bool is not
-    one here, though Python counts it as one."""
-    if isinstance(n, bool):
-        raise error(f"{what} must be a whole count, not a boolean")
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise error(f"{what} must be a whole count, got {n!r}") from None
+def whole(value, what: str, error, depth: int = 0):
+    """The whole-count rule that every public entry point applies.
+
+    A value passes when it is not a bool (to Python, an integer) and
+    ``operator.index`` takes it; it comes back as an int.  With ``depth``
+    > 0, a list or tuple passes when each element does at ``depth - 1``
+    (it comes back as a list), and an ndarray when its dtype is an integer
+    kind (one test, no per-element loop; it comes back as it is, its shape
+    the caller's to check).  Else ``error`` names ``what`` and the value."""
+    if depth and isinstance(value, np.ndarray):
+        if value.dtype.kind in "iu":
+            return value
+        raise error(f"{what}: {value.dtype} array is not an integer array")
+    if depth and isinstance(value, (list, tuple)):
+        return [whole(v, what, error, depth - 1) for v in value]
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what}: {value!r} is not an integer (integers only, "
+                f"and a bool is not one)")
 
 
 def _check_lengths(**lengths):
     for name, n in lengths.items():
-        if _whole(n, name, LayoutError) < 1:
+        if whole(n, name, LayoutError) < 1:
             raise LayoutError(f"{name} must be >= 1, got {n}")
 
 
@@ -84,7 +97,7 @@ class PromptLayout:
 
         The final mid-prompt row predicts t=1; target row t-1 predicts t>=2.
         """
-        if not 1 <= t <= self.target_len:
+        if not 1 <= whole(t, "target token", LayoutError) <= self.target_len:
             raise LayoutError(f"no predictor row for target token {t}")
         if t == 1:
             return self.target_start - 1
@@ -116,13 +129,13 @@ class WaitKPolicy(DecisionPolicy):
     source_len: int
 
     def __post_init__(self):
-        if _whole(self.k, "wait-k lag", PolicyError) < 1:
+        if whole(self.k, "wait-k lag", PolicyError) < 1:
             raise PolicyError(f"wait-k lag must be >= 1, got {self.k}")
-        if _whole(self.source_len, "source_len", PolicyError) < 1:
+        if whole(self.source_len, "source_len", PolicyError) < 1:
             raise PolicyError("source_len must be >= 1")
 
     def cumulative_reads(self, t: int) -> int:
-        if t < 1:
+        if whole(t, "target step", PolicyError) < 1:
             raise PolicyError(f"target step must be >= 1, got {t}")
         return min(self.k + t - 1, self.source_len)
 
@@ -138,10 +151,10 @@ class TablePolicy(DecisionPolicy):
     source_len: int = field(default=0)
 
     def __post_init__(self):
-        reads = tuple(_whole(r, "read count", PolicyError) for r in self.reads)
+        reads = tuple(whole(list(self.reads), "read counts", PolicyError, 1))
         if not reads:
             raise PolicyError("reads table must be non-empty")
-        src = _whole(self.source_len, "source_len", PolicyError) or max(reads)
+        src = whole(self.source_len, "source_len", PolicyError) or max(reads)
         object.__setattr__(self, "reads", reads)
         object.__setattr__(self, "source_len", src)
         prev = 1
@@ -153,7 +166,7 @@ class TablePolicy(DecisionPolicy):
             prev = r
 
     def cumulative_reads(self, t: int) -> int:
-        if not 1 <= t <= len(self.reads):
+        if not 1 <= whole(t, "target step", PolicyError) <= len(self.reads):
             raise PolicyError(f"policy covers 1..{len(self.reads)}, got step {t}")
         return self.reads[t - 1]
 
@@ -233,9 +246,7 @@ def read_count_mask(pre_len: int, mid_len: int, reads) -> AttentionMaskSpec:
     for an empty region and PolicyError for read counts outside
     1..reads[-1], decreasing or not whole.
     """
-    reads = np.asarray(reads)
-    if reads.dtype.kind not in "iu":
-        raise PolicyError(f"read counts must be whole counts, not {reads.dtype}")
+    reads = np.asarray(whole(list(reads), "read counts", PolicyError, 1))
     src = int(reads[-1])
     _check_lengths(pre_prompt_len=pre_len, source_len=src,
                    mid_prompt_len=mid_len)

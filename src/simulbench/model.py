@@ -27,7 +27,6 @@ immutable after creation; a KVCache belongs to a single generation session.
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
 
@@ -36,7 +35,7 @@ import numpy as np
 from .alibi import alibi_slopes, rank_biases, visible_biases
 from .errors import CacheCoherenceError, ConfigError, DataError, ShapeError
 from .kernel import attend_row, row_plan
-from .masks import AttentionMaskSpec, Region
+from .masks import AttentionMaskSpec, Region, whole
 
 LN_EPS = 1e-5
 MIN_CACHE_CAPACITY = 16  # rows a KVCache first allocates
@@ -407,21 +406,9 @@ def _forward_rows(params: ModelParams, tokens, kv: np.ndarray, slots,
                      params.w_out)[:, 0]
 
 
-def _ints(values, what: str) -> list[int]:
-    """``values`` as a list of ints; ShapeError if one is not an integer.
-    A bool is not one here, though Python counts it as one."""
-    values = list(values)
-    if bool in map(type, values):
-        raise ShapeError(f"{what} must be integers, not booleans")
-    try:
-        return list(map(operator.index, values))
-    except TypeError as exc:
-        raise ShapeError(f"{what} must be integers: {exc}") from None
-
-
 def _token_ids(tokens, vocab_size: int) -> list[int]:
     """``tokens`` as ints, each checked to be an id in the vocabulary."""
-    ids = _ints(tokens, "token ids")
+    ids = whole(list(tokens), "token ids", ShapeError, 1)
     if ids and (min(ids) < 0 or max(ids) >= vocab_size):
         raise ShapeError(f"token id outside vocabulary of size {vocab_size}")
     return ids
@@ -503,7 +490,7 @@ def forward_incremental(params: ModelParams, cache: KVCache, tokens, added,
     m = len(tokens)
     if not m:
         raise ShapeError("a call needs at least one new token")
-    added = _ints(added, "per-region counts")
+    added = whole(list(added), "per-region counts", ShapeError, 1)
     if len(added) != len(Region) or min(added) < 0 or sum(added) != m:
         raise ShapeError(f"bad per-region counts {added} for {m} tokens")
     if flops is not None and len(flops) != m:

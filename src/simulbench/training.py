@@ -14,8 +14,11 @@ Products follow three rules.  Every activation x weight product, forward
 and backward, is one 2-D GEMM over all B*L rows.  Every weight gradient is
 one GEMM per sentence into a (B, d_in, d_out) buffer, summed over the
 sentences in order by one ``np.add.reduce``; no BLAS reduction spans
-sentences, so the bytes do not depend on the BLAS thread count (a GEMM
-over all B*L rows reduces differently when OpenBLAS threads it).  The
+sentences (a GEMM over all B*L rows reduces differently when OpenBLAS
+threads it).  That keeps a step's bytes equal at 1 and 2 BLAS threads on
+some OpenBLAS kernels only: under ``OPENBLAS_CORETYPE`` Haswell, Prescott
+or Zen the flat activation GEMMs thread differently and the bytes differ
+(ROADMAP item 2).  The
 embedding gradient is one stable sort of the token ids and one
 ``np.add.reduceat`` over the sorted rows.  The attention products stay
 per (sentence, head).
@@ -41,7 +44,7 @@ import numpy as np
 
 from .alibi import alibi_slopes, head_biases
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .masks import AttentionMaskSpec, causal_mask, simul_mask
+from .masks import AttentionMaskSpec, causal_mask, simul_mask, whole
 from .model import LN_EPS, ModelParams
 
 _GELU_A = 0.044715
@@ -158,16 +161,15 @@ def _ln_bwd(xhat, inv, g, dy, tmp):
 @dataclass
 class ForwardBackward:
     loss: float
-    grads: dict[str, np.ndarray] | None
+    grads: dict[str, np.ndarray]
     logits: np.ndarray
-    dlogits: np.ndarray | None
+    dlogits: np.ndarray
 
 
 def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
-                           mask: AttentionMaskSpec, kind: str, loss_rows,
-                           want_grads: bool = True, *,
+                           mask: AttentionMaskSpec, kind: str, loss_rows, *,
                            _workspace: _Workspace | None = None) -> ForwardBackward:
-    """Summed loss (+ summed gradients) of same-shaped sentences.
+    """Summed loss and summed gradients of same-shaped sentences.
 
     ``tokens`` is (B, L) under one shared mask, with ``kind`` ('modified'
     or 'standard') biases built from it as ``model.forward_full`` builds
@@ -177,17 +179,18 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     cross-entropy over its predicting rows; the returned loss and gradients
     are sums over the batch.  All other rows contribute nothing and get
     exactly zero logit gradients.  Raises, before any work, DataError when
-    ``loss_rows`` is empty or holds a row outside 0..L-2, and ShapeError
-    for a token id outside the vocabulary.
+    ``loss_rows`` is empty or holds a row outside 0..L-2 or not a whole
+    count, and ShapeError for a token id that is not a whole count or lies
+    outside the vocabulary.
     Works in whatever float dtype the parameters carry.  Intermediates go
     to ``_workspace`` (``fine_tune`` passes its own; otherwise a fresh one);
     the returned arrays never alias it.
     """
     cfg = params.config
     dt = params.embed.dtype.type
-    tokens = np.atleast_2d(np.asarray(tokens))
+    tokens = np.atleast_2d(np.asarray(whole(tokens, "token ids", ShapeError, 2)))
     B, L = tokens.shape
-    loss_rows = np.asarray(loss_rows)
+    loss_rows = np.asarray(whole(loss_rows, "loss rows", DataError, 1))
     if not loss_rows.size or loss_rows.min() < 0 or loss_rows.max() >= L - 1:
         raise DataError(f"need predicting rows in 0..{L - 2}, each labelled "
                         f"by the next token; got {loss_rows.tolist()}")
@@ -268,8 +271,6 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     smx = sel.max(axis=-1, keepdims=True)
     lse = smx[..., 0] + np.log(np.exp(sel - smx).sum(axis=-1))
     loss = float(((lse - sel[at_label]).mean(axis=-1)).sum())
-    if not want_grads:
-        return ForwardBackward(loss, None, logits, None)
 
     dlogits = np.zeros_like(logits)
     probs = np.exp(sel - lse[..., None])
@@ -350,7 +351,6 @@ def clip_global_norm(grads: dict[str, np.ndarray], clip: float) -> float:
 class TrainResult:
     params: ModelParams
     loss_curve: list[tuple[int, float]]
-    samples_per_epoch: int
     skipped: int
 
 
@@ -367,16 +367,19 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
     any step; within an optimizer step, sentences sharing a layout (hence
     a mask) are processed as one stacked batch for speed.
     Sentences longer than ``max_seq_len`` are skipped with a warning.
-    Raises ConfigError, before any step, for an unknown mask or bias mode
-    and when ``learning_rate`` is negative or not finite, and NumericError
-    when a step's loss or gradient norm, or a parameter after its update,
-    is not finite.
+    Raises, before any step, ConfigError for an unknown mask or bias mode,
+    for ``epochs``, ``batch_size`` or ``max_seq_len`` not a whole count and
+    for a negative or non-finite ``learning_rate``, and ShapeError for a
+    layout token not a whole count; NumericError when a step's loss or
+    gradient norm, or a parameter after its update, is not finite.
     Deterministic for fixed seed and corpus order.
     """
     if not corpus:
         raise DataError("empty corpus")
-    if epochs < 0 or batch_size < 1:
+    if (whole(epochs, "epochs", ConfigError) < 0
+            or whole(batch_size, "batch_size", ConfigError) < 1):
         raise ConfigError("invalid training settings")
+    whole(max_seq_len, "max_seq_len", ConfigError)
     # fails for NaN as well as for negative and infinite values: one such
     # step would poison every weight
     if not 0 <= learning_rate < math.inf:
@@ -408,7 +411,8 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
             # every step under this key reuses the block
             workspace.mask_bias(mask, bias_mode, params.config.n_heads,
                                 params.embed.dtype)
-        groups[key][2].append(np.asarray(tokens))
+        groups[key][2].append(
+            np.asarray(whole(tokens, "layout tokens", ShapeError, 1)))
     if not groups:
         raise DataError("all sentences skipped")
 
@@ -455,9 +459,7 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
                                 f"step {step + 1}")
             step += 1
             loss_curve.append((step, fb.loss / len(members)))
-    return TrainResult(params=cur, loss_curve=loss_curve,
-                       samples_per_epoch=len(corpus) - skipped,
-                       skipped=skipped)
+    return TrainResult(params=cur, loss_curve=loss_curve, skipped=skipped)
 
 
 def loss_curve_to_csv(curve) -> str:

@@ -234,12 +234,10 @@ def test_acceptance_08_gradient_correctness():
             orig = arr.flat[flat]
             arr.flat[flat] = orig + h
             up = batch_forward_backward(params.with_tensors(arrays), tokens,
-                                        mask, "modified", rows,
-                                        want_grads=False).loss
+                                        mask, "modified", rows).loss
             arr.flat[flat] = orig - h
             down = batch_forward_backward(params.with_tensors(arrays), tokens,
-                                          mask, "modified", rows,
-                                          want_grads=False).loss
+                                          mask, "modified", rows).loss
             arr.flat[flat] = orig
             numeric = (up - down) / (2 * h)
             analytic = fb.grads[name].flat[flat]

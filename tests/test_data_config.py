@@ -52,6 +52,10 @@ class TestGenSynthetic:
             gen_synthetic("mystery", 1, 3, 5, 24, 0)
         with pytest.raises(ConfigError):
             gen_synthetic("copy", 1, 3, 25, 24, 0)  # vocab too small
+        # whole counts only; the message names the value
+        for bad in (2.0, True):
+            with pytest.raises(ConfigError, match=f"n_sentences: {bad!r}"):
+                gen_synthetic("copy", bad, 3, 4, 12, 0)
 
     def test_parse_task(self):
         assert parse_task("shift(3)") == ("shift", 3)

@@ -108,6 +108,14 @@ class TestSimulGenerate:
             simul_generate(params, WaitKPolicy(1, 3), [PRE_ID], [], [SEP_ID],
                            GenerationMode("cached"), max_target_len=2)
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_non_whole_max_target_len_rejected(self, bad):
+        params = init_model(CFG)
+        with pytest.raises(ConfigError, match=repr(bad)):
+            simul_generate(params, WaitKPolicy(1, 3), [PRE_ID], [3, 4, 5],
+                           [SEP_ID], GenerationMode("cached"),
+                           max_target_len=bad)
+
     def test_eos_stops_generation(self):
         params = init_model(CFG)
         src = [3, 4, 5]
@@ -346,6 +354,8 @@ class TestPrefixExpand:
             prefix_expand([], [1], 1)
         with pytest.raises(PolicyError):
             prefix_expand([1], [1], 0)
+        with pytest.raises(PolicyError, match="1.5"):
+            prefix_expand([4, 5, 6], [5, 6], 1.5)
 
 
 class TestReplayVisibility:

@@ -220,6 +220,17 @@ class TestPolicies:
                     lambda: read_count_mask(1, 1, [True, True])):
             with pytest.raises(PolicyError):
                 bad()
+        # so is a target step, and a read count among whole ones; the
+        # message names the value
+        for bad, named in ((lambda: read_count_mask(1, 1, [True, 2]), "True"),
+                           (lambda: WaitKPolicy(2, 4).cumulative_reads(1.5),
+                            "1.5"),
+                           (lambda: WaitKPolicy(2, 4).cumulative_reads(True),
+                            "True"),
+                           (lambda: TablePolicy((1, 2, 3)).cumulative_reads(2.0),
+                            "2.0")):
+            with pytest.raises(PolicyError, match=named):
+                bad()
         # numpy integers are whole counts
         assert WaitKPolicy(k=np.int64(2), source_len=np.int32(4)).describe() == "wait-2"
         assert TablePolicy(reads=np.array([1, 2, 2])).reads == (1, 2, 2)
@@ -238,3 +249,5 @@ class TestPolicies:
         assert layout.predictor_row(2) == 7
         with pytest.raises(LayoutError):
             layout.predictor_row(3)
+        with pytest.raises(LayoutError, match="2.5"):
+            PromptLayout(1, 3, 1, 3).predictor_row(2.5)

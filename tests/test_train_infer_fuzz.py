@@ -90,7 +90,7 @@ def relative_miss(params, pre, src, mid, tgt, policy, inference,
     rows = list(layout.predictor_rows())
     training = batch_forward_backward(
         params, [pre + src + mid + tgt], training_mask(layout, policy, mask_mode),
-        bias_mode, rows, want_grads=False).logits[0, rows]
+        bias_mode, rows).logits[0, rows]
     return float(np.abs(training - inference).max() / np.abs(inference).max())
 
 

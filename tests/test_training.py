@@ -44,8 +44,8 @@ class TestForwardBackward:
         for name, mask in (("simulmask", streaming),
                            ("causal", causal_mask(layout.total_len))):
             for kind in ("modified", "standard"):
-                fast = batch_forward_backward(params, tokens, mask, kind, rows,
-                                              want_grads=False).logits
+                fast = batch_forward_backward(params, tokens, mask, kind,
+                                              rows).logits
                 exact = forward_full(params, tokens[0], mask, kind)
                 assert np.abs(fast[0] - exact).max() < 1e-4, f"{name}/{kind}"
 
@@ -75,12 +75,12 @@ class TestForwardBackward:
                 orig = arr.flat[flat_idx]
                 arr.flat[flat_idx] = orig + h
                 up = batch_forward_backward(params.with_tensors(arrays),
-                                            tokens, mask, "modified", rows,
-                                            want_grads=False).loss
+                                            tokens, mask, "modified",
+                                            rows).loss
                 arr.flat[flat_idx] = orig - h
                 down = batch_forward_backward(params.with_tensors(arrays),
-                                              tokens, mask, "modified", rows,
-                                              want_grads=False).loss
+                                              tokens, mask, "modified",
+                                              rows).loss
                 arr.flat[flat_idx] = orig
                 numeric = (up - down) / (2 * h)
                 analytic = fb.grads[name].flat[flat_idx]
@@ -106,8 +106,8 @@ class TestForwardBackward:
             log_z = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=-1))
             picked = logits[np.arange(rows.size), sentence[rows + 1]]
             want += float(np.mean(log_z - picked))
-        got = batch_forward_backward(params, tokens, mask, "modified", rows,
-                                     want_grads=False).loss
+        got = batch_forward_backward(params, tokens, mask, "modified",
+                                     rows).loss
         assert abs(got - want) <= 1e-12
 
     def test_bad_loss_rows_and_token_ids_rejected(self):
@@ -125,6 +125,18 @@ class TestForwardBackward:
             edited[0, 2] = bad
             with pytest.raises(ShapeError):
                 batch_forward_backward(params, edited, mask, "modified", rows)
+        # whole counts only: a bool or a float is no token id or row, and
+        # the message names it (a bool array's dtype names it)
+        causal = causal_mask(4)
+        for bad, named in (([[1, True, 3, 4]], "True"),
+                           (np.ones((1, 4), dtype=bool), "bool"),
+                           (np.ones((1, 4)), "float64")):
+            with pytest.raises(ShapeError, match=named):
+                batch_forward_backward(params, bad, causal, "modified", [0, 1])
+        for bad, named in (([1.5], "1.5"), ([True], "True")):
+            with pytest.raises(DataError, match=named):
+                batch_forward_backward(params, [[1, 2, 3, 4]], causal,
+                                       "modified", bad)
 
     def test_clip_global_norm(self):
         grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}
@@ -272,12 +284,20 @@ class TestFineTune:
             fine_tune(broken, self._corpus(), default_layout_builder, wait_k(2),
                       epochs=1, batch_size=4)
 
-    def test_samples_per_epoch_equals_sentence_count(self):
+    def test_samples_per_epoch_equals_sentence_count(self, monkeypatch):
+        # the steps of one epoch stack every sentence once
+        stacked = []
+
+        def spy(params, tokens, *args, **kwargs):
+            stacked.append(len(tokens))
+            return batch_forward_backward(params, tokens, *args, **kwargs)
+
+        monkeypatch.setattr(simulbench.training, "batch_forward_backward", spy)
         params = init_model(CFG)
         corpus = self._corpus(n=9)
         result = fine_tune(params, corpus, default_layout_builder, wait_k(2),
                            epochs=2, learning_rate=0.1, batch_size=4)
-        assert result.samples_per_epoch == 9
+        assert sum(stacked) == 2 * 9 and result.skipped == 0
         # batches are bucketed by sentence layout
         from collections import Counter
         sizes = Counter(len(p.source) for p in corpus)
@@ -292,8 +312,9 @@ class TestFineTune:
             result = fine_tune(params, corpus, default_layout_builder, wait_k(2),
                                epochs=1, learning_rate=0.1, batch_size=4,
                                max_seq_len=12)
-        assert result.skipped >= 1
-        assert result.samples_per_epoch == 6 - result.skipped
+        assert result.skipped == sum(
+            default_layout_builder(pair)[1].total_len > 12 for pair in corpus)
+        assert 1 <= result.skipped < 6
         assert any("skipping" in str(w.message) for w in caught)
 
     def test_deterministic_for_fixed_seed(self):
@@ -326,7 +347,7 @@ class TestFineTune:
         tokens = np.stack([np.asarray(laid_out[i][0]) for i in order])
         want = batch_forward_backward(
             params, tokens, causal_mask(layout.total_len), "standard",
-            np.asarray(layout.predictor_rows()), want_grads=False).loss
+            np.asarray(layout.predictor_rows())).loss
         assert result.loss_curve == [(1, want / len(corpus))]
 
     def test_empty_corpus_rejected(self):
@@ -334,10 +355,14 @@ class TestFineTune:
         with pytest.raises(DataError):
             fine_tune(params, [], default_layout_builder, wait_k(1))
 
-    def test_bad_settings_rejected(self):
-        # an unknown mask or bias mode, or the streaming mask without a
-        # policy, fails before any update as a bad batch size does, even
-        # when no step would run
+    def test_bad_settings_rejected(self, monkeypatch):
+        # an unknown mask or bias mode, the streaming mask without a policy,
+        # or a count that is not whole, fails before any step as a bad
+        # batch size does, even when no step would run; so does a layout
+        # token that is not whole
+        steps = []
+        monkeypatch.setattr(simulbench.training, "batch_forward_backward",
+                            lambda *args, **kwargs: steps.append(args))
         params = init_model(CFG)
         for builder, settings in ((wait_k(1), {"batch_size": 0}),
                                   (wait_k(1), {"mask_mode": "banded"}),
@@ -350,6 +375,19 @@ class TestFineTune:
             with pytest.raises(ConfigError):
                 fine_tune(params, self._corpus(), default_layout_builder,
                           builder, **settings)
+        for name, bad in (("epochs", 1.5), ("epochs", True),
+                          ("batch_size", 2.5), ("max_seq_len", 2.5)):
+            with pytest.raises(ConfigError, match=f"{name}: {bad!r}"):
+                fine_tune(params, self._corpus(), default_layout_builder,
+                          wait_k(1), **{name: bad})
+
+        def bool_token_builder(pair):
+            tokens, layout = default_layout_builder(pair)
+            return tokens[:1] + [True] + tokens[2:], layout
+
+        with pytest.raises(ShapeError, match="True"):
+            fine_tune(params, self._corpus(), bool_token_builder, wait_k(1))
+        assert steps == []
 
     def test_biases_built_once_per_key(self, monkeypatch):
         # one layout and one policy: two epochs of two steps each share

@@ -61,6 +61,9 @@ MUTANTS = (
     ("new rows numbered one arrival late", "src/simulbench/model.py",
      "arrivals = [range(first, first + k)",
      "arrivals = [range(first + 1, first + k + 1)"),
+    ("whole-count rule lets a bool through", "src/simulbench/masks.py",
+     "    if not isinstance(value, bool):\n",
+     "    if True:\n"),
     ("mid-prompt rows left unrestricted in simul_mask",
      "src/simulbench/masks.py",
      "frontier[:mid_len - 1] = reads[0]",
