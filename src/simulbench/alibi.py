@@ -5,6 +5,8 @@ negative bias proportional to the distance between query and key.  The
 visibility-aware variant measures distance by rank among a row's *visible*
 keys, so rows whose source visibility was cut keep the same consecutive
 bias ladder an incremental decoding step would assign over its cache.
+Every bias is read off one ladder per slope set, kept and grown by
+``rank_biases``.
 """
 
 import functools
@@ -47,16 +49,30 @@ def alibi_slopes(n_heads: int) -> HeadSlopes:
     return HeadSlopes(tuple(2.0 ** (-8.0 * h / n_heads) for h in range(1, n_heads + 1)))
 
 
-def rank_biases(n_visible: int, slope: float) -> np.ndarray:
-    """float32 bias ladder over n visible keys, ascending: most recent 0.
+_KEPT: dict[HeadSlopes, np.ndarray] = {}  # slope set -> read-only ladder
 
-    Entry n-1-r holds -float32(slope) * r, the bias of rank r.  An (H, 1)
-    column of slopes gives one ladder per head, shape (H, n).  Every bias
-    of the package is an entry of such a ladder, so all paths produce
-    bit-identical values for equal ranks.
+
+def rank_biases(n_visible: int, slopes: HeadSlopes) -> np.ndarray:
+    """Read-only float32 (H, n) bias ladder over n visible keys, one row
+    per head, ascending: most recent 0.
+
+    Entry n-1-r of head h holds -float32(slopes[h]) * r, the bias of rank
+    r, whatever n is, so the (H, n) ladder is the tail of any longer one.
+    One ladder is kept per slope set, 16 entries at first and grown by
+    doubling, and every call slices its tail.  Every bias of the package
+    is an entry of such a ladder, so all paths produce bit-identical
+    values for equal ranks.
     """
-    ranks = np.arange(n_visible - 1, -1, -1, dtype=np.float32)
-    return -np.float32(slope) * ranks
+    ladder = _KEPT.get(slopes)
+    if ladder is None or ladder.shape[1] < n_visible:
+        size = 16 if ladder is None else ladder.shape[1]
+        while size < n_visible:
+            size *= 2
+        ranks = np.arange(size - 1, -1, -1, dtype=np.float32)
+        ladder = -np.float32(np.asarray(slopes.slopes)[:, None]) * ranks
+        ladder.setflags(write=False)
+        _KEPT[slopes] = ladder
+    return ladder[:, ladder.shape[1] - n_visible:]
 
 
 def visible_biases(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray,
@@ -65,7 +81,7 @@ def visible_biases(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray,
     listed row-major, where row r has ``counts[r]`` of them.
 
     This is the one rank rule: entry i is -slopes[h] * ranks[i], read off
-    one ``rank_biases`` ladder indexed by integer ranks (rank 0 gives
+    the kept ``rank_biases`` ladder indexed by integer ranks (rank 0 gives
     -0.0).  kind 'modified' ranks a key among its row's visible keys,
     counted from the right (nearest visible key 0), so in each row the
     visible keys, taken in ascending order, get
@@ -84,8 +100,7 @@ def visible_biases(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray,
         ranks = rows - cols
     else:
         raise ConfigError(f"unknown bias kind {kind!r}")
-    ladder = rank_biases(n, np.asarray(slopes.slopes)[:, None])
-    return ladder.take(n - 1 - ranks, axis=1)
+    return rank_biases(n, slopes).take(n - 1 - ranks, axis=1)
 
 
 def head_biases(mask: AttentionMaskSpec, slopes: HeadSlopes,

@@ -39,7 +39,8 @@ from .masks import AttentionMaskSpec, Region, whole
 
 LN_EPS = 1e-5
 MIN_CACHE_CAPACITY = 16  # rows a KVCache first allocates
-_GELU_C = math.sqrt(2.0 / math.pi)
+GELU_C = math.sqrt(2.0 / math.pi)  # tanh-GELU: c (x + a x^3)
+GELU_CUBIC = 0.044715
 
 
 @dataclass(frozen=True)
@@ -293,18 +294,23 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> np.ndarr
     return c
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    """0.5 x (1 + tanh(c (x + 0.044715 x^3))), in place on one temporary."""
-    half, c, cubic = _scalars(x.dtype, 0.5, _GELU_C, 0.044715)
-    t = x * x
-    t *= x
-    t *= cubic
-    t += x
-    t *= c
-    np.tanh(t, out=t)
-    t += 1.0
-    out = half * x
-    out *= t
+def gelu(x: np.ndarray, out: np.ndarray, t: np.ndarray,
+         tmp: np.ndarray) -> np.ndarray:
+    """tanh-GELU 0.5 x (1 + tanh(c (x + a x^3))) of ``x`` into ``out``,
+    returned; ``t`` receives the tanh (training's backward reads it),
+    ``tmp`` is scratch and may be ``t`` itself."""
+    half, c, cubic = _scalars(x.dtype, 0.5, GELU_C, GELU_CUBIC)
+    # positional outputs and in-place operators: a cached step's rows are
+    # small enough that keyword parsing would show
+    np.multiply(x, x, tmp)
+    tmp *= x
+    tmp *= cubic
+    tmp += x
+    tmp *= c
+    np.tanh(tmp, t)
+    np.multiply(half, x, out)
+    np.add(1.0, t, tmp)
+    out *= tmp
     return out
 
 
@@ -314,31 +320,6 @@ def _kv_arena(params: ModelParams, capacity: int) -> np.ndarray:
     cfg = params.config
     return np.empty((cfg.n_layers, 2, cfg.n_heads, capacity, cfg.d_head),
                     dtype=params.embed.dtype)
-
-
-_LADDERS: dict[int, np.ndarray] = {}  # head count -> read-only ladder
-_MIN_LADDER = 16  # entries of a head count's first kept ladder
-
-
-def _rank_ladder(n_heads: int, n: int) -> np.ndarray:
-    """The read-only (n_heads, n) tail of the ``rank_biases`` ladder of
-    ``n_heads`` heads: entry j holds the bias of rank n-1-j.
-
-    One ladder is kept per head count and grown by doubling, so
-    ``rank_biases`` runs only when a call needs a longer one.  Every entry
-    is ``-float32(slope) * rank`` whatever the ladder's length, so a tail
-    is byte-equal to ``rank_biases(n, slopes)``.
-    """
-    ladder = _LADDERS.get(n_heads)
-    if ladder is None or ladder.shape[1] < n:
-        size = _MIN_LADDER if ladder is None else ladder.shape[1]
-        while size < n:
-            size *= 2
-        ladder = rank_biases(
-            size, np.asarray(alibi_slopes(n_heads).slopes)[:, None])
-        ladder.setflags(write=False)
-        _LADDERS[n_heads] = ladder
-    return ladder[:, ladder.shape[1] - n:]
 
 
 def _forward_rows(params: ModelParams, tokens, kv: np.ndarray, slots,
@@ -389,7 +370,9 @@ def _forward_rows(params: ModelParams, tokens, kv: np.ndarray, slots,
                          seen[1].transpose(1, 0, 2), bias, plan).reshape(m, 1, d)
         h2 = h + np.matmul(ctx, lp.wo)
         b = _layer_norm(h2, lp.ln2_g, lp.ln2_b)
-        h = h2 + np.matmul(_gelu(np.matmul(b, lp.w1)), lp.w2)
+        f = np.matmul(b, lp.w1)
+        t = np.empty_like(f)
+        h = h2 + np.matmul(gelu(f, np.empty_like(f), t, t), lp.w2)
     if flops:
         # per row and layer: q, k, v, output projection and FFN, 24 d^2;
         # per row: the vocabulary head; per visible key and layer: scores
@@ -461,8 +444,8 @@ def forward_incremental(params: ModelParams, cache: KVCache, tokens, added,
 
     * ``"rank"``: -slope * (canonical-rank distance within the visible
       set), nearest key 0 — the scheme matching visibility-aware training
-      biases.  Token i's biases are the tail of the head count's kept
-      ``rank_biases`` ladder (``_rank_ladder``), ranks n_i-1..0;
+      biases.  Token i's biases are the tail of the kept ``rank_biases``
+      ladder of the model's slopes, ranks n_i-1..0;
     * ``"stale"``: -slope * (arrival distance), with each entry's absolute
       position frozen at its arrival — the scheme a naive cache implements,
       kept as a negative control.  A call's tokens arrive in order, the
@@ -502,14 +485,15 @@ def forward_incremental(params: ModelParams, cache: KVCache, tokens, added,
                 for first, k in zip(accumulate(added, initial=past), added)]
     n_visible = [row + 1 for row in rows]
     width = n_visible[-1]
+    slopes = alibi_slopes(cfg.n_heads)
     if bias_scheme == "rank":
-        ladder = _rank_ladder(cfg.n_heads, width)
+        ladder = rank_biases(width, slopes)
         bias = ladder if m == 1 else np.concatenate(
             [ladder[:, width - n:] for n in n_visible], axis=1)
     else:
         # token i's entries at arrival distances past + i - arrival
         n = past + m
-        ladder = _rank_ladder(cfg.n_heads, n)
+        ladder = rank_biases(n, slopes)
         arrival = np.array([a for kept, new in zip(cache._arrivals, arrivals)
                             for a in (*kept, *new)])
         bias = np.concatenate(

@@ -45,9 +45,8 @@ import numpy as np
 from .alibi import alibi_slopes, head_biases
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .masks import AttentionMaskSpec, causal_mask, simul_mask, whole
-from .model import LN_EPS, ModelParams
+from .model import GELU_C, GELU_CUBIC, LN_EPS, ModelParams, gelu
 
-_GELU_A = 0.044715
 _CLIP_NORM = 1.0  # every step clips its global gradient norm to this
 
 
@@ -92,32 +91,17 @@ def _mean_last(x):
     return np.add.reduce(x, axis=-1, dtype=x.dtype, keepdims=True) / n
 
 
-def _gelu_fwd(x, out, t, tmp):
-    """tanh-GELU of ``x`` into ``out``; ``t`` receives the tanh for the
-    backward, ``tmp`` is scratch."""
-    c = x.dtype.type(np.sqrt(2.0 / np.pi))
-    np.multiply(x, x, out=tmp)
-    np.multiply(tmp, x, out=tmp)
-    np.multiply(x.dtype.type(_GELU_A), tmp, out=tmp)
-    np.add(x, tmp, out=tmp)
-    np.multiply(c, tmp, out=tmp)
-    np.tanh(tmp, out=t)
-    np.multiply(0.5, x, out=out)
-    np.add(1.0, t, out=tmp)
-    np.multiply(out, tmp, out=out)
-
-
 def _gelu_bwd(x, t, dy, q, w):
-    """Replace ``dy`` by the GELU input gradient; ``q`` and ``w`` are
-    scratch."""
-    c = x.dtype.type(np.sqrt(2.0 / np.pi))
+    """Replace ``dy`` by the input gradient of ``model.gelu``, whose tanh
+    is ``t``; ``q`` and ``w`` are scratch."""
+    c = x.dtype.type(GELU_C)
     # q = 0.5 * x * (1 - t^2) * du, with du = c * (1 + 3a * x^2)
     np.multiply(0.5, x, out=q)
     np.multiply(t, t, out=w)
     np.subtract(1.0, w, out=w)
     np.multiply(q, w, out=q)
     np.multiply(x, x, out=w)
-    np.multiply(3.0 * x.dtype.type(_GELU_A), w, out=w)
+    np.multiply(3.0 * x.dtype.type(GELU_CUBIC), w, out=w)
     np.add(1.0, w, out=w)
     np.multiply(c, w, out=w)
     np.multiply(q, w, out=q)
@@ -180,8 +164,8 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     are sums over the batch.  All other rows contribute nothing and get
     exactly zero logit gradients.  Raises, before any work, DataError when
     ``loss_rows`` is empty or holds a row outside 0..L-2 or not a whole
-    count, and ShapeError for a token id that is not a whole count or lies
-    outside the vocabulary.
+    count, and ShapeError for a mask that is not L x L or a token id that
+    is not a whole count or lies outside the vocabulary.
     Works in whatever float dtype the parameters carry.  Intermediates go
     to ``_workspace`` (``fine_tune`` passes its own; otherwise a fresh one);
     the returned arrays never alias it.
@@ -190,6 +174,8 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     dt = params.embed.dtype.type
     tokens = np.atleast_2d(np.asarray(whole(tokens, "token ids", ShapeError, 2)))
     B, L = tokens.shape
+    if mask.rows != L or mask.cols != L:
+        raise ShapeError(f"mask is {mask.rows}x{mask.cols}, sequence length {L}")
     loss_rows = np.asarray(whole(loss_rows, "loss rows", DataError, 1))
     if not loss_rows.size or loss_rows.min() < 0 or loss_rows.max() >= L - 1:
         raise DataError(f"need predicting rows in 0..{L - 2}, each labelled "
@@ -256,7 +242,7 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
         np.add(x, x1, out=x1)
         inv2 = _ln_fwd(x1, lp.ln2_g, lp.ln2_b, b2, xhat2, ln_tmp)
         np.matmul(flat(b2), lp.w1, out=flat(f1))
-        _gelu_fwd(f1, g1, t, ffn_tmp[0])
+        gelu(f1, g1, t, ffn_tmp[0])
         np.matmul(flat(g1), lp.w2, out=flat(x))
         np.add(x1, x, out=x)
         saved.append((a, xhat1, inv1, q, k, v, p, ctx, b2, xhat2, inv2,
@@ -369,9 +355,11 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
     Sentences longer than ``max_seq_len`` are skipped with a warning.
     Raises, before any step, ConfigError for an unknown mask or bias mode,
     for ``epochs``, ``batch_size`` or ``max_seq_len`` not a whole count and
-    for a negative or non-finite ``learning_rate``, and ShapeError for a
-    layout token not a whole count; NumericError when a step's loss or
-    gradient norm, or a parameter after its update, is not finite.
+    for a negative or non-finite ``learning_rate``, ShapeError for a
+    layout token not a whole count and DataError for a sentence whose
+    tokens do not number its layout's ``total_len``; NumericError when a
+    step's loss or gradient norm, or a parameter after its update, is not
+    finite.
     Deterministic for fixed seed and corpus order.
     """
     if not corpus:
@@ -389,8 +377,12 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
     workspace = _Workspace()
     groups = {}  # key -> (mask, loss rows, token arrays of its sentences)
     skipped = 0
-    for pair in corpus:
+    for i, pair in enumerate(corpus):
         tokens, layout = layout_builder(pair)
+        tokens = np.asarray(whole(tokens, "layout tokens", ShapeError, 1))
+        if tokens.shape != (layout.total_len,):
+            raise DataError(f"sentence {i}: {tokens.size} layout tokens, "
+                            f"layout length {layout.total_len}")
         if layout.total_len > max_seq_len:
             warnings.warn(
                 f"skipping sentence of length {layout.total_len} > {max_seq_len}")
@@ -411,8 +403,7 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
             # every step under this key reuses the block
             workspace.mask_bias(mask, bias_mode, params.config.n_heads,
                                 params.embed.dtype)
-        groups[key][2].append(
-            np.asarray(whole(tokens, "layout tokens", ShapeError, 1)))
+        groups[key][2].append(tokens)
     if not groups:
         raise DataError("all sentences skipped")
 

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from simulbench import alibi
 from simulbench.alibi import (HeadSlopes, alibi_slopes, bias_to_csv,
                               head_biases, rank_biases)
 from simulbench.errors import ConfigError, DegenerateRowError
@@ -127,8 +128,9 @@ class TestModifiedAlibi:
         assert np.array_equal(a, b)
 
     def test_rank_bias_helper(self):
-        assert rank_biases(4, 1.0).tolist() == [-3.0, -2.0, -1.0, 0.0]
-        assert rank_biases(1, 2.0).tolist() == [0.0]
+        assert (rank_biases(4, HeadSlopes((1.0,))).tolist()
+                == [[-3.0, -2.0, -1.0, 0.0]])
+        assert rank_biases(1, HeadSlopes((2.0, 1.0))).tolist() == [[0.0], [0.0]]
 
 
 class TestHeadBiases:
@@ -151,13 +153,50 @@ class TestHeadBiases:
             head_biases(causal_mask(3), alibi_slopes(2), "other")
 
 
+def formula(n, slopes):
+    """The rank rule written out: -float32(slope) * rank over ranks
+    n-1..0, for one slope or one row per slope of an (H, 1) column."""
+    return -np.float32(slopes) * np.arange(n - 1, -1, -1, dtype=np.float32)
+
+
 def reference_ladder(visible, slope):
-    """Per-row reference: each row's visible keys get rank_biases."""
+    """Per-row reference: each row's visible keys, ascending, get the
+    ranks n-1..0 of the rank rule."""
     matrix = np.zeros(visible.shape, dtype=np.float32)
     for i, row in enumerate(visible):
         vis = np.flatnonzero(row)
-        matrix[i, vis] = rank_biases(vis.size, slope)
+        matrix[i, vis] = formula(vis.size, slope)
     return matrix
+
+
+def test_rank_biases_are_tails_of_a_kept_ladder(monkeypatch):
+    # one ladder is kept per slope set (a fresh but equal HeadSlopes finds
+    # it) and grows by doubling from 16 entries; every tail is the rank
+    # rule written out, byte for byte, whichever slope set grew in
+    # between, and no tail can be written through
+    built = []
+
+    class Kept(dict):
+        def __setitem__(self, slopes, ladder):
+            built.append((len(slopes), ladder.shape[1]))
+            super().__setitem__(slopes, ladder)
+
+    monkeypatch.setattr(alibi, "_KEPT", Kept())
+    user = (0.5,)
+    for slopes, n in [(4, 1), (4, 16), (16, 9), (user, 16), (4, 17),
+                      (16, 16), (user, 17), (16, 17), (4, 32), (4, 3),
+                      (user, 33), (16, 100), (4, 33), (user, 100),
+                      (16, 0)]:
+        slopes = (HeadSlopes(slopes) if slopes is user
+                  else alibi_slopes(slopes))
+        tail = rank_biases(n, slopes)
+        assert tail.dtype == np.float32 and tail.shape == (len(slopes), n)
+        want = formula(n, np.asarray(slopes.slopes)[:, None])
+        assert tail.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            tail[..., -1:] = 1.0
+    assert built == [(4, 16), (16, 16), (1, 16), (4, 32), (1, 32),
+                     (16, 32), (1, 64), (16, 128), (4, 64), (1, 128)]
 
 
 def random_gapped_masks(seed, count):

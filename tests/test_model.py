@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from simulbench import model
-from simulbench.alibi import alibi_slopes, rank_biases
 from simulbench.errors import (CacheCoherenceError, ConfigError, DataError,
                                NumericError, ShapeError)
 from simulbench.masks import (PromptLayout, Region, WaitKPolicy, causal_mask,
@@ -339,28 +338,23 @@ class TestForwardIncremental:
         assert not np.array_equal(ra, rb)
 
 
-def test_rank_ladder_tails_match_rank_biases(monkeypatch):
-    # the kept ladder of each head count grows by doubling; every tail is
-    # byte-equal to a fresh rank_biases ladder, whichever head count grew
-    # in between, and no tail can be written through
-    built = []
-
-    def counted(n, slopes):
-        built.append((len(slopes), n))
-        return rank_biases(n, slopes)
-
-    monkeypatch.setattr(model, "_LADDERS", {})
-    monkeypatch.setattr(model, "rank_biases", counted)
-    for n_heads, n in [(4, 1), (4, 16), (16, 9), (4, 17), (16, 16),
-                       (16, 17), (4, 32), (4, 3), (16, 100), (4, 33)]:
-        slopes = np.asarray(alibi_slopes(n_heads).slopes)[:, None]
-        tail = model._rank_ladder(n_heads, n)
-        assert tail.dtype == np.float32
-        assert tail.tobytes() == rank_biases(n, slopes).tobytes()
-        with pytest.raises(ValueError):
-            tail[0, -1] = 1.0
-    assert built == [(4, 16), (16, 16), (4, 32), (16, 32), (16, 128),
-                     (4, 64)]
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12),
+                                        (np.float32, 3e-6)])
+def test_gelu_is_the_tanh_formula(dtype, tol):
+    # the one GELU of inference and training, against the tanh formula in
+    # float64; t receives the tanh, and scratch may be t itself
+    x = np.random.default_rng(5).standard_normal(4096) * 4
+    inner = np.sqrt(2 / np.pi) * (x + 0.044715 * x ** 3)
+    want = 0.5 * x * (1 + np.tanh(inner))
+    x = x.astype(dtype)
+    out, t = np.empty_like(x), np.empty_like(x)
+    got = model.gelu(x, out, t, np.empty_like(x))
+    assert got is out and got.dtype == dtype
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+    np.testing.assert_allclose(t, np.tanh(inner), rtol=tol, atol=tol)
+    shared = np.empty_like(x)
+    assert (model.gelu(x, np.empty_like(x), shared, shared).tobytes()
+            == out.tobytes())
 
 
 class TestCheckpoint:

@@ -2,19 +2,19 @@
 
 ``simul_mask`` and ``realized_step_mask`` build visibility from a per-row
 source frontier; here they are compared with the per-row loop they
-replaced.  ``forward_full``'s bias blocks are read off one ``rank_biases``
-ladder per call; ``forward_incremental``'s are tails of the ladder
-``model`` keeps per head count, grown only when a call needs a longer one.
-Here the blocks are compared byte for byte (so rank 0 stays -0.0) with
-``head_biases`` and with the per-token formulas of the incremental path.
+replaced.  ``forward_full``'s and ``forward_incremental``'s bias blocks
+are both read off the ladder ``rank_biases`` keeps per slope set, grown
+only when a call needs a longer one.  Here the blocks are compared byte
+for byte (so rank 0 stays -0.0) with ``head_biases``, with the explicit
+formula ``-float32(slope) * rank`` and, on the incremental path, with the
+per-token formulas written out, never with the kept ladder itself.
 """
 
 import numpy as np
 import pytest
 
 from simulbench import engine, model
-from simulbench.alibi import (alibi_slopes, head_biases, rank_biases,
-                              visible_biases)
+from simulbench.alibi import alibi_slopes, head_biases, visible_biases
 from simulbench.engine import GenerationMode, realized_step_mask, simul_generate
 from simulbench.errors import LayoutError, PolicyError
 from simulbench.masks import PromptLayout, TablePolicy, WaitKPolicy, simul_mask
@@ -152,7 +152,8 @@ def test_incremental_blocks_match_per_token_ladders(monkeypatch, scheme):
             want = []
             for i, n in enumerate(counts):
                 if scheme == "rank":
-                    want.append(rank_biases(n, slopes))
+                    ranks = np.arange(n - 1, -1, -1, dtype=np.float32)
+                    want.append(-np.float32(slopes) * ranks)
                 else:
                     want.append(-np.float32(slopes)
                                 * (past + i - arrival[:n]).astype(np.float32))

@@ -138,6 +138,16 @@ class TestForwardBackward:
                 batch_forward_backward(params, [[1, 2, 3, 4]], causal,
                                        "modified", bad)
 
+    def test_mask_that_does_not_fit_the_tokens_rejected(self):
+        # four tokens need a 4x4 mask; any other fails as forward_full
+        # fails, before any work
+        params = init_model(CFG)
+        for n in (3, 5):
+            with pytest.raises(ShapeError,
+                               match=rf"^mask is {n}x{n}, sequence length 4$"):
+                batch_forward_backward(params, [[1, 2, 3, 4]], causal_mask(n),
+                                       "modified", [0, 1])
+
     def test_clip_global_norm(self):
         grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}
         norm = clip_global_norm(grads, 1.0)
@@ -387,6 +397,35 @@ class TestFineTune:
 
         with pytest.raises(ShapeError, match="True"):
             fine_tune(params, self._corpus(), bool_token_builder, wait_k(1))
+        assert steps == []
+
+    def test_tokens_not_numbering_their_layout_rejected(self, monkeypatch):
+        # a layout builder one token short, or one long, fails before any
+        # step, even when no step would run, naming the sentence and both
+        # lengths
+        steps = []
+        monkeypatch.setattr(simulbench.training, "batch_forward_backward",
+                            lambda *args, **kwargs: steps.append(args))
+        params = init_model(CFG)
+        corpus = self._corpus()
+
+        def off_by(extra):
+            def builder(pair):
+                tokens, layout = default_layout_builder(pair)
+                if pair is corpus[3]:
+                    tokens = tokens[:-1] if extra < 0 else tokens + [1]
+                return tokens, layout
+            return builder
+
+        for extra in (-1, 1):
+            length = default_layout_builder(corpus[3])[1].total_len
+            for epochs in (0, 1):
+                with pytest.raises(
+                        DataError,
+                        match=rf"^sentence 3: {length + extra} layout tokens, "
+                              rf"layout length {length}$"):
+                    fine_tune(params, corpus, off_by(extra), wait_k(1),
+                              epochs=epochs)
         assert steps == []
 
     def test_biases_built_once_per_key(self, monkeypatch):

@@ -44,9 +44,12 @@ MUTANTS = (
      "kv[:, :, :, lo:hi] = kv[:, :, :, lo + by:hi + by]",
      "pass"),
     ("rank ladder sliced from its head instead of its tail",
-     "src/simulbench/model.py",
-     "return ladder[:, ladder.shape[1] - n:]",
-     "return ladder[:, :n]"),
+     "src/simulbench/alibi.py",
+     "return ladder[:, ladder.shape[1] - n_visible:]",
+     "return ladder[:, :n_visible]"),
+    ("GELU forward without its cubic factor", "src/simulbench/model.py",
+     "    tmp *= cubic\n",
+     ""),
     ("per-region counts not checked against the tokens",
      "src/simulbench/model.py",
      "or min(added) < 0 or sum(added) != m:",
