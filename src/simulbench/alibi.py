@@ -38,7 +38,10 @@ class HeadSlopes:
         return len(self.slopes)
 
 
-@functools.lru_cache(maxsize=64)
+_KEEP = 64  # slope sets cached by alibi_slopes, and kept ladders
+
+
+@functools.lru_cache(maxsize=_KEEP)
 def alibi_slopes(n_heads: int) -> HeadSlopes:
     """Geometric slope ladder: head h (1-based) gets 2^(-8h / n_heads).
 
@@ -49,7 +52,7 @@ def alibi_slopes(n_heads: int) -> HeadSlopes:
     return HeadSlopes(tuple(2.0 ** (-8.0 * h / n_heads) for h in range(1, n_heads + 1)))
 
 
-_KEPT: dict[HeadSlopes, np.ndarray] = {}  # slope set -> read-only ladder
+_KEPT: dict[HeadSlopes, np.ndarray] = {}  # slope set -> ladder, oldest first
 
 
 def rank_biases(n_visible: int, slopes: HeadSlopes) -> np.ndarray:
@@ -59,13 +62,16 @@ def rank_biases(n_visible: int, slopes: HeadSlopes) -> np.ndarray:
     Entry n-1-r of head h holds -float32(slopes[h]) * r, the bias of rank
     r, whatever n is, so the (H, n) ladder is the tail of any longer one.
     One ladder is kept per slope set, 16 entries at first and grown by
-    doubling, and every call slices its tail.  Every bias of the package
-    is an entry of such a ladder, so all paths produce bit-identical
-    values for equal ranks.
+    doubling, and every call slices its tail; past 64 slope sets the
+    oldest set's ladder is dropped, to be rebuilt, byte for byte, if that
+    set comes back.  Every bias of the package is an entry of such a
+    ladder, so all paths produce bit-identical values for equal ranks.
     """
     ladder = _KEPT.get(slopes)
     if ladder is None or ladder.shape[1] < n_visible:
         size = 16 if ladder is None else ladder.shape[1]
+        if ladder is None and len(_KEPT) >= _KEEP:
+            del _KEPT[next(iter(_KEPT))]
         while size < n_visible:
             size *= 2
         ranks = np.arange(size - 1, -1, -1, dtype=np.float32)

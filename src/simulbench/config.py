@@ -6,16 +6,16 @@ fast.  Command-line flags override file values.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .masks import whole
 from .model import ModelConfig
 
 
-def _parse_int_list(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    parts = [p for p in str(text).replace(" ", "").split(",") if p]
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    parts = [p for p in text.replace(" ", "").split(",") if p]
     if not parts:
         raise ConfigError("empty integer list")
     return tuple(int(p) for p in parts)
@@ -46,26 +46,36 @@ class ExperimentConfig:
     max_target_len: int = 40
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int:
+                whole(value, f.name, ConfigError)
+            elif f.type is str and not isinstance(value, str):
+                raise ConfigError(f"{f.name}: {value!r} is not text")
+        eval_k = whole(self.eval_k, "eval_k", ConfigError, 1)
+        if not isinstance(eval_k, list) or not eval_k:
+            raise ConfigError(
+                f"eval_k: need a list of wait-k values, got {self.eval_k!r}")
+        object.__setattr__(self, "eval_k", tuple(eval_k))
         if self.mask not in ("simulmask", "causal"):
             raise ConfigError(f"unknown mask mode {self.mask!r}")
         if self.bias not in ("modified", "standard"):
             raise ConfigError(f"unknown bias mode {self.bias!r}")
         if self.mode not in ("cached", "recompute"):
             raise ConfigError(f"unknown generation mode {self.mode!r}")
-        if self.train_k < 1 or any(k < 1 for k in self.eval_k):
+        if self.train_k < 1 or min(self.eval_k) < 1:
             raise ConfigError("wait-k values must be >= 1")
-        if not self.eval_k:
-            raise ConfigError("need at least one eval k")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("invalid training settings")
         if min(self.seed, self.model_seed) < 0:
             raise ConfigError("seed and model_seed must be >= 0")
         if min(self.max_seq_len, self.max_target_len) < 1:
             raise ConfigError("max_seq_len and max_target_len must be >= 1")
-        if not 0 <= self.learning_rate < math.inf:
+        lr = self.learning_rate
+        if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
+                or not 0 <= lr < math.inf):
             raise ConfigError(f"learning_rate must be finite and >= 0, "
-                              f"got {self.learning_rate!r}")
-        object.__setattr__(self, "eval_k", tuple(self.eval_k))
+                              f"got {lr!r}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(n_layers=self.n_layers, n_heads=self.n_heads,
@@ -73,7 +83,8 @@ class ExperimentConfig:
                            seed=self.model_seed)
 
 
-# key -> parser of its text value, from the field types
+# key -> parser of its text value, from the field types; values that are
+# not text go to ExperimentConfig as they are, which checks them
 _COERCE = {f.name: _parse_int_list if f.type == tuple[int, ...] else f.type
            for f in fields(ExperimentConfig)}
 
@@ -96,7 +107,11 @@ def parse_config_text(text: str) -> dict:
 
 def build_config(file_values: dict | None = None,
                  overrides: dict | None = None) -> ExperimentConfig:
-    """Merge config-file values with CLI overrides into an ExperimentConfig."""
+    """Merge config-file values with CLI overrides into an ExperimentConfig.
+
+    Text values are parsed by their field's type (an integer list from
+    comma-separated text); every other value is passed on as it is.
+    """
     merged = {}
     for source in (file_values or {}, overrides or {}):
         for key, value in source.items():
@@ -104,10 +119,13 @@ def build_config(file_values: dict | None = None,
                 continue
             if key not in _COERCE:
                 raise ConfigError(f"unknown config key {key!r}")
-            try:
-                merged[key] = _COERCE[key](value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+            if isinstance(value, str):
+                try:
+                    value = _COERCE[key](value)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"bad value for {key!r}: {value!r}") from exc
+            merged[key] = value
     return ExperimentConfig(**merged)
 
 

@@ -294,24 +294,21 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> np.ndarr
     return c
 
 
-def gelu(x: np.ndarray, out: np.ndarray, t: np.ndarray,
-         tmp: np.ndarray) -> np.ndarray:
-    """tanh-GELU 0.5 x (1 + tanh(c (x + a x^3))) of ``x`` into ``out``,
-    returned; ``t`` receives the tanh (training's backward reads it),
-    ``tmp`` is scratch and may be ``t`` itself."""
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-GELU 0.5 x (1 + tanh(c (x + a x^3))) of ``x``, and the tanh
+    (training's backward reads it)."""
     half, c, cubic = _scalars(x.dtype, 0.5, GELU_C, GELU_CUBIC)
     # positional outputs and in-place operators: a cached step's rows are
     # small enough that keyword parsing would show
-    np.multiply(x, x, tmp)
-    tmp *= x
-    tmp *= cubic
-    tmp += x
-    tmp *= c
-    np.tanh(tmp, t)
-    np.multiply(half, x, out)
-    np.add(1.0, t, tmp)
-    out *= tmp
-    return out
+    t = np.multiply(x, x)
+    t *= x
+    t *= cubic
+    t += x
+    t *= c
+    np.tanh(t, t)
+    g = np.multiply(half, x)
+    g *= 1.0 + t
+    return g, t
 
 
 def _kv_arena(params: ModelParams, capacity: int) -> np.ndarray:
@@ -371,8 +368,7 @@ def _forward_rows(params: ModelParams, tokens, kv: np.ndarray, slots,
         h2 = h + np.matmul(ctx, lp.wo)
         b = _layer_norm(h2, lp.ln2_g, lp.ln2_b)
         f = np.matmul(b, lp.w1)
-        t = np.empty_like(f)
-        h = h2 + np.matmul(gelu(f, np.empty_like(f), t, t), lp.w2)
+        h = h2 + np.matmul(gelu(f)[0], lp.w2)
     if flops:
         # per row and layer: q, k, v, output projection and FFN, 24 d^2;
         # per row: the vocabulary head; per visible key and layer: scores

@@ -23,17 +23,19 @@ embedding gradient is one stable sort of the token ids and one
 ``np.add.reduceat`` over the sorted rows.  The attention products stay
 per (sentence, head).
 
-A step allocates almost nothing: every large intermediate of the forward
-and backward is written with ``out=`` (or updated in place) into a
-``_Workspace`` that one ``fine_tune`` call owns and hands to each step, and
-the SGD update runs in place on the call's parameter copies.  The
-additive mask+bias block of each (mask, bias kind) is built once per call,
-when ``fine_tune`` prepares the mask, and every step reuses it.  Every
-product keeps its shape and every reduction its grouping, and each
-elementwise op is the same binary op in the same order as the plain
-expression, so training is bit-identical (float32 and float64) to
-allocating every temporary afresh.  Nothing a step returns aliases the
-workspace.
+A step allocates its arrays: each intermediate of the forward and
+backward is the array its expression returns, and in-place updates remain
+only where they read as the math (a running maximum, a normalization, a
+residual sum, the softmax backward).  Each step builds its own additive
+mask+bias block from its mask and kind, about 56 us at L=36 and 16 heads,
+some 0.2% of a 27 ms learning-smoke step.  Fresh arrays cost page faults:
+glibc returns the heap memory a step frees to the system, and the next
+step faults it back in, so perfbench ``train_short`` (one pinned Xeon
+core) runs 6-8% slower than with buffers kept across the steps of a
+call.  Every product keeps its shape and operands, every reduction its
+grouping, and every elementwise op its operands and order, so the bytes
+of a step do not depend on how it holds its temporaries.  The SGD update
+runs in place on the ``fine_tune`` call's parameter copies.
 """
 
 import math
@@ -50,40 +52,6 @@ from .model import GELU_C, GELU_CUBIC, LN_EPS, ModelParams, gelu
 _CLIP_NORM = 1.0  # every step clips its global gradient norm to this
 
 
-class _Workspace:
-    """Named scratch buffers reused by the steps of one ``fine_tune`` call.
-
-    Each name owns one flat buffer, grown to the largest size requested
-    under it; ``take`` returns a C-contiguous view of the requested shape
-    over its prefix.  A view stays valid until the next ``take`` of the
-    same name, so arrays that are live together need distinct names.
-    """
-
-    def __init__(self):
-        self._buffers = {}
-        self._blocks = {}
-
-    def take(self, name, shape, dtype) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.dtype != dtype or buf.size < size:
-            buf = self._buffers[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
-
-    def mask_bias(self, mask, kind, n_heads, dtype) -> np.ndarray:
-        """The (H, L, L) additive mask plus ``kind`` biases over ``mask``,
-        built once per (mask object, kind, H, dtype) and kept for the
-        workspace's lifetime, with the mask, so its id is never reused."""
-        key = (id(mask), kind, n_heads, np.dtype(dtype))
-        if key not in self._blocks:
-            # mask entries are exactly 0 or -inf and biases are finite, so
-            # adding their sum equals adding the mask, then the biases
-            bias = head_biases(mask, alibi_slopes(n_heads), kind)
-            self._blocks[key] = (mask, np.add(mask.to_additive(dtype),
-                                              bias.astype(dtype, copy=False)))
-        return self._blocks[key][1]
-
-
 def _mean_last(x):
     """``x.mean(axis=-1, keepdims=True)``: the same-dtype sum, then one
     division by the count, without numpy's Python-level ``mean``."""
@@ -91,55 +59,37 @@ def _mean_last(x):
     return np.add.reduce(x, axis=-1, dtype=x.dtype, keepdims=True) / n
 
 
-def _gelu_bwd(x, t, dy, q, w):
-    """Replace ``dy`` by the input gradient of ``model.gelu``, whose tanh
-    is ``t``; ``q`` and ``w`` are scratch."""
-    c = x.dtype.type(GELU_C)
-    # q = 0.5 * x * (1 - t^2) * du, with du = c * (1 + 3a * x^2)
-    np.multiply(0.5, x, out=q)
-    np.multiply(t, t, out=w)
-    np.subtract(1.0, w, out=w)
-    np.multiply(q, w, out=q)
-    np.multiply(x, x, out=w)
-    np.multiply(3.0 * x.dtype.type(GELU_CUBIC), w, out=w)
-    np.add(1.0, w, out=w)
-    np.multiply(c, w, out=w)
-    np.multiply(q, w, out=q)
-    # dy * (0.5 * (1 + t) + q)
-    np.add(1.0, t, out=w)
-    np.multiply(0.5, w, out=w)
-    np.add(w, q, out=w)
-    np.multiply(dy, w, out=dy)
+def _gelu_bwd(x, t, dy):
+    """The input gradient of ``model.gelu`` at ``x``, whose tanh is ``t``,
+    for the output gradient ``dy``."""
+    c, cubic = x.dtype.type(GELU_C), x.dtype.type(GELU_CUBIC)
+    # dy (0.5 (1 + t) + q), q = 0.5 x (1 - t^2) c (1 + 3a x^2); each
+    # product and sum keeps its operands, written temporary first so numpy
+    # can reuse it
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    q = 0.5 * x * sech2 * ((x * x * (3.0 * cubic) + 1.0) * c)
+    return ((t + 1.0) * 0.5 + q) * dy
 
 
-def _ln_fwd(x, g, b, out, xhat, tmp):
-    """Layer norm of ``x`` into ``out``.  ``xhat`` receives the normalized
-    input; returns the (..., 1) inverse deviation.  ``tmp`` is scratch."""
-    np.subtract(x, _mean_last(x), out=xhat)
-    np.multiply(xhat, xhat, out=tmp)
-    inv = 1.0 / np.sqrt(_mean_last(tmp) + x.dtype.type(LN_EPS))
-    np.multiply(xhat, inv, out=xhat)
-    np.multiply(xhat, g, out=out)
-    np.add(out, b, out=out)
-    return inv
+def _ln_fwd(x, g, b):
+    """Layer norm of ``x``: returns the output, the normalized input and
+    the (..., 1) inverse deviation."""
+    centred = x - _mean_last(x)
+    inv = 1.0 / np.sqrt(_mean_last(centred * centred) + x.dtype.type(LN_EPS))
+    xhat = centred * inv
+    return xhat * g + b, xhat, inv
 
 
-def _ln_bwd(xhat, inv, g, dy, tmp):
-    """Replace ``dy`` by the layer-norm input gradient; returns the gain
-    and offset gradients.  ``tmp`` is scratch."""
+def _ln_bwd(xhat, inv, g, dy):
+    """The layer-norm input gradient for the output gradient ``dy``, then
+    the gain and offset gradients."""
     d = dy.shape[-1]
-    np.multiply(dy, xhat, out=tmp)
-    dg = tmp.reshape(-1, d).sum(axis=0)
+    dg = (dy * xhat).reshape(-1, d).sum(axis=0)
     db = dy.reshape(-1, d).sum(axis=0)
-    dxhat = np.multiply(dy, g, out=dy)
-    m1 = _mean_last(dxhat)
-    np.multiply(dxhat, xhat, out=tmp)
-    m2 = _mean_last(tmp)
-    np.subtract(dxhat, m1, out=dxhat)
-    np.multiply(xhat, m2, out=tmp)
-    np.subtract(dxhat, tmp, out=dxhat)
-    np.multiply(inv, dxhat, out=dxhat)
-    return dg, db
+    dxhat = dy * g
+    m1, m2 = _mean_last(dxhat), _mean_last(dxhat * xhat)
+    return inv * (dxhat - m1 - xhat * m2), dg, db
 
 
 @dataclass
@@ -151,8 +101,8 @@ class ForwardBackward:
 
 
 def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
-                           mask: AttentionMaskSpec, kind: str, loss_rows, *,
-                           _workspace: _Workspace | None = None) -> ForwardBackward:
+                           mask: AttentionMaskSpec, kind: str,
+                           loss_rows) -> ForwardBackward:
     """Summed loss and summed gradients of same-shaped sentences.
 
     ``tokens`` is (B, L) under one shared mask, with ``kind`` ('modified'
@@ -164,11 +114,10 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     are sums over the batch.  All other rows contribute nothing and get
     exactly zero logit gradients.  Raises, before any work, DataError when
     ``loss_rows`` is empty or holds a row outside 0..L-2 or not a whole
-    count, and ShapeError for a mask that is not L x L or a token id that
-    is not a whole count or lies outside the vocabulary.
-    Works in whatever float dtype the parameters carry.  Intermediates go
-    to ``_workspace`` (``fine_tune`` passes its own; otherwise a fresh one);
-    the returned arrays never alias it.
+    count, ShapeError for a mask that is not L x L or a token id that is
+    not a whole count or lies outside the vocabulary, and ConfigError for
+    an unknown ``kind``.
+    Works in whatever float dtype the parameters carry.
     """
     cfg = params.config
     dt = params.embed.dtype.type
@@ -185,71 +134,57 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     labels = tokens[:, loss_rows + 1]
     H, dh = cfg.n_heads, cfg.d_head
     d = cfg.d_model
-    ws = _Workspace() if _workspace is None else _workspace
-
-    def buf(name, *shape):
-        return ws.take(name, shape, dt)
+    # mask entries are exactly 0 or -inf and biases are finite, so adding
+    # their sum equals adding the mask, then the biases
+    bias = head_biases(mask, alibi_slopes(H), kind)
+    mask_bias = mask.to_additive(dt) + bias.astype(dt, copy=False)
 
     def heads(arr):  # (B, L, d) -> (B, H, L, dh) view
         return arr.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
 
+    def per_head(x, y):  # x @ y per (sentence, head), as (B, L, d) rows
+        out = np.empty((B, L, d), dt)
+        np.matmul(x, y, out=heads(out))
+        return out
+
     def flat(arr):  # (B, L, n) -> (B*L, n) view of a C-contiguous array
         return arr.reshape(B * L, arr.shape[-1])
 
-    def weight_grad(x, dy, out):
+    def linear(arr, w):  # (B, L, n) @ (n, m) as one 2-D GEMM over B*L rows
+        return (flat(arr) @ w).reshape(B, L, w.shape[-1])
+
+    def weight_grad(x, dy):
         # one GEMM per sentence, summed over the batch in order: no BLAS
         # reduction spans sentences, so the bits do not depend on threading
-        per = buf("wgrad", B, x.shape[-1], dy.shape[-1])
-        np.matmul(x.transpose(0, 2, 1), dy, out=per)
-        np.add.reduce(per, axis=0, out=out)
+        return np.add.reduce(x.transpose(0, 2, 1) @ dy, axis=0)
 
     scale = dt(1.0) / np.sqrt(dt(dh))
-    mask_bias = ws.mask_bias(mask, kind, H, dt)
-    ln_tmp = buf("ln_tmp", B, L, d)
-    scores = buf("scores", B, H, L, L)
-    row_max = buf("row_max", B, H, L, 1)
-    peak = row_max[..., 0]
-    ffn_tmp = [buf(f"ffn_tmp{i}", B, L, 4 * d) for i in range(3)]
-
-    x = np.take(params.embed, tokens, axis=0, out=buf("x", B, L, d))
-    x1 = buf("x1", B, L, d)
+    x = np.take(params.embed, tokens, axis=0)
     saved = []
-    for li, lp in enumerate(params.layers):
-        a, xhat1, q, k, v, ctx, b2, xhat2 = (
-            buf(f"{li}.{name}", B, L, d)
-            for name in ("a", "xhat1", "q", "k", "v", "ctx", "b2", "xhat2"))
-        f1, g1, t = (buf(f"{li}.{name}", B, L, 4 * d)
-                     for name in ("f1", "g1", "t"))
-        p = buf(f"{li}.p", B, H, L, L)
-        inv1 = _ln_fwd(x, lp.ln1_g, lp.ln1_b, a, xhat1, ln_tmp)
-        np.matmul(flat(a), lp.wq, out=flat(q))
-        np.matmul(flat(a), lp.wk, out=flat(k))
-        np.matmul(flat(a), lp.wv, out=flat(v))
-        q, k, v = heads(q), heads(k), heads(v)
-        np.matmul(q, k.swapaxes(-1, -2), out=scores)
-        np.add(scores, mask_bias, out=scores)
-        np.multiply(scores, scale, out=scores)
+    for lp in params.layers:
+        a, xhat1, inv1 = _ln_fwd(x, lp.ln1_g, lp.ln1_b)
+        q, k, v = (heads(linear(a, w)) for w in (lp.wq, lp.wk, lp.wv))
+        scores = q @ k.swapaxes(-1, -2)
+        scores += mask_bias
+        scores *= scale
         # row maxima column by column: rows of L entries would pay the
         # reduction's per-row overhead, and max is exact in any order
-        np.copyto(peak, scores[..., 0])
+        peak = scores[..., 0].copy()
         for j in range(1, L):
             np.maximum(peak, scores[..., j], out=peak)
-        np.subtract(scores, row_max, out=scores)
-        np.exp(scores, out=p)
+        scores -= peak[..., None]
+        p = np.exp(scores, out=scores)
         p /= np.add.reduce(p, axis=-1, keepdims=True)
-        np.matmul(p, v, out=heads(ctx))
-        np.matmul(flat(ctx), lp.wo, out=flat(x1))
-        np.add(x, x1, out=x1)
-        inv2 = _ln_fwd(x1, lp.ln2_g, lp.ln2_b, b2, xhat2, ln_tmp)
-        np.matmul(flat(b2), lp.w1, out=flat(f1))
-        gelu(f1, g1, t, ffn_tmp[0])
-        np.matmul(flat(g1), lp.w2, out=flat(x))
-        np.add(x1, x, out=x)
+        ctx = per_head(p, v)
+        x1 = x + linear(ctx, lp.wo)
+        b2, xhat2, inv2 = _ln_fwd(x1, lp.ln2_g, lp.ln2_b)
+        f1 = linear(b2, lp.w1)
+        g1, t = gelu(f1)
+        x = x1 + linear(g1, lp.w2)
         saved.append((a, xhat1, inv1, q, k, v, p, ctx, b2, xhat2, inv2,
                       f1, g1, t))
-    hf, xhatf = buf("hf", B, L, d), buf("xhatf", B, L, d)
-    invf = _ln_fwd(x, params.lnf_g, params.lnf_b, hf, xhatf, ln_tmp)
-    logits = (flat(hf) @ params.w_out).reshape(B, L, cfg.vocab_size)
+    hf, xhatf, invf = _ln_fwd(x, params.lnf_g, params.lnf_b)
+    logits = linear(hf, params.w_out)
 
     R = loss_rows.size
     sel = logits[:, loss_rows, :]  # (B, R, V)
@@ -263,55 +198,46 @@ def batch_forward_backward(params: ModelParams, tokens: np.ndarray,
     probs[at_label] -= 1.0
     dlogits[:, loss_rows, :] = probs / R
 
+    # gains and offsets are added onto zeros, so a -0.0 entry reads +0.0;
+    # embedding rows no token reads stay zero
     grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
-    weight_grad(hf, dlogits, grads["w_out"])
-    dx = buf("dx", B, L, d)
-    np.matmul(flat(dlogits), params.w_out.T, out=flat(dx))
-    dg, db = _ln_bwd(xhatf, invf, params.lnf_g, dx, ln_tmp)
+    grads["w_out"] = weight_grad(hf, dlogits)
+    dx, dg, db = _ln_bwd(xhatf, invf, params.lnf_g,
+                         linear(dlogits, params.w_out.T))
     grads["lnf_g"] += dg
     grads["lnf_b"] += db
-
-    dx1, dctx, da = (buf(name, B, L, d) for name in ("dx1", "dctx", "da"))
-    dq, dk, dv = (buf(name, B, L, d) for name in ("dq", "dk", "dv"))
-    dp = buf("dp", B, H, L, L)
     for li in range(cfg.n_layers - 1, -1, -1):
         lp = params.layers[li]
+        # popped: a layer's arrays are freed once its backward is done
         (a, xhat1, inv1, q, k, v, p, ctx, b2, xhat2, inv2,
-         f1, g1, t) = saved[li]
+         f1, g1, t) = saved.pop()
         pre = f"layers.{li}."
         # FFN
-        weight_grad(g1, dx, grads[pre + "w2"])
-        df1 = ffn_tmp[0]
-        np.matmul(flat(dx), lp.w2.T, out=flat(df1))
-        _gelu_bwd(f1, t, df1, *ffn_tmp[1:])
-        weight_grad(b2, df1, grads[pre + "w1"])
-        np.matmul(flat(df1), lp.w1.T, out=flat(dx1))
-        dgain, doff = _ln_bwd(xhat2, inv2, lp.ln2_g, dx1, ln_tmp)
+        grads[pre + "w2"] = weight_grad(g1, dx)
+        df1 = _gelu_bwd(f1, t, linear(dx, lp.w2.T))
+        grads[pre + "w1"] = weight_grad(b2, df1)
+        dx1, dgain, doff = _ln_bwd(xhat2, inv2, lp.ln2_g, linear(df1, lp.w1.T))
         grads[pre + "ln2_g"] += dgain
         grads[pre + "ln2_b"] += doff
-        np.add(dx1, dx, out=dx1)
+        dx1 += dx
         # attention
-        weight_grad(ctx, dx1, grads[pre + "wo"])
-        np.matmul(flat(dx1), lp.wo.T, out=flat(dctx))
-        np.matmul(heads(dctx), v.swapaxes(-1, -2), out=dp)
-        np.matmul(p.swapaxes(-1, -2), heads(dctx), out=heads(dv))
-        np.multiply(dp, p, out=scores)
-        np.subtract(dp, np.add.reduce(scores, axis=-1, keepdims=True), out=dp)
-        np.multiply(p, dp, out=dp)
-        dscores = np.multiply(dp, scale, out=dp)
-        np.matmul(dscores, k, out=heads(dq))
-        np.matmul(dscores.swapaxes(-1, -2), q, out=heads(dk))
-        da2, tmp2 = flat(da), flat(ln_tmp)
-        np.matmul(flat(dq), lp.wq.T, out=da2)
-        np.add(da2, np.matmul(flat(dk), lp.wk.T, out=tmp2), out=da2)
-        np.add(da2, np.matmul(flat(dv), lp.wv.T, out=tmp2), out=da2)
-        weight_grad(a, dq, grads[pre + "wq"])
-        weight_grad(a, dk, grads[pre + "wk"])
-        weight_grad(a, dv, grads[pre + "wv"])
-        dgain, doff = _ln_bwd(xhat1, inv1, lp.ln1_g, da, ln_tmp)
+        grads[pre + "wo"] = weight_grad(ctx, dx1)
+        dctx = heads(linear(dx1, lp.wo.T))
+        dv = per_head(p.swapaxes(-1, -2), dctx)
+        dscores = dctx @ v.swapaxes(-1, -2)  # the softmax backward, in place
+        dscores -= np.add.reduce(dscores * p, axis=-1, keepdims=True)
+        dscores *= p
+        dscores *= scale
+        dq = per_head(dscores, k)
+        dk = per_head(dscores.swapaxes(-1, -2), q)
+        da = linear(dq, lp.wq.T) + linear(dk, lp.wk.T) + linear(dv, lp.wv.T)
+        grads[pre + "wq"] = weight_grad(a, dq)
+        grads[pre + "wk"] = weight_grad(a, dk)
+        grads[pre + "wv"] = weight_grad(a, dv)
+        da, dgain, doff = _ln_bwd(xhat1, inv1, lp.ln1_g, da)
         grads[pre + "ln1_g"] += dgain
         grads[pre + "ln1_b"] += doff
-        np.add(da, dx1, out=dx)
+        dx = da + dx1
 
     # embedding rows: a stable sort groups each token's rows, and one
     # segmented sum adds each group
@@ -349,9 +275,9 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
     ``layout_builder(pair) -> (tokens, PromptLayout)`` turns a sentence pair
     into a training sequence; ``policy_builder(source_len)`` yields the
     decision policy for that sentence.  Each (layout, policy) pair gets its
-    mask, loss rows and ``bias_mode`` mask+bias block, built once before
-    any step; within an optimizer step, sentences sharing a layout (hence
-    a mask) are processed as one stacked batch for speed.
+    mask and loss rows, built once before any step; within an optimizer
+    step, sentences sharing a layout (hence a mask) are processed as one
+    stacked batch for speed.
     Sentences longer than ``max_seq_len`` are skipped with a warning.
     Raises, before any step, ConfigError for an unknown mask or bias mode,
     for ``epochs``, ``batch_size`` or ``max_seq_len`` not a whole count and
@@ -373,8 +299,9 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
     if not 0 <= learning_rate < math.inf:
         raise ConfigError(
             f"learning_rate must be finite and >= 0, got {learning_rate!r}")
+    if bias_mode not in ("modified", "standard"):
+        raise ConfigError(f"unknown bias mode {bias_mode!r}")
 
-    workspace = _Workspace()
     groups = {}  # key -> (mask, loss rows, token arrays of its sentences)
     skipped = 0
     for i, pair in enumerate(corpus):
@@ -400,9 +327,6 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
             else:
                 mask = simul_mask(layout, policy)
             groups[key] = (mask, np.asarray(layout.predictor_rows()), [])
-            # every step under this key reuses the block
-            workspace.mask_bias(mask, bias_mode, params.config.n_heads,
-                                params.embed.dtype)
         groups[key][2].append(tokens)
     if not groups:
         raise DataError("all sentences skipped")
@@ -425,7 +349,7 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
         for key, members in batches:
             mask, rows, _ = groups[key]
             fb = batch_forward_backward(cur, np.stack(members), mask,
-                                        bias_mode, rows, _workspace=workspace)
+                                        bias_mode, rows)
             if not np.isfinite(fb.loss):
                 raise NumericError(f"non-finite loss at step {step + 1}")
             grads = fb.grads

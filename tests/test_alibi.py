@@ -199,6 +199,20 @@ def test_rank_biases_are_tails_of_a_kept_ladder(monkeypatch):
                      (16, 32), (1, 64), (16, 128), (4, 64), (1, 128)]
 
 
+def test_kept_ladders_are_bounded(monkeypatch):
+    # at most 64 slope sets keep a ladder, the oldest dropped first, and a
+    # dropped set's ladder comes back with the same bytes
+    monkeypatch.setattr(alibi, "_KEPT", {})
+    sets = [HeadSlopes((1.0 / (i + 2),)) for i in range(200)]
+    first = rank_biases(20, sets[0]).tobytes()
+    for slopes in sets[1:]:
+        rank_biases(20, slopes)
+    assert list(alibi._KEPT) == sets[-64:]
+    again = rank_biases(20, sets[0])
+    assert again.tobytes() == first == formula(20, 0.5).tobytes()
+    assert list(alibi._KEPT) == sets[-63:] + sets[:1]
+
+
 def random_gapped_masks(seed, count):
     """Causal masks with random hidden entries; the diagonal stays visible."""
     rng = np.random.default_rng(seed)

@@ -170,6 +170,27 @@ class TestConfig:
                 with pytest.raises(ConfigError, match=key):
                     build_config({key: value}, {})
 
+    def test_counts_must_be_whole(self):
+        # a float or a bool is no count, from a caller or from a file;
+        # config-file text of whole counts still parses, and a value that
+        # is not text is checked as it is
+        for overrides, named in (({"eval_k": (2.5, True)}, "eval_k: 2.5"),
+                                 ({"eval_k": [3, True]}, "eval_k: True"),
+                                 ({"eval_k": 3}, "eval_k"),
+                                 ({"seed": 2.9}, "seed: 2.9"),
+                                 ({"epochs": True}, "epochs: True"),
+                                 ({"learning_rate": [1]}, "learning_rate"),
+                                 ({"learning_rate": True}, "learning_rate"),
+                                 ({"out": 3}, "out: 3")):
+            with pytest.raises(ConfigError, match=named):
+                build_config({}, overrides)
+        for key, text in (("epochs", "2.5"), ("eval_k", "1,2.5")):
+            with pytest.raises(ConfigError, match=key):
+                build_config({key: text}, {})
+        cfg = build_config({"epochs": "3", "eval_k": "1,3,5"}, {})
+        assert (cfg.epochs, cfg.eval_k) == (3, (1, 3, 5))
+        assert build_config({}, {"eval_k": [2, 4]}).eval_k == (2, 4)
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("seed = 1\nseed = 2\n")

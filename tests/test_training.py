@@ -8,13 +8,12 @@ import pytest
 
 import simulbench
 import simulbench.training
-from simulbench.alibi import head_biases
 from simulbench.data import default_layout_builder, gen_synthetic
 from simulbench.errors import ConfigError, DataError, NumericError, ShapeError
 from simulbench.masks import PromptLayout, WaitKPolicy, causal_mask, simul_mask
 from simulbench.model import ModelConfig, forward_full, init_model
-from simulbench.training import (_Workspace, batch_forward_backward,
-                                 clip_global_norm, fine_tune)
+from simulbench.training import (batch_forward_backward, clip_global_norm,
+                                 fine_tune)
 
 CFG = ModelConfig(n_layers=2, n_heads=4, d_model=32, vocab_size=12, seed=0)
 
@@ -35,19 +34,44 @@ def small_case(seed=0, s=5, t=4):
             np.asarray(layout.predictor_rows()))
 
 
+def snapshot(fb):
+    return (fb.loss, fb.logits.copy(), fb.dlogits.copy(),
+            {name: g.copy() for name, g in fb.grads.items()})
+
+
+def assert_same(fb, ref):
+    loss, logits, dlogits, grads = ref
+    assert fb.loss == loss
+    assert np.array_equal(fb.logits, logits)
+    assert np.array_equal(fb.dlogits, dlogits)
+    assert fb.grads.keys() == grads.keys()
+    for name in grads:
+        assert np.array_equal(fb.grads[name], grads[name]), name
+
+
 class TestForwardBackward:
     def test_vectorized_matches_rowwise_forward(self):
         # both forwards take the same (mask, kind), for every pair that
-        # fine_tune can pass
-        params = init_model(CFG)
+        # fine_tune can pass, in float32 and float64; every returned array
+        # has the parameters' dtype, and later calls leave earlier results
+        # untouched
         tokens, layout, streaming, rows = small_case()
-        for name, mask in (("simulmask", streaming),
-                           ("causal", causal_mask(layout.total_len))):
-            for kind in ("modified", "standard"):
-                fast = batch_forward_backward(params, tokens, mask, kind,
-                                              rows).logits
-                exact = forward_full(params, tokens[0], mask, kind)
-                assert np.abs(fast[0] - exact).max() < 1e-4, f"{name}/{kind}"
+        results = []
+        for dtype in (np.float32, np.float64):
+            params = init_model(CFG).astype(dtype)
+            for name, mask in (("simulmask", streaming),
+                               ("causal", causal_mask(layout.total_len))):
+                for kind in ("modified", "standard"):
+                    fb = batch_forward_backward(params, tokens, mask, kind,
+                                                rows)
+                    arrays = [fb.logits, fb.dlogits, *fb.grads.values()]
+                    assert all(arr.dtype == dtype for arr in arrays)
+                    exact = forward_full(params, tokens[0], mask, kind)
+                    assert np.abs(fb.logits[0] - exact).max() < 1e-4, (
+                        f"{name}/{kind}")
+                    results.append((fb, snapshot(fb)))
+        for fb, ref in results:
+            assert_same(fb, ref)
 
     def test_loss_masking_zero_gradients(self):
         params = init_model(CFG)
@@ -157,52 +181,6 @@ class TestForwardBackward:
         small = {"a": np.full(2, 0.1)}
         clip_global_norm(small, 1.0)
         assert np.allclose(small["a"], 0.1)
-
-
-def snapshot(fb):
-    return (fb.loss, fb.logits.copy(), fb.dlogits.copy(),
-            {name: g.copy() for name, g in fb.grads.items()})
-
-
-def assert_same(fb, ref):
-    loss, logits, dlogits, grads = ref
-    assert fb.loss == loss
-    assert np.array_equal(fb.logits, logits)
-    assert np.array_equal(fb.dlogits, dlogits)
-    assert fb.grads.keys() == grads.keys()
-    for name in grads:
-        assert np.array_equal(fb.grads[name], grads[name]), name
-
-
-class TestWorkspace:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_reuse_matches_fresh_and_never_aliases(self, dtype):
-        # one workspace serves a long layout, a short one, then the long
-        # one's mask object again with another batch size under the other
-        # bias kind, then under the first kind: every call equals a
-        # fresh-workspace call, and later calls leave earlier results
-        # untouched
-        params = init_model(CFG).astype(dtype)
-        rng = np.random.default_rng(0)
-        cases = {shape: small_case(s=shape[0], t=shape[1])[1:]
-                 for shape in ((9, 8), (3, 2))}
-        calls = []
-        for shape, batch, kind in (((9, 8), 5, "modified"),
-                                   ((3, 2), 3, "standard"),
-                                   ((9, 8), 4, "standard"),
-                                   ((9, 8), 2, "modified")):
-            layout, mask, rows = cases[shape]
-            tokens = rng.integers(3, CFG.vocab_size, size=(batch, layout.total_len))
-            calls.append((tokens, mask, kind, rows))
-        workspace = _Workspace()
-        results = []
-        for args in calls:
-            fb = batch_forward_backward(params, *args, _workspace=workspace)
-            assert fb.logits.dtype == dtype
-            assert_same(fb, snapshot(batch_forward_backward(params, *args)))
-            results.append((fb, snapshot(fb)))
-        for fb, ref in results:
-            assert_same(fb, ref)
 
 
 # one learning-smoke-shaped step (B=25, L=26, H16, d64) per dtype; prints a
@@ -427,23 +405,6 @@ class TestFineTune:
                     fine_tune(params, corpus, off_by(extra), wait_k(1),
                               epochs=epochs)
         assert steps == []
-
-    def test_biases_built_once_per_key(self, monkeypatch):
-        # one layout and one policy: two epochs of two steps each share
-        # one mask+bias block
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return head_biases(*args, **kwargs)
-
-        monkeypatch.setattr(simulbench.training, "head_biases", spy)
-        corpus = gen_synthetic("copy", 6, 4, 4, CFG.vocab_size, 0)
-        result = fine_tune(init_model(CFG), corpus, default_layout_builder,
-                           wait_k(2), epochs=2, learning_rate=0.1,
-                           batch_size=3)
-        assert len(result.loss_curve) == 4
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("setting", [
         {"learning_rate": float("nan")}, {"learning_rate": float("inf")}])

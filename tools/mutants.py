@@ -48,7 +48,7 @@ MUTANTS = (
      "return ladder[:, ladder.shape[1] - n_visible:]",
      "return ladder[:, :n_visible]"),
     ("GELU forward without its cubic factor", "src/simulbench/model.py",
-     "    tmp *= cubic\n",
+     "    t *= cubic\n",
      ""),
     ("per-region counts not checked against the tokens",
      "src/simulbench/model.py",
@@ -67,6 +67,9 @@ MUTANTS = (
     ("whole-count rule lets a bool through", "src/simulbench/masks.py",
      "    if not isinstance(value, bool):\n",
      "    if True:\n"),
+    ("build_config truncates a float count", "src/simulbench/config.py",
+     "            if isinstance(value, str):\n",
+     "            if not isinstance(value, (list, tuple)):\n"),
     ("mid-prompt rows left unrestricted in simul_mask",
      "src/simulbench/masks.py",
      "frontier[:mid_len - 1] = reads[0]",
@@ -90,8 +93,8 @@ MUTANTS = (
         done += cost
 """),
     ("training biases ignore the kind", "src/simulbench/training.py",
-     "head_biases(mask, alibi_slopes(n_heads), kind)",
-     "head_biases(mask, alibi_slopes(n_heads), \"modified\")"),
+     "head_biases(mask, alibi_slopes(H), kind)",
+     "head_biases(mask, alibi_slopes(H), \"modified\")"),
     ("labels read from the loss rows themselves",
      "src/simulbench/training.py",
      "labels = tokens[:, loss_rows + 1]",
@@ -104,9 +107,6 @@ MUTANTS = (
      "src/simulbench/experiment.py",
      "sum(r.laal() for r in records) / len(records)",
      "sum(r.laal() for r in records[1:]) / len(records)"),
-    ("bias block reused across kinds", "src/simulbench/training.py",
-     "key = (id(mask), kind, n_heads, np.dtype(dtype))",
-     "key = (id(mask), n_heads, np.dtype(dtype))"),
     ("one extra source pull at step 1", "src/simulbench/engine.py",
      "max(policy.cumulative_reads(t) - reads, 0)",
      "max(policy.cumulative_reads(t) - reads + (t == 1), 0)"),
