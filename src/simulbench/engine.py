@@ -71,10 +71,10 @@ class TranslationTrace:
     the cumulative number of source tokens read at emission time.
     """
 
+    pre_len: int
+    mid_len: int
     events: list = field(default_factory=list)
     d: list[int] = field(default_factory=list)
-    pre_len: int = 1
-    mid_len: int = 1
     kv_rows: int = 0
     step_logits: list | None = None
 

@@ -28,16 +28,19 @@ backward is the array its expression returns, and in-place updates remain
 only where they read as the math (a running maximum, a normalization, a
 residual sum, the softmax backward).  Each step builds its own additive
 mask+bias block from its mask and kind, about 56 us at L=36 and 16 heads,
-some 0.2% of a 27 ms learning-smoke step.  Fresh arrays cost page faults:
-glibc returns the heap memory a step frees to the system, and the next
-step faults it back in, so perfbench ``train_short`` (one pinned Xeon
-core) runs 6-8% slower than with buffers kept across the steps of a
-call.  Every product keeps its shape and operands, every reduction its
+some 0.2% of a 27 ms learning-smoke step.  So that fresh arrays cost no
+page faults, ``fine_tune`` runs ``_keep_heap`` once per process: under
+glibc only, it raises the allocator's thresholds process-wide, so the
+next step reuses the heap a step frees (at most 64 MiB of it is kept);
+importing the package or inference alone leaves the allocator as it was.
+Every product keeps its shape and operands, every reduction its
 grouping, and every elementwise op its operands and order, so the bytes
 of a step do not depend on how it holds its temporaries.  The SGD update
 runs in place on the ``fine_tune`` call's parameter copies.
 """
 
+import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -50,6 +53,20 @@ from .masks import AttentionMaskSpec, causal_mask, simul_mask, whole
 from .model import GELU_C, GELU_CUBIC, LN_EPS, ModelParams, gelu
 
 _CLIP_NORM = 1.0  # every step clips its global gradient norm to this
+
+
+@functools.cache
+def _keep_heap():
+    """Set glibc's mmap threshold to 32 MiB, then its trim threshold to 64
+    MiB, for the whole process, so the heap a step frees stays mapped for
+    the next step; the trim threshold alone would pin the mmap threshold at
+    128 KiB.  Does nothing where the C library has no ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def _mean_last(x):
@@ -280,13 +297,14 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
     stacked batch for speed.
     Sentences longer than ``max_seq_len`` are skipped with a warning.
     Raises, before any step, ConfigError for an unknown mask or bias mode,
-    for ``epochs``, ``batch_size`` or ``max_seq_len`` not a whole count and
-    for a negative or non-finite ``learning_rate``, ShapeError for a
-    layout token not a whole count and DataError for a sentence whose
-    tokens do not number its layout's ``total_len``; NumericError when a
-    step's loss or gradient norm, or a parameter after its update, is not
-    finite.
-    Deterministic for fixed seed and corpus order.
+    for the simulmask mode without a ``policy_builder``, for ``epochs``,
+    ``batch_size`` or ``max_seq_len`` not a whole count and for a negative
+    or non-finite ``learning_rate``, ShapeError for a layout token not a
+    whole count and DataError for a sentence whose tokens do not number
+    its layout's ``total_len``; NumericError when a step's loss or gradient
+    norm, or a parameter after its update, is not finite.
+    Deterministic for fixed seed and corpus order.  Before its first step
+    it sets glibc's heap thresholds for the whole process (``_keep_heap``).
     """
     if not corpus:
         raise DataError("empty corpus")
@@ -301,6 +319,10 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
             f"learning_rate must be finite and >= 0, got {learning_rate!r}")
     if bias_mode not in ("modified", "standard"):
         raise ConfigError(f"unknown bias mode {bias_mode!r}")
+    if mask_mode not in ("causal", "simulmask"):
+        raise ConfigError(f"unknown mask mode {mask_mode!r}")
+    if mask_mode == "simulmask" and policy_builder is None:
+        raise ConfigError("simulmask mode needs a decision policy")
 
     groups = {}  # key -> (mask, loss rows, token arrays of its sentences)
     skipped = 0
@@ -318,14 +340,8 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
         policy = policy_builder(layout.source_len) if policy_builder else None
         key = (layout, None if policy is None else policy.describe())
         if key not in groups:
-            if mask_mode == "causal":
-                mask = causal_mask(layout.total_len)
-            elif mask_mode != "simulmask":
-                raise ConfigError(f"unknown mask mode {mask_mode!r}")
-            elif policy is None:
-                raise ConfigError("simulmask mode needs a decision policy")
-            else:
-                mask = simul_mask(layout, policy)
+            mask = (causal_mask(layout.total_len) if mask_mode == "causal"
+                    else simul_mask(layout, policy))
             groups[key] = (mask, np.asarray(layout.predictor_rows()), [])
         groups[key][2].append(tokens)
     if not groups:
@@ -337,6 +353,7 @@ def fine_tune(params: ModelParams, corpus, layout_builder, policy_builder,
     rng = np.random.default_rng(shuffle_seed)
     loss_curve = []
     step = 0
+    _keep_heap()
     for _ in range(epochs):
         # length-bucketed batches: each step stacks sentences sharing a
         # layout (hence a mask); step order is shuffled across buckets

@@ -408,7 +408,7 @@ class TestTraceSerialization:
         assert events == trace.events
 
     def test_deterministic_field_order(self):
-        trace = TranslationTrace()
+        trace = TranslationTrace(pre_len=1, mid_len=1)
         trace.events = [ReadEvent(n=2, flops=10), WriteEvent(token=5, flops=3)]
         text = trace_to_jsonl(trace)
         assert text.splitlines()[0] == '{"type": "read", "payload": 2, "flops": 10}'

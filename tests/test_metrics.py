@@ -47,7 +47,7 @@ class TestLaal:
 
     def test_offline_trace(self):
         for n in (4, 9):
-            trace = TranslationTrace(d=[n] * n)
+            trace = TranslationTrace(pre_len=1, mid_len=1, d=[n] * n)
             trace.events = [ReadEvent(n=n)] + [WriteEvent(token=0)] * n
             assert laal(trace, n, n, n) == pytest.approx(n)
 
@@ -55,13 +55,13 @@ class TestLaal:
         # target twice the source length; asserted only against the oracle
         source_len, target_len = 6, 12
         d = [min(1 + i, source_len) for i in range(target_len)]
-        trace = TranslationTrace(d=d)
+        trace = TranslationTrace(pre_len=1, mid_len=1, d=d)
         want = laal_oracle(d, source_len, target_len, target_len)
         assert laal(trace, source_len, target_len, target_len) == pytest.approx(want)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(DataError):
-            laal(TranslationTrace(), 3, 3, 3)
+            laal(TranslationTrace(pre_len=1, mid_len=1), 3, 3, 3)
 
     def test_perfect_wait_k_family(self):
         for k in range(1, 8):
@@ -76,7 +76,7 @@ class TestLaal:
             t = int(rng.integers(1, 15))
             d = np.minimum.accumulate(np.full(t, s))
             d = np.maximum.accumulate(rng.integers(1, s + 1, size=t)).tolist()
-            trace = TranslationTrace(d=d)
+            trace = TranslationTrace(pre_len=1, mid_len=1, d=d)
             ref = int(rng.integers(1, 20))
             assert laal(trace, s, t, ref) == pytest.approx(
                 laal_oracle(d, s, t, ref))
@@ -157,7 +157,8 @@ class TestFlops:
 
     def test_write_before_any_read_rejected(self):
         # no engine run writes first; its pre-prompt would go uncharged
-        trace = TranslationTrace(events=[WriteEvent(token=0), ReadEvent(n=2)])
+        trace = TranslationTrace(pre_len=1, mid_len=1, events=[
+            WriteEvent(token=0), ReadEvent(n=2)])
         with pytest.raises(DataError):
             flops_generate(trace, FlopModel(CFG), GenerationMode("recompute"))
 

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -206,23 +207,60 @@ for dtype in (np.float32, np.float64):
 '''
 
 
-def test_step_bytes_independent_of_blas_threads():
-    # thread counts go only into the children's environments
+def run_child(code, **env):
+    """The output lines of ``code`` run by a fresh interpreter that imports
+    this package; ``env`` goes only into the child's environment."""
     path = [os.path.dirname(os.path.dirname(simulbench.__file__))]
     path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True,
+                          timeout=120).stdout.splitlines()
+
+
+def test_step_bytes_independent_of_blas_threads():
     outputs = []
     for threads in (1, 2):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                   PYTHONPATH=os.pathsep.join(path))
-        out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
-                             check=True, capture_output=True, text=True,
-                             timeout=120).stdout.splitlines()
+        out = run_child(THREAD_PROBE, OPENBLAS_NUM_THREADS=str(threads))
         # per dtype: loss, logits and the gradient of each of the 24
         # tensors of a two-layer model
         assert len(out) == 2 * (2 + 24)
         outputs.append(out)
     differ = [a.rsplit(" ", 1)[0] for a, b in zip(*outputs) if a != b]
     assert not differ, f"bytes differ between 1 and 2 BLAS threads: {differ}"
+
+
+# two fine_tune calls over one corpus, the first to grow the heap; prints
+# the steps and the minor page faults of the second call
+HEAP_PROBE = '''
+import resource
+from simulbench.data import default_layout_builder, gen_synthetic
+from simulbench.masks import WaitKPolicy
+from simulbench.model import ModelConfig, init_model
+from simulbench.training import fine_tune
+params = init_model(ModelConfig(n_layers=2, n_heads=8, d_model=32,
+                                vocab_size=48, seed=0))
+corpus = gen_synthetic("shift(2)", 25, 12, 12, 48, 0)
+def run():
+    return fine_tune(params, corpus, default_layout_builder,
+                     lambda n: WaitKPolicy(5, n), epochs=8, batch_size=25)
+run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+steps = len(run().loss_curve)
+print(steps, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+'''
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the heap thresholds are glibc's")
+def test_steps_do_not_refault_the_heap():
+    # the heap a step frees stays mapped for the next step, so the second
+    # call faults almost no page back in (about 500 per step when glibc
+    # trims the heap after each step); a fresh interpreter, because a
+    # process that has freed large arrays before may have raised glibc's
+    # thresholds itself
+    steps, faults = map(int, run_child(HEAP_PROBE)[-1].split())
+    assert steps == 8 and faults / steps < 50, f"{faults} faults in {steps} steps"
 
 
 class TestFineTune:
@@ -346,8 +384,8 @@ class TestFineTune:
     def test_bad_settings_rejected(self, monkeypatch):
         # an unknown mask or bias mode, the streaming mask without a policy,
         # or a count that is not whole, fails before any step as a bad
-        # batch size does, even when no step would run; so does a layout
-        # token that is not whole
+        # batch size does, even when no step would run or every sentence
+        # is too long; so does a layout token that is not whole
         steps = []
         monkeypatch.setattr(simulbench.training, "batch_forward_backward",
                             lambda *args, **kwargs: steps.append(args))
@@ -357,6 +395,9 @@ class TestFineTune:
                                   (wait_k(1), {"mask_mode": "banded",
                                                "epochs": 0}),
                                   (None, {"mask_mode": "simulmask"}),
+                                  (wait_k(1), {"mask_mode": "banded",
+                                               "max_seq_len": 2}),
+                                  (None, {"max_seq_len": 2}),
                                   (wait_k(1), {"bias_mode": "banded"}),
                                   (wait_k(1), {"bias_mode": "bogus",
                                                "epochs": 0})):

@@ -15,13 +15,18 @@ from pair to pair.  It prints one line per run, then per end-to-end metric
 of ``BENCHMARK.json``: each side's median, the base's quartiles and their
 distance (IQR), the relative change of the medians, and the number of pairs
 the working tree won (by the metric's ``better`` direction; ties count for
-neither side).  Last come the failed and attempted ops of each side.  A run
-that exits non-zero stops the tool with its exit code.
+neither side).  Last come the failed and attempted ops of each side and
+its median minor page faults, per run and per attempted op.  A run's faults
+are the change in ``getrusage(RUSAGE_CHILDREN).ru_minflt`` across it,
+printed on its line as ``minflt``; they count the whole child process,
+set-up included.  A run that exits non-zero stops the tool with its exit
+code.
 """
 
 import argparse
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -55,7 +60,9 @@ def copy_worktree(into: str):
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result of one untraced perfbench run from ``tree``."""
+    """The JSON result of one untraced perfbench run from ``tree``, with the
+    minor page faults of its process added as ``minflt``."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -63,7 +70,10 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode:
         sys.stderr.write(proc.stdout + proc.stderr)
         sys.exit(proc.returncode)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["minflt"] = (
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults)
+    return result
 
 
 def summarize(metrics, base_runs, head_runs):
@@ -113,7 +123,8 @@ def main(argv=None) -> int:
                 values = " ".join(
                     f"{m['name']}={result['metrics'][m['name']]['value']:.4f}"
                     for m in metrics)
-                print(f"pair {i} seed {seed} {side}: {values}", flush=True)
+                print(f"pair {i} seed {seed} {side}: {values} "
+                      f"minflt={result['minflt']}", flush=True)
 
     print(f"{args.workload}: {args.pairs} pairs, {seconds:g} s runs, "
           f"base {args.base} against the working tree")
@@ -122,7 +133,11 @@ def main(argv=None) -> int:
     for side in ("base", "head"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
-        print(f"{side}: {failed} of {attempted} ops failed")
+        faults = [r["minflt"] for r in runs[side]]
+        per_op = [r["minflt"] / r["attempted"] for r in runs[side]]
+        print(f"{side}: {failed} of {attempted} ops failed; median minor page "
+              f"faults {np.median(faults):.0f} per run, "
+              f"{np.median(per_op):.1f} per op")
     return 0
 
 

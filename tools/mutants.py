@@ -99,6 +99,9 @@ MUTANTS = (
      "src/simulbench/training.py",
      "labels = tokens[:, loss_rows + 1]",
      "labels = tokens[:, loss_rows]"),
+    ("heap thresholds never set", "src/simulbench/training.py",
+     "    _keep_heap()\n",
+     ""),
     ("flops-report recompute column charged as cached",
      "src/simulbench/experiment.py",
      "GenerationMode(\"recompute\")).recompute",
