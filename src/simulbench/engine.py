@@ -1,9 +1,11 @@
 """Policy-driven read/write generation over a streaming source.
 
 ``simul_generate`` alternates reading source tokens and greedily emitting
-target tokens under a decision policy.  One decision loop serves both
-modes; each mode supplies one step function taking (new source tokens,
-tokens emitted so far) to (last-row logits, read counter, write counter):
+target tokens under a decision policy.  One decision session serves both
+modes: ``_decide`` yields each prediction step's (new source tokens, tokens
+emitted so far, read counter, write counter) and takes back its last-row
+logits; ``_run`` answers each step with the mode's step function, which
+runs the model, charges the two counters and returns that row:
 
 * cached: every token is processed once against a growing KV cache.
   Each decision step is one ``forward_incremental`` call holding the
@@ -35,8 +37,8 @@ from .errors import (ConfigError, ConsistencyError, DataError, NumericError,
                      PolicyError)
 from .masks import (AttentionMaskSpec, DecisionPolicy, PromptLayout,
                     read_count_mask, whole)
-from .model import (FlopCounter, KVCache, ModelParams, forward_full,
-                    forward_incremental)
+from .model import (FlopCounter, KVCache, ModelParams, _token_ids,
+                    forward_full, forward_incremental)
 
 
 @dataclass(frozen=True)
@@ -106,18 +108,23 @@ def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
     (teacher forcing for equivalence harnesses) and disables the
     end-of-sequence stop.  ``bias_scheme`` is forwarded to the cached path
     ("rank", or "stale" for the frozen-absolute-position negative control).
-    Raises NumericError when a prediction step's logits are not all finite.
+    Raises ShapeError, before any step, for a prompt token, forced token or
+    ``eos_id`` that is not a token id of the model's vocabulary, and
+    NumericError when a prediction step's logits are not all finite.
     """
-    pre_prompt = list(pre_prompt)
-    mid_prompt = list(mid_prompt)
+    vocab = params.config.vocab_size
+    pre_prompt = _token_ids(pre_prompt, vocab)
+    mid_prompt = _token_ids(mid_prompt, vocab)
     if not pre_prompt or not mid_prompt:
         raise DataError("pre- and mid-prompts must be non-empty")
     if whole(max_target_len, "max_target_len", ConfigError) < 1:
         raise ConfigError("max_target_len must be >= 1")
     if mode.kind == "recompute" and bias_scheme != "rank":
         raise ConfigError(f"recompute takes rank biases, not {bias_scheme!r}")
+    if eos_id is not None:
+        eos_id = _token_ids([eos_id], vocab)[0]
     if forced_target is not None:
-        forced_target = list(forced_target)
+        forced_target = _token_ids(forced_target, vocab)
         if not forced_target or len(forced_target) > max_target_len:
             raise ConfigError("forced target must fit within max_target_len")
         # teacher forcing: no end-of-sequence stop, one write per forced token
@@ -129,13 +136,14 @@ def simul_generate(params: ModelParams, policy: DecisionPolicy, pre_prompt,
         step = _cached_step(params, pre_prompt, mid_prompt, bias_scheme)
     else:
         step = _recompute_step(params, pre_prompt, mid_prompt, trace)
-    return _decide(trace, policy, source_stream, step, max_target_len, eos_id,
-                   forced_target), trace
+    return _run(_decide(trace, policy, source_stream, max_target_len, eos_id,
+                        forced_target), step), trace
 
 
-def _decide(trace, policy, source_stream, step, max_target_len, eos_id,
+def _decide(trace, policy, source_stream, max_target_len, eos_id,
             forced_target):
-    """The decision loop; logs on ``trace``, returns the emitted tokens."""
+    """The decision session (a generator; see the module docstring); logs
+    on ``trace``, returns the emitted tokens."""
     stream = iter(source_stream)
     emitted, reads = [], 0
     for t in range(1, max_target_len + 1):
@@ -144,12 +152,20 @@ def _decide(trace, policy, source_stream, step, max_target_len, eos_id,
         new = list(islice(stream, max(policy.cumulative_reads(t) - reads, 0)))
         if t == 1 and not new:
             raise DataError("source stream yielded no tokens")
-        logits, read, write = step(new, emitted)
+        read, write = FlopCounter(), FlopCounter()
+        logits = yield new, emitted, read, write
         if new:
             reads += len(new)
             trace.kv_rows += read.kv_rows
             trace.events.append(ReadEvent(n=len(new), flops=read.total))
-        tok = _emit(trace, logits, t, forced_target, write)
+        if not np.isfinite(logits).all():
+            raise NumericError(f"non-finite logits at prediction step {t}")
+        if trace.step_logits is not None:
+            trace.step_logits.append(np.array(logits, copy=True))
+        tok = (int(np.argmax(logits)) if forced_target is None
+               else forced_target[t - 1])
+        trace.kv_rows += write.kv_rows
+        trace.events.append(WriteEvent(token=tok, flops=write.total))
         if tok == eos_id:
             break
         emitted.append(tok)
@@ -157,18 +173,15 @@ def _decide(trace, policy, source_stream, step, max_target_len, eos_id,
     return emitted
 
 
-def _emit(trace, logits_row, t, forced_target, counter):
-    if not np.isfinite(logits_row).all():
-        raise NumericError(f"non-finite logits at prediction step {t}")
-    if trace.step_logits is not None:
-        trace.step_logits.append(np.array(logits_row, copy=True))
-    if forced_target is not None:
-        tok = forced_target[t - 1]
-    else:
-        tok = int(np.argmax(logits_row))
-    trace.kv_rows += counter.kv_rows
-    trace.events.append(WriteEvent(token=tok, flops=counter.total))
-    return tok
+def _run(session, step):
+    """Answer each step of ``session`` with ``step``; return its result."""
+    logits = None
+    while True:
+        try:
+            request = session.send(logits)
+        except StopIteration as done:
+            return done.value
+        logits = step(*request)
 
 
 def _cached_step(params, pre_prompt, mid_prompt, bias_scheme):
@@ -178,18 +191,16 @@ def _cached_step(params, pre_prompt, mid_prompt, bias_scheme):
     emitted target token, charged to the write counter."""
     cache = KVCache()
 
-    def step(new, emitted):
+    def step(new, emitted, read, write):
         if emitted:
             reads, writes = new, [emitted[-1]]
             added = [0, len(new), 0, 1]
         else:
             reads, writes = pre_prompt + new, mid_prompt
             added = [len(pre_prompt), len(new), len(mid_prompt), 0]
-        read, write = FlopCounter(), FlopCounter()
-        logits = forward_incremental(
+        return forward_incremental(
             params, cache, reads + writes, added, bias_scheme=bias_scheme,
-            flops=[read] * len(reads) + [write] * len(writes))
-        return logits[-1], read, write
+            flops=[read] * len(reads) + [write] * len(writes))[-1]
     return step
 
 
@@ -198,14 +209,12 @@ def _recompute_step(params, pre_prompt, mid_prompt, trace):
     the step mask of ``trace.d`` + [read so far], charged to writes."""
     sources = []
 
-    def step(new, emitted):
+    def step(new, emitted, read, write):
         sources.extend(new)
         mask = realized_step_mask(len(pre_prompt), len(mid_prompt),
                                   trace.d + [len(sources)])
-        counter = FlopCounter()
-        logits = forward_full(params, pre_prompt + sources + mid_prompt + emitted,
-                              mask, "modified", flops=counter)
-        return logits[-1], FlopCounter(), counter
+        return forward_full(params, pre_prompt + sources + mid_prompt + emitted,
+                            mask, "modified", flops=write)[-1]
     return step
 
 
@@ -229,17 +238,16 @@ def realized_step_mask(pre_len: int, mid_len: int, d_history) -> AttentionMaskSp
 def schedule_trace(policy: DecisionPolicy, layout: PromptLayout) -> TranslationTrace:
     """Compute-free trace of the read/write alternation a policy induces.
 
-    What the mask-replay oracle replays: the decision loop with a model-free
-    step (a fixed finite row, zero FLOPs) and ``layout.target_len`` forced
-    writes of token id 0.  A too-short policy raises its own PolicyError.
+    What the mask-replay oracle replays: the decision session answered with
+    a fixed finite row (no model, zero FLOPs) and ``layout.target_len``
+    forced writes of token id 0.  A too-short policy raises its own PolicyError.
     """
     if policy.source_len != layout.source_len:
         raise ConsistencyError("policy/layout source lengths differ")
     trace = TranslationTrace(pre_len=layout.pre_prompt_len,
                              mid_len=layout.mid_prompt_len)
-    _decide(trace, policy, range(layout.source_len),
-            lambda new, emitted: (np.zeros(1), FlopCounter(), FlopCounter()),
-            layout.target_len, None, [0] * layout.target_len)
+    _run(_decide(trace, policy, range(layout.source_len), layout.target_len,
+                 None, [0] * layout.target_len), lambda *_: np.zeros(1))
     return trace
 
 

@@ -27,8 +27,8 @@ immutable after creation; a KVCache belongs to a single generation session.
 import functools
 import json
 import math
-from dataclasses import dataclass
-from itertools import accumulate, chain, groupby
+from dataclasses import asdict, dataclass
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -189,9 +189,9 @@ class KVCache:
     read after mid-prompt and target rows exist moves those rows).  When a
     call needs more room, the arena doubles its capacity (one copy of the
     cache per growth), so growth costs amortized O(1) per token.
-    Entries past ``len(cache)`` are scratch.  ``arrival`` gives the arrival
-    number of each cached row, in canonical order; only the ``stale`` bias
-    control reads it.  The first call shapes the arena (``kv``, None
+    Entries past ``len(cache)`` are scratch.  ``_arrivals`` holds each
+    cached row's arrival number, per region by index; only the ``stale``
+    bias control reads it.  The first call shapes the arena (``kv``, None
     before) from its model; a later call's model must match it in layer
     count, head count, head width and dtype.  One logical owner per
     cache; no concurrent mutation.
@@ -208,12 +208,6 @@ class KVCache:
     def counts(self) -> list[int]:
         """Cached tokens per region, in region order."""
         return [len(kept) for kept in self._arrivals]
-
-    @property
-    def arrival(self) -> np.ndarray:
-        """Arrival number of every cached row, in canonical order."""
-        return np.fromiter(chain.from_iterable(self._arrivals), dtype=np.intp,
-                           count=len(self))
 
     def _reserve(self, params: ModelParams, size: int):
         """Build or grow the arena, doubling, to hold at least ``size`` rows."""
@@ -519,16 +513,7 @@ def params_to_bytes(params: ModelParams) -> bytes:
     for name, arr in tensors:
         index.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.size
-    header = {
-        "config": {
-            "n_layers": params.config.n_layers,
-            "n_heads": params.config.n_heads,
-            "d_model": params.config.d_model,
-            "vocab_size": params.config.vocab_size,
-            "seed": params.config.seed,
-        },
-        "tensors": index,
-    }
+    header = {"config": asdict(params.config), "tensors": index}
     return b"".join(
         [json.dumps(header, sort_keys=True).encode() + b"\n"]
         + [np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in tensors])

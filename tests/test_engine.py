@@ -7,7 +7,7 @@ from simulbench.engine import (GenerationMode, ReadEvent, TranslationTrace,
                                WriteEvent, prefix_expand, replay_visibility,
                                schedule_trace, simul_generate, trace_to_jsonl)
 from simulbench.errors import (ConfigError, ConsistencyError, DataError,
-                               NumericError, PolicyError)
+                               NumericError, PolicyError, ShapeError)
 from simulbench.masks import PromptLayout, TablePolicy, WaitKPolicy, simul_mask
 from simulbench.model import ModelConfig, init_model
 
@@ -22,6 +22,21 @@ def random_policy(rng, source_len, target_len):
                            source_len=source_len)
     reads = np.maximum.accumulate(rng.integers(1, source_len + 1, size=target_len))
     return TablePolicy(reads=tuple(int(r) for r in reads), source_len=source_len)
+
+
+def open_session(params, mode, policy, source, max_target_len, eos_id=None,
+                 forced_target=None, record_logits=False):
+    """The unstarted session, and its step, that ``simul_generate`` runs
+    with these arguments and prompts [PRE_ID], [SEP_ID]: (trace, session,
+    step)."""
+    trace = TranslationTrace(pre_len=1, mid_len=1,
+                             step_logits=[] if record_logits else None)
+    if mode == "cached":
+        step = engine._cached_step(params, [PRE_ID], [SEP_ID], "rank")
+    else:
+        step = engine._recompute_step(params, [PRE_ID], [SEP_ID], trace)
+    return trace, engine._decide(trace, policy, source, max_target_len,
+                                 eos_id, forced_target), step
 
 
 def run_forced(params, pol, src, tgt, mode, **kw):
@@ -116,6 +131,35 @@ class TestSimulGenerate:
                            [SEP_ID], GenerationMode("cached"),
                            max_target_len=bad)
 
+    @pytest.mark.parametrize("mode", ["cached", "recompute"])
+    @pytest.mark.parametrize("kw", [
+        dict(forced_target=[5, 999]), dict(forced_target=[5, 12]),
+        dict(forced_target=[5, 2.5]), dict(forced_target=[5, True]),
+        dict(forced_target=[5, -3]), dict(forced_target=[-3, 5]),
+        dict(eos_id=True), dict(eos_id=12), dict(eos_id=-1), dict(eos_id=2.0),
+        dict(pre_prompt=[PRE_ID, 12]), dict(mid_prompt=[SEP_ID, True]),
+    ])
+    def test_bad_token_ids_rejected_before_any_step(self, mode, kw):
+        # the last forced token never reaches the model, so only this check
+        # keeps a bad id out of the hypothesis and the trace
+        params = init_model(CFG)
+        pulled = []
+        source = (pulled.append(tok) or tok for tok in [3, 4, 5])
+        with pytest.raises(ShapeError, match="token id"):
+            simul_generate(params, WaitKPolicy(1, 3), source_stream=source,
+                           mode=GenerationMode(mode), max_target_len=2,
+                           **{"pre_prompt": [PRE_ID], "mid_prompt": [SEP_ID],
+                              **kw})
+        assert not pulled
+
+    def test_integer_array_forced_target_comes_back_as_ints(self):
+        # numpy integers would reach the trace, and its JSONL dump would fail
+        params = init_model(CFG)
+        hyp, trace = run_forced(params, WaitKPolicy(1, 3), [3, 4, 5],
+                                np.array([5, 6]), GenerationMode("cached"))
+        assert hyp == [5, 6] and all(type(tok) is int for tok in hyp)
+        assert '"payload": 6' in trace_to_jsonl(trace)
+
     def test_eos_stops_generation(self):
         params = init_model(CFG)
         src = [3, 4, 5]
@@ -207,25 +251,6 @@ class TestLazyPulls:
     """Sources are pulled lazily: exactly min(f(t), |S|) tokens before
     write t, and nothing after the last write."""
 
-    @pytest.fixture
-    def log(self, monkeypatch):
-        log = []
-        real = engine._emit
-
-        def logged(trace, *args):
-            tok = real(trace, *args)
-            log.append(("write", tok))
-            return tok
-
-        monkeypatch.setattr(engine, "_emit", logged)
-        return log
-
-    @staticmethod
-    def source(tokens, log):
-        for tok in tokens:
-            log.append(("pull", tok))
-            yield tok
-
     @pytest.mark.parametrize("mode", ["cached", "recompute"])
     @pytest.mark.parametrize("policy, src, kw, stop", [
         (WaitKPolicy(2, 6), [3, 4, 5, 6, 7, 8],
@@ -241,23 +266,84 @@ class TestLazyPulls:
         (WaitKPolicy(1, 6), [3, 4, 5, 6, 7, 8], dict(eos_id=2), "eos"),
         (WaitKPolicy(2, 6), [3, 4, 5, 6, 7, 8], dict(eos_id=None), "max"),
     ])
-    def test_pulls_before_each_write(self, log, mode, policy, src, kw, stop):
+    def test_pulls_before_each_write(self, mode, policy, src, kw, stop):
         params = init_model(CFG)
         max_len = len(kw.get("forced_target", [])) or (30 if stop == "eos" else 3)
-        hyp, trace = simul_generate(params, policy, [PRE_ID],
-                                    self.source(src, log), [SEP_ID],
-                                    GenerationMode(mode),
-                                    max_target_len=max_len, **kw)
-        writes = [i for i, (kind, _) in enumerate(log) if kind == "write"]
-        assert [tok for kind, tok in log if kind == "write"] == trace.writes()
-        for t, at in enumerate(writes, start=1):
-            pulled = sum(kind == "pull" for kind, _ in log[:at])
+        written = []  # per pull, the writes the trace held when it was made
+
+        def source():
+            for tok in src:
+                written.append(len(trace.writes()))
+                yield tok
+
+        trace, session, step = open_session(params, mode, policy, source(),
+                                            max_len, **kw)
+        # drive the session by hand: each answered step makes one write
+        request = next(session)
+        while True:
+            n = len(trace.writes())
+            try:
+                request = session.send(step(*request))
+            except StopIteration as done:
+                hyp = done.value
+                break
+            finally:
+                assert len(trace.writes()) == n + 1
+        writes = len(trace.writes())
+        for t in range(1, writes + 1):
+            pulled = sum(w < t for w in written)
             assert pulled == min(policy.cumulative_reads(t), len(src)), t
-        assert writes[-1] == len(log) - 1  # nothing pulled after the last write
+        assert max(written) < writes  # nothing pulled after the last write
         if stop == "eos":
             assert trace.writes()[-1] == 2 and len(hyp) == 2
         if stop == "max":
             assert len(hyp) == max_len and trace.total_reads() < len(src)
+        # the session driven here is the one simul_generate runs
+        hyp_run, trace_run = simul_generate(
+            params, policy, [PRE_ID], src, [SEP_ID], GenerationMode(mode),
+            max_target_len=max_len, **kw)
+        assert hyp == hyp_run
+        assert trace_to_jsonl(trace) == trace_to_jsonl(trace_run)
+
+
+class TestInterleavedSessions:
+    """A session holds all of its state, so sessions stepped in turn by
+    hand give exactly what each gives run alone."""
+
+    def test_round_robin_equals_sequential(self):
+        params = init_model(CFG)
+        runs = [  # mode, policy, source, max_target_len, eos_id
+            ("cached", WaitKPolicy(2, 6), [3, 4, 5, 6, 7, 8], 7, None),
+            # this model greedily emits 8, 0, 2, ...: id 2 stops it at step 3
+            ("cached", WaitKPolicy(1, 6), [3, 4, 5, 6, 7, 8], 30, 2),
+            ("recompute", TablePolicy(reads=(1, 4, 4, 7, 8), source_len=8),
+             [9, 8, 7, 6, 5, 4, 3, 10], 5, None),
+        ]
+        opened = [open_session(params, mode, pol, iter(src), n, eos_id=eos,
+                               record_logits=True)
+                  for mode, pol, src, n, eos in runs]
+        live = {i: [session, step, next(session)]
+                for i, (_, session, step) in enumerate(opened)}
+        hyps = {}
+        while live:
+            for i, entry in list(live.items()):
+                session, step, request = entry
+                try:
+                    entry[2] = session.send(step(*request))
+                except StopIteration as done:
+                    hyps[i] = done.value
+                    del live[i]
+        for i, (mode, pol, src, n, eos) in enumerate(runs):
+            hyp, trace = simul_generate(
+                params, pol, [PRE_ID], src, [SEP_ID], GenerationMode(mode),
+                max_target_len=n, eos_id=eos, record_logits=True)
+            mine = opened[i][0]
+            assert hyps[i] == hyp
+            assert trace_to_jsonl(mine) == trace_to_jsonl(trace)
+            assert (mine.kv_rows, mine.d) == (trace.kv_rows, trace.d)
+            assert len(mine.step_logits) == len(trace.step_logits)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(mine.step_logits, trace.step_logits))
 
 
 class TestGenerationModeType:

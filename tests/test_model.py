@@ -204,7 +204,7 @@ class TestForwardIncremental:
 
             cache = KVCache()
             forward_incremental(params, cache, prefix, prefix_added)
-            n, arrival = len(cache), cache.arrival.tolist()
+            n, arrivals = len(cache), [list(k) for k in cache._arrivals]
             rows = cache.kv[:, :, :, :n].tobytes()
             bad_counts = {
                 "counts of three regions": more_added[:3],
@@ -239,7 +239,7 @@ class TestForwardIncremental:
                     forward_incremental(bad, cache, more, more_added)
             assert len(cache) == n == 1 + n_src + 2 * later
             assert cache.counts == [1, n_src, later, later]
-            assert cache.arrival.tolist() == arrival
+            assert cache._arrivals == arrivals
             assert cache.kv[:, :, :, :n].tobytes() == rows
             got = forward_incremental(params, cache, probe, probe_added)
             assert np.array_equal(got, want)
@@ -288,9 +288,10 @@ class TestForwardIncremental:
         assert np.array_equal(logits, np.concatenate([src_logits, tgt_logits]))
         assert [(c.total, c.kv_rows) for c in both] == [
             (read.total, read.kv_rows), (write.total, write.kv_rows)]
-        # rows are stored in canonical order: their arrival numbers
-        assert mixed.arrival.tolist() == [0, 1, 3, 4, 2, 5]
-        assert split.arrival.tolist() == [0, 1, 3, 4, 2, 5]
+        # rows are stored in canonical order: their arrival numbers, per
+        # region by index
+        assert mixed._arrivals == [[0], [1, 3, 4], [2], [5]]
+        assert split._arrivals == [[0], [1, 3, 4], [2], [5]]
         with pytest.raises(ShapeError):
             forward_incremental(params, mixed, [7], only(Region.TARGET),
                                 scheme, [])

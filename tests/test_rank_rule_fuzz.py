@@ -123,7 +123,7 @@ def test_incremental_blocks_match_per_token_ladders(monkeypatch, scheme):
         new = rows[slots]  # the canonical rows of the call's tokens
         arrival = np.empty(past + m, dtype=np.intp)
         arrival[new] = past + np.arange(m)
-        arrival[np.setdiff1d(rows, new)] = cache.arrival
+        arrival[np.setdiff1d(rows, new)] = sum(cache._arrivals, [])
         assert list(counts) == (new + 1).tolist()
         assert list(offsets) == [0] * m
         read = visible(rows[None, None, :, None])[0, 0, :, 0]

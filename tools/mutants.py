@@ -116,6 +116,15 @@ MUTANTS = (
     ("reads lag one step after step 1", "src/simulbench/engine.py",
      "max(policy.cumulative_reads(t) - reads, 0)",
      "max(policy.cumulative_reads(max(t - 1, 1)) - reads, 0)"),
+    ("decision session skips its finiteness check", "src/simulbench/engine.py",
+     """        if not np.isfinite(logits).all():
+            raise NumericError(f"non-finite logits at prediction step {t}")
+""",
+     ""),
+    ("forced target ids not checked against the vocabulary",
+     "src/simulbench/engine.py",
+     "forced_target = _token_ids(forced_target, vocab)",
+     "forced_target = list(forced_target)"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "out")
